@@ -34,8 +34,8 @@ print("\ntangent bundle Chern classes:")
 print(f"  c1 = {c1}")
 print(f"  c2 = {c2}")
 print(f"  c3 = {c3}")
-print(f"  c1^3 = {c1_cubed(b)} (closed form)"
-      f" = {integrate(b, cup_power(b, c1, 3))} (ring route)")
+print(f"  c1^3 = {c1_cubed(b)} (ring route)"
+      f" = {2 * (27 + b.k1**2 - 4 * b.k2)} (closed form 2*(27 + k1^2 - 4*k2))")
 print(f"  c1 c2 = {integrate(b, cup(b, c1, c2))}")
 print(f"  c3 integrates to the Euler number {integrate(b, c3)}")
 
@@ -44,9 +44,10 @@ print(f"\n  p1 = {p1},  w2 = {w2},  c1 even: {c1_even}")
 print(f"  <c2, eta>, <c2, xi> = {c2_pairings(b)}")
 
 print("\ncubic intersection form F(y) = integral y^3 on degree 2:")
+print("  closed form F(a*eta + c*xi) = c*(3a^2 - 3*k1*a*c + (k1^2 - k2)*c^2)")
 for a, c in [(1, 0), (0, 1), (1, 1), (3, 2)]:
-    y = degree2(a, c)
-    assert cubic_form(b, a, c) == integrate(b, cup_power(b, y, 3))
+    closed = c * (3 * a * a - 3 * b.k1 * a * c + (b.k1**2 - b.k2) * c * c)
+    assert cubic_form(b, a, c) == closed
     print(f"  F({a}*eta + {c}*xi) = {cubic_form(b, a, c)}")
 
 # this ring has no square-zero classes in degree 2, but a nearby one does

@@ -13,7 +13,7 @@ The package computes, over the rationals and with no floating point:
   * the destabilizing-curve obstruction cutting down the Kaehler cone.
 """
 
-from .exact import L1, L2, ParamPoly, Rational, ToolkitError, poly_eval, primitive, rat, rat_str
+from .exact import L1, L2, ParamPoly, Rational, ToolkitError, primitive, rat, rat_str
 from .gkm import (
     CircleAction,
     CoprimeWitness,
@@ -48,6 +48,7 @@ from .localization import (
     dh_volume,
     jupp_invariants_from_gkm,
     localization_table,
+    localize,
 )
 from .projbundle import (
     Bundle,
@@ -58,6 +59,7 @@ from .projbundle import (
     c2_pairings,
     cubic_coefficients,
     cubic_form,
+    cubic_from_trilinear,
     cup,
     cup_power,
     degree2,

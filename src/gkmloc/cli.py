@@ -112,6 +112,14 @@ def _cmd_dh_volume(args):
     return {"volume": localization.dh_volume(g, s), "table": table}, 0
 
 
+def _inv_json(inv):
+    return {
+        "trilinear": [list(map(list, plane)) for plane in inv.trilinear],
+        "w2": list(inv.w2),
+        "p1_pairings": list(inv.p1_pairings),
+    }
+
+
 def _ring_payload(k1: int, k2: int):
     b = projbundle.Bundle(k1, k2)
     c1, c2, c3 = projbundle.total_chern(b)
@@ -129,12 +137,8 @@ def _ring_payload(k1: int, k2: int):
         "c1_even": c1_even,
         "c1_cubed": projbundle.c1_cubed(b),
         "c2_pairings": {"eta": pair_eta, "xi": pair_xi},
-        "cubic_coefficients_xi_eta": list(projbundle.cubic_coefficients(b)),
-        "jupp": {
-            "trilinear": [list(map(list, plane)) for plane in inv.trilinear],
-            "w2": list(inv.w2),
-            "p1_pairings": list(inv.p1_pairings),
-        },
+        "cubic_coefficients_xi_eta": list(projbundle.cubic_from_trilinear(inv.trilinear)),
+        "jupp": _inv_json(inv),
     }
 
 
@@ -148,17 +152,9 @@ def _cmd_jupp(args):
     inv_ring = projbundle.jupp_invariants(projbundle.Bundle(args.k1, args.k2))
     q = ((1, 0), (0, 1))
     cmp = projbundle.jupp_compare(inv_graph, inv_ring, q)
-
-    def inv_json(inv):
-        return {
-            "trilinear": [list(map(list, plane)) for plane in inv.trilinear],
-            "w2": list(inv.w2),
-            "p1_pairings": list(inv.p1_pairings),
-        }
-
     return {
-        "graph_invariants": inv_json(inv_graph),
-        "bundle_invariants": inv_json(inv_ring),
+        "graph_invariants": _inv_json(inv_graph),
+        "bundle_invariants": _inv_json(inv_ring),
         "q": [list(row) for row in q],
         "trilinear_ok": cmp.trilinear_ok,
         "w2_ok": cmp.w2_ok,
@@ -263,7 +259,8 @@ def _reproduce_checks():
     add("ring/c1-(-1,-1)", [Fraction(2), Fraction(2)], list(c1.coords))
     add("ring/c2-(-1,-1)", [Fraction(0), Fraction(6)], list(c2.coords))
     add("ring/c2-equals-reduction", list(c2.coords),
-        list((6 * cup_sq(b) - projbundle.RingElement(4, (6, 0))).coords))
+        list((6 * projbundle.cup(b, projbundle.xi(), projbundle.xi())
+              - projbundle.RingElement(4, (6, 0))).coords))
     add("ring/c3", [Fraction(6)], list(c3.coords))
     add("ring/xi-cubed-(-1,-1)", [Fraction(2)],
         list(projbundle.cup_power(b, projbundle.xi(), 3).coords))
@@ -326,11 +323,6 @@ def _reproduce_checks():
         kahlercone.kahler_obstruction(1, Fraction(19, 10)).verdict)
 
     return checks
-
-
-def cup_sq(b):
-    """xi*xi in normal form, used by the c2 reduction check."""
-    return projbundle.cup(b, projbundle.xi(), projbundle.xi())
 
 
 def _cmd_reproduce_all(args):

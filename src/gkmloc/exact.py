@@ -31,7 +31,10 @@ def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an exact 'p/q' string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def rat_str(value) -> str:
@@ -243,10 +246,3 @@ class ParamPoly:
 
 L1 = ParamPoly({(1, 0): 1})
 L2 = ParamPoly({(0, 1): 1})
-
-
-def poly_eval(p: ParamPoly, l1, l2) -> Fraction:
-    """Evaluate p at exact rational parameter values."""
-    if not isinstance(p, ParamPoly):
-        raise TypeError(f"poly_eval expects a ParamPoly, got {type(p).__name__}")
-    return p.evaluate(l1, l2)

@@ -128,6 +128,8 @@ class GKMGraph:
         edges = tuple(sorted(self.edges, key=lambda e: (e.tail, e.head)))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "edges", edges)
+        if not pts:
+            raise ValueError("a moment graph has at least one fixed point")
         ids = [p.id for p in pts]
         if len(set(ids)) != len(ids):
             raise ValueError("fixed point ids must be unique")
@@ -137,7 +139,7 @@ class GKMGraph:
                 raise MalformedEdgeError(f"edge {e.tail}->{e.head} references unknown point")
             # raises MalformedEdgeError unless head - tail = area * direction
             # with area positive at the sample parameter values
-            _edge_area(self, e)
+            sphere_area(self, e)
 
     @cached_property
     def _by_id(self):
@@ -159,8 +161,8 @@ class GKMGraph:
             raise NoSuchFixedPointError(f"no fixed point {point_id!r}") from None
 
 
-def _edge_area(g: GKMGraph, e: Edge) -> ParamPoly:
-    """Area polynomial A with head - tail == A * direction, A > 0 on samples."""
+def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
+    """Area polynomial A of the sphere e: head - tail == A * direction, A > 0 on samples."""
     tail = g.point(e.tail).moment_image
     head = g.point(e.head).moment_image
     diff = (head[0] - tail[0], head[1] - tail[1])
@@ -299,13 +301,8 @@ def betti_numbers(g: GKMGraph, s):
 
 
 # ---------------------------------------------------------------------------
-# spheres: symplectic area and first Chern class
+# spheres: first Chern class
 # ---------------------------------------------------------------------------
-
-def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
-    """Symplectic area of the sphere e: head - tail = area * direction."""
-    return _edge_area(g, e)
-
 
 def c1_on_sphere(g: GKMGraph, s, e: Edge) -> Fraction:
     """Pairing of c1 of the ambient manifold with the invariant sphere e.

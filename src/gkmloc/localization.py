@@ -1,16 +1,17 @@
 """Fixed-point localization: exact Chern numbers and symplectic volumes.
 
-Both sums run over the fixed points of a subcircle s = (a, b) acting on the
-manifold behind a GKM graph. With w1, w2, w3 the weights of s at a point,
-the Chern-number sums use the elementary symmetric polynomials of the
-weights, and the volume polynomial uses the momentum H(p) = a*phi1 + b*phi2:
+Every sum runs over the fixed points p of a subcircle s = (a, b) acting on
+the 2n-manifold behind an n-valent GKM graph. With e(p) the product of the
+weights of s at p, e1 and e2 their first two elementary symmetric
+polynomials, and H(p) = a*phi1 + b*phi2 the momentum (Atiyah-Bott,
+Berline-Vergne; the Chern numbers are those of n = 3):
 
-    integral c1^3   = sum_p (w1+w2+w3)^3 / (w1 w2 w3)
-    integral c1 c2  = sum_p s1 s2 / s3
+    integral c1^3   = sum_p e1^3 / e(p)
+    integral c1 c2  = sum_p e1 e2 / e(p)
     integral c3     = number of fixed points
-    integral w^3    = (-1)^3 sum_p H(p)^3 / (w1 w2 w3)
+    integral w^n    = (-1)^n sum_p H(p)^n / e(p)
 
-The (-1)^3 factor is baked in, so dh_volume returns the honest volume
+The (-1)^n factor is baked in, so dh_volume returns the honest volume
 polynomial, positive for 0 < l1 < l2.
 """
 
@@ -38,9 +39,6 @@ class NotHomogeneousCubicError(ToolkitError):
     code = "NotHomogeneousCubic"
 
 
-CHERN_MONOMIALS = ("c1^3", "c1c2", "c3")
-
-
 @dataclass(frozen=True)
 class FixedPointContribution:
     """One row of the localization table: point, momentum, weights, product."""
@@ -65,39 +63,49 @@ def localization_table(g: GKMGraph, s):
     return tuple(rows)
 
 
+def localize(g: GKMGraph, s, integrand):
+    """Sum integrand(row) / row.weight_product over localization_table(g, s).
+
+    An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
+    """
+    total = Fraction(0)
+    for row in localization_table(g, s):
+        total += integrand(row) * Fraction(1, row.weight_product)
+    return total
+
+
+def _e2(ws):
+    """Second elementary symmetric polynomial of the weights."""
+    return (sum(ws) ** 2 - sum(w * w for w in ws)) // 2
+
+
+_CHERN_INTEGRANDS = {
+    "c1^3": lambda row: sum(row.weights) ** 3,
+    "c1c2": lambda row: sum(row.weights) * _e2(row.weights),
+    "c3": lambda row: row.weight_product,
+}
+
+CHERN_MONOMIALS = tuple(_CHERN_INTEGRANDS)
+
+
 def abbv_chern_number(g: GKMGraph, s, monomial: str) -> Fraction:
     """Localized Chern number for one of the degree-6 monomials.
 
     Supported monomials: "c1^3", "c1c2", "c3". The result is independent of
     the (non-degenerate) subcircle used to localize.
     """
-    if monomial not in CHERN_MONOMIALS:
+    if monomial not in _CHERN_INTEGRANDS:
         raise ValueError(f"unsupported monomial {monomial!r}; use one of {CHERN_MONOMIALS}")
-    total = Fraction(0)
-    for row in localization_table(g, s):
-        w1, w2, w3 = row.weights
-        s1 = w1 + w2 + w3
-        s2 = w1 * w2 + w1 * w3 + w2 * w3
-        s3 = row.weight_product
-        if monomial == "c1^3":
-            total += Fraction(s1**3, s3)
-        elif monomial == "c1c2":
-            total += Fraction(s1 * s2, s3)
-        else:
-            total += 1
-    return total
+    return localize(g, s, _CHERN_INTEGRANDS[monomial])
 
 
 def dh_volume(g: GKMGraph, s) -> ParamPoly:
-    """Symplectic volume polynomial integral of w^3 over the manifold.
+    """Symplectic volume polynomial integral of w^n over the manifold.
 
     Independent of the subcircle; for the built-in graph it equals
     2*l1^3 + 3*l1^2*l2 + 3*l1*l2^2.
     """
-    total = ParamPoly.zero()
-    for row in localization_table(g, s):
-        total = total + row.hamiltonian**3 / row.weight_product
-    return -total
+    return localize(g, s, lambda row: (-row.hamiltonian) ** len(row.weights))
 
 
 def cubic_form_from_gkm(g: GKMGraph, s):

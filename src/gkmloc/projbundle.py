@@ -188,8 +188,9 @@ def total_chern(bundle: Bundle):
 
 
 def c1_cubed(bundle: Bundle) -> int:
-    """Closed form for the Chern number c1^3 of P(E)."""
-    return 2 * (27 + bundle.k1**2 - 4 * bundle.k2)
+    """The Chern number c1^3 of P(E), integrated in the ring."""
+    c1, _, _ = total_chern(bundle)
+    return int(integrate(bundle, cup_power(bundle, c1, 3)))
 
 
 def p1_and_w2(bundle: Bundle):
@@ -214,22 +215,20 @@ def c2_pairings(bundle: Bundle):
 def cubic_form(bundle: Bundle, a, b) -> Rational:
     """Cubic intersection form on degree 2: the integral of (a*eta + b*xi)^3.
 
-    Closed form b*(3a^2 - 3*k1*a*b + (k1^2 - k2)*b^2); the ring route
-    integrate(cup(cup(y, y), y)) agrees and is kept as a separate path for
-    cross-checking.
+    Computed by ring reduction; the closed form
+    b*(3a^2 - 3*k1*a*b + (k1^2 - k2)*b^2) is the test oracle.
     """
-    a, b = rat(a), rat(b)
-    k1, k2 = bundle.k1, bundle.k2
-    return b * (3 * a * a - 3 * k1 * a * b + (k1 * k1 - k2) * b * b)
+    y = degree2(a, b)
+    return integrate(bundle, cup(bundle, cup(bundle, y, y), y))
 
 
 def cubic_coefficients(bundle: Bundle):
     """Coefficients (u^3, u^2 v, u v^2, v^3) of the cubic form on basis (xi, eta).
 
-    That is, integral of (u*xi + v*eta)^3 as a polynomial in (u, v).
+    That is, integral of (u*xi + v*eta)^3 as a polynomial in (u, v), read off
+    the trilinear tensor of jupp_invariants.
     """
-    k1, k2 = bundle.k1, bundle.k2
-    return (k1 * k1 - k2, -3 * k1, 3, 0)
+    return cubic_from_trilinear(jupp_invariants(bundle).trilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +278,11 @@ def trilinear_from_cubic(coeffs):
               for j in range(2))
         for i in range(2)
     )
+
+
+def cubic_from_trilinear(tensor):
+    """Coefficients (c0, c1, c2, c3) of S(y) = T(y, y, y); inverts trilinear_from_cubic."""
+    return (tensor[0][0][0], 3 * tensor[0][0][1], 3 * tensor[0][1][1], tensor[1][1][1])
 
 
 def tensor_apply(tensor, x, y, z):
@@ -340,11 +344,9 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
             for j in range(2))
         for i in range(2)
     )
-    c1, _, _ = total_chern(bundle)
-    w2 = (int(c1.coords[1]) % 2, int(c1.coords[0]) % 2)
-    p1, _, _ = p1_and_w2(bundle)
+    p1, (w2_eta, w2_xi), _ = p1_and_w2(bundle)
     pairings = tuple(int(integrate(bundle, cup(bundle, p1, y))) for y in basis)
-    return JuppInvariants(tensor, w2, pairings)
+    return JuppInvariants(tensor, (w2_xi, w2_eta), pairings)
 
 
 def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppComparison:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import ParamPoly, ToolkitError, poly_eval, primitive
+from .exact import ParamPoly, ToolkitError, primitive
 from . import gkm
 
 
@@ -168,7 +168,7 @@ def polytope_edges(p: Polytope):
     results = []
     for l1, l2 in _HULL_SAMPLES:
         coords = [
-            tuple(poly_eval(c, l1, l2) for c in v) for v in p.vertices
+            tuple(c.evaluate(l1, l2) for c in v) for v in p.vertices
         ]
         results.append(hull_combinatorics(coords))
     if results[0] != results[1]:
@@ -181,7 +181,7 @@ def polytope_edges(p: Polytope):
 def _edge_direction(p: Polytope, i: int, j: int):
     """Primitive integer direction u and area A with v_j - v_i == A * u."""
     diff = tuple(p.vertices[j][c] - p.vertices[i][c] for c in range(3))
-    sample = [poly_eval(c, *_HULL_SAMPLES[0]) for c in diff]
+    sample = [c.evaluate(*_HULL_SAMPLES[0]) for c in diff]
     den = math.lcm(*(q.denominator for q in sample))
     ints = [int(q * den) for q in sample]
     u, _ = primitive(ints)
@@ -191,7 +191,7 @@ def _edge_direction(p: Polytope, i: int, j: int):
         raise ParametricCombinatoricsUnstableError(
             f"edge {i}-{j} direction varies with the parameters")
     for l1, l2 in _HULL_SAMPLES:
-        if poly_eval(area, l1, l2) <= 0:
+        if area.evaluate(l1, l2) <= 0:
             raise ParametricCombinatoricsUnstableError(
                 f"edge {i}-{j} degenerates at ({l1},{l2})")
     return u, area
@@ -278,7 +278,7 @@ def _side_of_cut(image, cut):
     """-1 below, +1 above, stable across samples; on-cut or unstable raises."""
     sides = []
     for l1, l2 in _HULL_SAMPLES:
-        delta = poly_eval(image[1], l1, l2) - poly_eval(cut, l1, l2)
+        delta = image[1].evaluate(l1, l2) - cut.evaluate(l1, l2)
         if delta == 0:
             raise VertexOnCutError(f"vertex image {image[1]} lies on the cut level")
         sides.append(1 if delta > 0 else -1)

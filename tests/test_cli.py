@@ -160,6 +160,11 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "AxisSubcircle"
 
+    def test_zero_denominator(self, capsys):
+        code, out = capture(capsys, ["kahler-cone", "--l1", "1/0", "--l2", "2"])
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "ValueError"
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["chern", "--a", "2", "--b", "1", "--monomial", "c2^2"])

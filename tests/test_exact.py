@@ -7,7 +7,6 @@ from gkmloc.exact import (
     L2,
     ParamPoly,
     ZeroVectorError,
-    poly_eval,
     primitive,
     rat,
     rat_str,
@@ -29,6 +28,10 @@ class TestRational:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ValueError):
+            rat("1/0")
 
     def test_exact_field_ops(self):
         assert rat("1/3") + rat("1/6") == rat("1/2")
@@ -62,10 +65,6 @@ class TestParamPoly:
         p = ParamPoly({(3, 0): 2, (2, 1): 3, (1, 2): 3})
         assert p.evaluate(1, 2) == 20
         assert p.evaluate(Fraction(1, 2), Fraction(3, 2)) == Fraction(19, 4)
-
-    def test_poly_eval_rejects_non_poly(self):
-        with pytest.raises(TypeError):
-            poly_eval(5, 1, 2)
 
     def test_cube_of_linear(self):
         p = (L1 + L2) ** 3

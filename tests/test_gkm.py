@@ -124,6 +124,10 @@ class TestGraphStructure:
 
 
 class TestGraphValidation:
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError):
+            GKMGraph((), ())
+
     def test_non_primitive_direction_rejected(self):
         with pytest.raises(MalformedEdgeError):
             Edge("p", "q", (2, 2))

@@ -19,6 +19,7 @@ from gkmloc.localization import (
     dh_volume,
     jupp_invariants_from_gkm,
     localization_table,
+    localize,
 )
 from gkmloc.projbundle import tensor_apply
 
@@ -68,6 +69,15 @@ class TestChernNumbers:
                 for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
                     assert abbv_chern_number(G, (a, b), monomial) == value, (a, b)
 
+    def test_abbv_vanishing_sums(self):
+        # sum_p H(p)^k / e(p) integrates a class of degree below the top one
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                if not nondegenerate(a, b):
+                    continue
+                for k in range(3):
+                    assert localize(G, (a, b), lambda r: r.hamiltonian**k) == 0, (a, b, k)
+
     def test_unknown_monomial_rejected(self):
         with pytest.raises(ValueError):
             abbv_chern_number(G, (2, 1), "c2^2")
@@ -86,6 +96,28 @@ class TestVolume:
     def test_subcircle_independence(self):
         for s in [(3, 2), (5, 2), (-7, 3), (2, -9)]:
             assert dh_volume(G, s) == VOLUME
+
+
+class TestOtherValence:
+    """The 2-valent moment triangle of CP^2 with sides of area l1."""
+
+    CP2 = GKMGraph(
+        (
+            FixedPoint("p", (ParamPoly.zero(), ParamPoly.zero())),
+            FixedPoint("q", (L1, ParamPoly.zero())),
+            FixedPoint("r", (ParamPoly.zero(), L1)),
+        ),
+        (Edge("p", "q", (1, 0)), Edge("p", "r", (0, 1)), Edge("q", "r", (-1, 1))),
+    )
+
+    def test_volume(self):
+        for s in [(2, 1), (1, 3), (-5, 2)]:
+            assert dh_volume(self.CP2, s) == L1 * L1
+
+    def test_chern_numbers(self):
+        # integral c1^2 = 9 and integral c2 = Euler number 3
+        assert localize(self.CP2, (2, 1), lambda r: sum(r.weights) ** 2) == 9
+        assert localize(self.CP2, (2, 1), lambda r: r.weight_product) == 3
 
 
 class TestCubicForm:
