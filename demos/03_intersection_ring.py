@@ -16,6 +16,7 @@ from gkmloc import (
     eta,
     integrate,
     p1_and_w2,
+    rat_str,
     total_chern,
     xi,
 )
@@ -41,7 +42,8 @@ print(f"  c3 integrates to the Euler number {integrate(b, c3)}")
 
 p1, w2, c1_even = p1_and_w2(b)
 print(f"\n  p1 = {p1},  w2 = {w2},  c1 even: {c1_even}")
-print(f"  <c2, eta>, <c2, xi> = {c2_pairings(b)}")
+c2_eta, c2_xi = c2_pairings(b)
+print(f"  <c2, eta>, <c2, xi> = {rat_str(c2_eta)}, {rat_str(c2_xi)}")
 
 print("\ncubic intersection form F(y) = integral y^3 on degree 2:")
 print("  closed form F(a*eta + c*xi) = c*(3a^2 - 3*k1*a*c + (k1^2 - k2)*c^2)")

@@ -71,8 +71,12 @@ class ParamPoly:
     """Polynomial in the parameters (l1, l2) with rational coefficients.
 
     Immutable value type. Terms are stored as {(i, j): coeff} for the monomial
-    l1^i * l2^j; zero coefficients are dropped, so equality of term dicts is
-    equality of polynomials.
+    l1^i * l2^j. Normal form: every key is a pair of non-negative ints and
+    every value is a nonzero ``Fraction``, so equality of term dicts is equality of polynomials
+    and the hash of the terms is a hash of the polynomial. The public
+    constructors coerce outside input through ``rat``; the arithmetic keeps
+    the normal form itself (Fraction results of Fraction operands, cancelled
+    terms dropped) and wraps its result dict with ``_from_terms`` unchecked.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -81,12 +85,22 @@ class ParamPoly:
         data = {}
         if terms:
             for key, c in dict(terms).items():
-                i, j = key
+                i, j = int(key[0]), int(key[1])
+                if i < 0 or j < 0:
+                    raise ValueError(f"negative exponent in monomial {key!r}")
                 c = rat(c)
                 if c:
-                    data[(int(i), int(j))] = c
+                    data[(i, j)] = c
         self._terms = data
         self._hash = None
+
+    @classmethod
+    def _from_terms(cls, data) -> "ParamPoly":
+        """Wrap a dict that is already in normal form, without copying it."""
+        self = object.__new__(cls)
+        self._terms = data
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -142,13 +156,19 @@ class ParamPoly:
             return NotImplemented
         data = dict(self._terms)
         for key, c in other._terms.items():
-            data[key] = data.get(key, Fraction(0)) + c
-        return ParamPoly(data)
+            total = data.get(key)
+            if total is None:
+                data[key] = c
+            elif total := total + c:
+                data[key] = total
+            else:
+                del data[key]
+        return ParamPoly._from_terms(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({key: -c for key, c in self._terms.items()})
+        return ParamPoly._from_terms({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -163,16 +183,22 @@ class ParamPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, str)):
-            c = rat(other)
-            return ParamPoly({key: c * v for key, v in self._terms.items()})
+        if isinstance(other, str):
+            other = rat(other)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return ParamPoly._from_terms({})
+            return ParamPoly._from_terms(
+                {key: v * other for key, v in self._terms.items()})
         if isinstance(other, ParamPoly):
             data = {}
             for (i1, j1), c1 in self._terms.items():
                 for (i2, j2), c2 in other._terms.items():
                     key = (i1 + i2, j1 + j2)
-                    data[key] = data.get(key, Fraction(0)) + c1 * c2
-            return ParamPoly(data)
+                    total = data.get(key)
+                    data[key] = c1 * c2 if total is None else total + c1 * c2
+            return ParamPoly._from_terms(
+                {key: c for key, c in data.items() if c})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -188,7 +214,7 @@ class ParamPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("ParamPoly exponents must be non-negative ints")
-        out = ParamPoly.const(1)
+        out = ParamPoly._from_terms({(0, 0): Fraction(1)})
         for _ in range(n):
             out = out * self
         return out
@@ -196,9 +222,27 @@ class ParamPoly:
     # -- evaluation and comparison ------------------------------------------
 
     def evaluate(self, l1, l2) -> Fraction:
-        x, y = rat(l1), rat(l2)
-        return sum((c * x**i * y**j for (i, j), c in self._terms.items()),
-                   Fraction(0))
+        """Exact value at (l1, l2), summed as one integer numerator.
+
+        Each term c * x**i * y**j is the quotient of the integers
+        c.num * xn**i * yn**j and c.den * xd**i * yd**j; the running sum keeps
+        one numerator over the lcm of the term denominators seen so far, and
+        only the final Fraction is reduced.
+        """
+        x = l1 if isinstance(l1, (int, Fraction)) else rat(l1)
+        y = l2 if isinstance(l2, (int, Fraction)) else rat(l2)
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        num, den = 0, 1
+        for (i, j), c in self._terms.items():
+            term_num = c.numerator * xn**i * yn**j
+            term_den = c.denominator * xd**i * yd**j
+            if term_den == den:
+                num += term_num
+            else:
+                g = math.gcd(den, term_den)
+                num = num * (term_den // g) + term_num * (den // g)
+                den = den // g * term_den
+        return Fraction(num, den)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -1,9 +1,12 @@
 """Delzant 3-polytopes with parameterized vertices, and moment-map gluing.
 
 Vertices are triples of linear polynomials in (l1, l2). Hull combinatorics
-are computed exactly over the rationals at the sample values (1, 2) and
-revalidated at (1, 3); any disagreement is reported as unstable instead of
-silently picking one answer.
+are computed exactly at the sample values (1, 2) and revalidated at (1, 3);
+any disagreement is reported as unstable instead of silently picking one
+answer. At each sample the rational vertices are scaled by the lcm of their
+denominators and the hull search runs on that integer lattice: a positive
+scale changes no orientation sign, zero test or collinear order, so the
+facets and edges are those of the rational points.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import ParamPoly, ToolkitError, primitive
+from .exact import ParamPoly, ToolkitError, primitive, rat
 from . import gkm
 
 
@@ -132,8 +135,17 @@ def hull_combinatorics(points):
     supports the whole set is a facet (recorded as the frozenset of incident
     indices, so coplanar quadrilateral facets come out whole); edges are
     pairs of points shared by two facets. Intended for small inputs.
+
+    Coordinates are coerced with ``rat`` (floats raise ``TypeError``), then
+    every point is multiplied by the lcm of all coordinate denominators and
+    the search runs on ints. Each side test is a determinant that scales by
+    the cube of that positive factor, and each collinear sort key by its
+    square, so every sign, zero and order is the same as over the rationals.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(rat(c) for c in p) for p in points]
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    pts = [tuple(c.numerator * (scale // c.denominator) for c in p)
+           for p in pts]
     n = len(pts)
     facets = set()
     full_dim = False

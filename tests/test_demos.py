@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the source tree."""
+"""Smoke test: every demo script runs to completion against the source tree
+and prints its exact values in p/q form."""
 
 import os
 import subprocess
@@ -19,3 +20,5 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # exact values are shown as p/q, never as Python reprs
+    assert "Fraction(" not in proc.stdout

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmloc.exact import (
     L1,
@@ -104,6 +105,101 @@ class TestParamPoly:
         b = L1 + L2
         assert a == b and hash(a) == hash(b)
 
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            ParamPoly({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            ParamPoly.from_json([{"i": 0, "j": -2, "c": "1"}])
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             (L1 + L2) ** -1
+
+    def test_floats_rejected_by_arithmetic_and_evaluate(self):
+        with pytest.raises(TypeError):
+            L1 * 0.5
+        with pytest.raises(TypeError):
+            L1 + 0.5
+        with pytest.raises(TypeError):
+            (L1 + L2).evaluate(0.5, 2)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), RATIONALS, max_size=6
+).map(ParamPoly)
+SCALARS = st.one_of(st.integers(-3, 3), RATIONALS)
+POINTS = st.one_of(st.integers(-4, 4), RATIONALS)
+
+
+def naive_add(p, q):
+    data = dict(p.terms())
+    for key, c in q.terms():
+        data[key] = data.get(key, 0) + c
+    return ParamPoly(data)
+
+
+def naive_mul(p, q):
+    data = {}
+    for (i1, j1), c1 in p.terms():
+        for (i2, j2), c2 in q.terms():
+            key = (i1 + i2, j1 + j2)
+            data[key] = data.get(key, 0) + c1 * c2
+    return ParamPoly(data)
+
+
+def naive_evaluate(p, l1, l2):
+    x, y = Fraction(l1), Fraction(l2)
+    return sum((c * x**i * y**j for (i, j), c in p.terms()), Fraction(0))
+
+
+def assert_normal_form(r, expected):
+    """r keeps the invariant the unchecked arithmetic relies on, and equals
+    (with the same hash) the polynomial rebuilt through the public constructor."""
+    for key, c in r.terms():
+        assert type(key) is tuple and len(key) == 2
+        assert all(type(e) is int for e in key)
+        assert type(c) is Fraction and c != 0
+    for rebuilt in (ParamPoly(dict(r.terms())), expected):
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+class TestParamPolyNormalForm:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(POLYS, POLYS, SCALARS, st.integers(0, 3))
+    def test_arithmetic_results(self, p, q, k, n):
+        zero = ParamPoly.zero()
+        one = ParamPoly.const(1)
+        power = one
+        for _ in range(n):
+            power = naive_mul(power, p)
+        neg_q = naive_mul(q, ParamPoly.const(-1))
+        cases = [
+            (p + q, naive_add(p, q)),
+            (p - q, naive_add(p, neg_q)),
+            (-p, naive_mul(p, ParamPoly.const(-1))),
+            (p * q, naive_mul(p, q)),
+            (p * k, naive_mul(p, ParamPoly.const(k))),
+            (k * p, naive_mul(p, ParamPoly.const(k))),
+            (p * str(k), naive_mul(p, ParamPoly.const(k))),
+            (k + p, naive_add(p, ParamPoly.const(k))),
+            (k - p, naive_add(ParamPoly.const(k), naive_mul(p, ParamPoly.const(-1)))),
+            (p ** n, power),
+            (p - p, zero),
+            (p * 0, zero),
+            (p * zero, zero),
+            ((p + q) - q, p),
+            (p ** 0, one),
+        ]
+        if k:
+            cases.append((p / k, naive_mul(p, ParamPoly.const(1 / Fraction(k)))))
+        for result, expected in cases:
+            assert_normal_form(result, expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(POLYS, POINTS, POINTS)
+    def test_evaluate_matches_the_termwise_sum(self, p, l1, l2):
+        for x, y in ((l1, l2), (0, l2), (l1, 0), (-l1, l2), (str(l1), str(l2))):
+            got = p.evaluate(x, y)
+            assert type(got) is Fraction
+            assert got == naive_evaluate(p, x, y)

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmloc.exact import ParamPoly
 from gkmloc.toric import (
@@ -47,6 +49,94 @@ TILDE_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 4),
                (3, 4), (3, 5), (4, 5))
 
 
+def reference_hull(points):
+    """The triple search run directly on Fraction coordinates.
+
+    Oracle for test_matches_the_rational_reference: the library runs the same
+    search on the lcm-scaled integer lattice and must find the same facets
+    and edges, and reject the same flat inputs.
+    """
+    def sub(u, v):
+        return tuple(a - b for a, b in zip(u, v))
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                u[0] * v[1] - u[1] * v[0])
+
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    n = len(pts)
+    facets = set()
+    full_dim = False
+    for i, j, k in combinations(range(n), 3):
+        normal = cross(sub(pts[j], pts[i]), sub(pts[k], pts[i]))
+        if normal == (0, 0, 0):
+            continue
+        sides = [dot(normal, sub(pts[m], pts[i])) for m in range(n)]
+        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
+            full_dim = True
+            continue
+        facets.add(frozenset(m for m in range(n) if sides[m] == 0))
+    if not full_dim and len(facets) <= 1:
+        raise NotFullDimensionalError("points do not affinely span 3-space")
+    edges = set()
+    for f1, f2 in combinations(facets, 2):
+        common = sorted(f1 & f2)
+        if len(common) < 2:
+            continue
+        if len(common) > 2:
+            base = pts[common[0]]
+            line = sub(pts[common[-1]], base)
+            common.sort(key=lambda m: dot(sub(pts[m], base), line))
+        edges.add((common[0], common[-1]))
+    return frozenset(facets), frozenset(edges)
+
+
+COORDS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+WEIGHTS = st.builds(Fraction, st.integers(-3, 7), st.integers(1, 7))
+
+
+def _combine(base, coefficients, points):
+    """base + sum of t * (p - base): stays in the affine span of the points."""
+    return tuple(
+        base[c] + sum(t * (p[c] - base[c]) for t, p in zip(coefficients, points))
+        for c in range(3))
+
+
+@st.composite
+def point_sets(draw):
+    """Small rational point sets with the degeneracies the search must handle.
+
+    Four corners (a tetrahedron, or a flat one) and up to two free points,
+    then points on a corner edge (collinear triples), in a corner face plane
+    (coplanar quadruples, inside or beyond the face) and at averages of
+    earlier points (interior points); sometimes the whole set is flattened.
+    """
+    point = st.tuples(COORDS, COORDS, COORDS)
+    corners = draw(st.lists(point, min_size=4, max_size=4))
+    points = corners + draw(st.lists(point, max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("coplanar", "collinear", "interior")))
+        if kind == "coplanar":
+            a, b, c, _ = draw(st.permutations(corners))
+            points.append(_combine(a, [draw(WEIGHTS), draw(WEIGHTS)], [b, c]))
+        elif kind == "collinear":
+            a, b, _, _ = draw(st.permutations(corners))
+            t = draw(st.builds(Fraction, st.integers(0, 7), st.just(7)))
+            points.append(_combine(a, [t], [b]))
+        else:
+            chosen = draw(st.lists(st.sampled_from(points), min_size=2, max_size=4))
+            points.append(tuple(sum(p[c] for p in chosen) / len(chosen)
+                                for c in range(3)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        # flatten onto the plane z = a*x + b*y + c
+        a, b, c = draw(COORDS), draw(COORDS), draw(COORDS)
+        points = [(x, y, a * x + b * y + c) for x, y, _ in points]
+    return draw(st.permutations(points))
+
+
 class TestHullCombinatorics:
     def test_tetrahedron(self):
         facets, edges = hull_combinatorics(
@@ -71,6 +161,23 @@ class TestHullCombinatorics:
     def test_flat_input_rejected(self):
         with pytest.raises(NotFullDimensionalError):
             hull_combinatorics([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            hull_combinatorics([(0, 0, 0), (1.5, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(point_sets())
+    def test_matches_the_rational_reference(self, points):
+        try:
+            expected = reference_hull(points)
+        except NotFullDimensionalError:
+            with pytest.raises(NotFullDimensionalError):
+                hull_combinatorics(points)
+            return
+        assert hull_combinatorics(points) == expected
+
+
 
 
 class TestBuiltinPolytopes:
