@@ -67,6 +67,16 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v, strict=True))
 
 
+def _exponents(key):
+    """Validate a monomial key (i, j): two non-negative ints, never truncated."""
+    i, j = key
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in (i, j)):
+        raise TypeError(f"exponents must be ints, got monomial {key!r}")
+    if i < 0 or j < 0:
+        raise ValueError(f"negative exponent in monomial {key!r}")
+    return i, j
+
+
 class ParamPoly:
     """Polynomial in the parameters (l1, l2) with rational coefficients.
 
@@ -85,9 +95,7 @@ class ParamPoly:
         data = {}
         if terms:
             for key, c in dict(terms).items():
-                i, j = int(key[0]), int(key[1])
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in monomial {key!r}")
+                i, j = _exponents(key)
                 c = rat(c)
                 if c:
                     data[(i, j)] = c
@@ -265,7 +273,7 @@ class ParamPoly:
     def from_json(cls, records) -> "ParamPoly":
         data = {}
         for rec in records:
-            key = (int(rec["i"]), int(rec["j"]))
+            key = _exponents((rec["i"], rec["j"]))
             data[key] = data.get(key, Fraction(0)) + rat(rec["c"])
         return cls(data)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 from .exact import Rational, ToolkitError, rat
 
@@ -281,8 +281,14 @@ def trilinear_from_cubic(coeffs):
 
 
 def cubic_from_trilinear(tensor):
-    """Coefficients (c0, c1, c2, c3) of S(y) = T(y, y, y); inverts trilinear_from_cubic."""
-    return (tensor[0][0][0], 3 * tensor[0][0][1], 3 * tensor[0][1][1], tensor[1][1][1])
+    """Coefficients (c0, c1, c2, c3) of S(y) = T(y, y, y); inverts trilinear_from_cubic.
+
+    The mixed coefficients add up all the entries they collect, so S(y) equals
+    tensor_apply(tensor, y, y, y) even for a tensor that is not symmetric.
+    """
+    t = tensor
+    return (t[0][0][0], t[0][0][1] + t[0][1][0] + t[1][0][0],
+            t[0][1][1] + t[1][0][1] + t[1][1][0], t[1][1][1])
 
 
 def tensor_apply(tensor, x, y, z):
@@ -386,17 +392,47 @@ def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppCompariso
 
 
 def find_equivalence(inv1: JuppInvariants, inv2: JuppInvariants, bound: int = 3):
-    """Bounded brute-force search for a unimodular Q matching two invariant sets.
+    """Bounded search for a unimodular Q matching two invariant sets.
 
     Heuristic: only entries with |q_ij| <= bound are tried, so None means no
     witness was found in the box, not that none exists. Returned matrices are
-    the first hit in a fixed scan order.
+    the first hit in the lexicographic order of (q00, q01, q10, q11).
+
+    The scan is pruned column by column. Column i of Q, as a vector c, must
+    satisfy two conditions that jupp_compare checks: <p1_2, c> == p1_1[i]
+    (the p1 condition on basis vector i) and T2(c, c, c) == T1[i][i][i] (the
+    trilinear condition on the triple (i, i, i)). Both candidate sets are
+    computed once over the box; only pairs of candidates are tested for
+    unimodularity and passed to jupp_compare, in the same order as the full
+    scan. Every skipped matrix fails jupp_compare, so the result is the
+    matrix, or None, that the full scan of the box would return.
     """
-    rng = range(-bound, bound + 1)
-    for q00, q01, q10, q11 in product(rng, repeat=4):
-        if q00 * q11 - q01 * q10 not in (1, -1):
-            continue
-        q = ((q00, q01), (q10, q11))
-        if jupp_compare(inv1, inv2, q).ok:
-            return q
+    if not isinstance(bound, int):
+        raise TypeError(f"bound must be an int, got {bound!r}")
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound}")
+    cubic = cubic_from_trilinear(inv2.trilinear)
+    p_u, p_v = inv2.p1_pairings
+    box = range(-bound, bound + 1)
+    # box vectors in (first, second) lexicographic order, with <p1_2, c> and T2(c, c, c)
+    values = [((a, b), p_u * a + p_v * b, _eval_cubic(cubic, (a, b)))
+              for a, b in product(box, repeat=2)]
+
+    def candidates(i):
+        """Column-i candidates grouped by first entry: [(q0i, [q1i, ...]), ...]."""
+        want_p1, want_cube = inv1.p1_pairings[i], inv1.trilinear[i][i][i]
+        cols = [c for c, p1, cube in values if p1 == want_p1 and cube == want_cube]
+        return [(a, [c[1] for c in group])
+                for a, group in groupby(cols, key=lambda c: c[0])]
+
+    firsts, seconds = candidates(0), candidates(1)
+    for q00, q10s in firsts:
+        for q01, q11s in seconds:
+            for q10 in q10s:
+                for q11 in q11s:
+                    if q00 * q11 - q01 * q10 not in (1, -1):
+                        continue
+                    q = ((q00, q01), (q10, q11))
+                    if jupp_compare(inv1, inv2, q).ok:
+                        return q
     return None

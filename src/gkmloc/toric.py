@@ -217,13 +217,33 @@ def vertex_weights(p: Polytope, index: int, edges=None):
     """
     if edges is None:
         edges = polytope_edges(p)
+    return _vertex_directions(p, index, edges, {})
+
+
+def _vertex_directions(p: Polytope, index: int, edges, known):
+    """vertex_weights, reusing the directions in ``known`` and adding to it.
+
+    ``known`` maps an ordered pair (i, j) to the primitive direction from
+    v_i to v_j. An edge already computed from its other endpoint is reused as
+    -u: the area is the same from both ends and ``primitive`` keeps the sign,
+    so _edge_direction(p, j, i) would return exactly that, and would fail
+    exactly when _edge_direction(p, i, j) did.
+    """
     if not 0 <= index < len(p.vertices):
         raise IndexError(f"no vertex {index}")
     neighbors = [j for i, j in edges if i == index] + [i for i, j in edges if j == index]
     if len(neighbors) != 3:
         raise NotDelzantVertexError(
             f"vertex {index} has {len(neighbors)} edges, expected 3")
-    dirs = tuple(_edge_direction(p, index, j)[0] for j in sorted(neighbors))
+    dirs = []
+    for j in sorted(neighbors):
+        back = known.get((j, index))
+        if back is None:
+            u = known[(index, j)] = _edge_direction(p, index, j)[0]
+        else:
+            u = tuple(-c for c in back)
+        dirs.append(u)
+    dirs = tuple(dirs)
     det = _dot3(dirs[0], _cross(dirs[1], dirs[2]))
     if det not in (1, -1):
         raise NotDelzantVertexError(
@@ -261,8 +281,9 @@ def project_fixed_data(p: Polytope, matrix):
         )
 
     data = []
+    known = {}
     for idx in range(len(p.vertices)):
-        dirs = vertex_weights(p, idx, edges)
+        dirs = _vertex_directions(p, idx, edges, known)
         image = (
             sum((p.vertices[idx][c] * rows[0][c] for c in range(3)), ParamPoly.zero()),
             sum((p.vertices[idx][c] * rows[1][c] for c in range(3)), ParamPoly.zero()),

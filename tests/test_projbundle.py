@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gkmloc.projbundle import (
     Bundle,
@@ -16,6 +17,7 @@ from gkmloc.projbundle import (
     c2_pairings,
     cubic_coefficients,
     cubic_form,
+    cubic_from_trilinear,
     cup,
     cup_power,
     degree2,
@@ -44,6 +46,21 @@ def closed_c1_cubed(k1, k2):
 
 def closed_cubic_form(k1, k2, a, b):
     return b * (3 * a * a - 3 * k1 * a * b + (k1 * k1 - k2) * b * b)
+
+
+def full_scan(inv1, inv2, bound=3):
+    """The unpruned box search: jupp_compare on every unimodular matrix.
+
+    Oracle for find_equivalence, which must return the same matrix or None.
+    """
+    rng = range(-bound, bound + 1)
+    for q00, q01, q10, q11 in product(rng, repeat=4):
+        if q00 * q11 - q01 * q10 not in (1, -1):
+            continue
+        q = ((q00, q01), (q10, q11))
+        if jupp_compare(inv1, inv2, q).ok:
+            return q
+    return None
 
 
 def random_element(rng, degree):
@@ -252,6 +269,14 @@ class TestTrilinearForms:
                 expected = c0 * u**3 + c1 * u**2 * v + c2 * u * v**2 + c3 * v**3
                 assert tensor_apply(t, y, y, y) == expected
 
+    def test_cubic_of_a_non_symmetric_tensor(self):
+        t = (((1, 2), (-1, 3)), ((0, -2), (5, 1)))
+        coeffs = cubic_from_trilinear(t)
+        for y in product(range(-3, 4), repeat=2):
+            u, v = y
+            assert sum(c * u**(3 - n) * v**n for n, c in enumerate(coeffs)) == \
+                tensor_apply(t, y, y, y)
+
     def test_tensor_apply_is_symmetric(self):
         t = trilinear_from_cubic((2, 3, 3, 0))
         x, y, z = (1, 2), (-3, 1), (0, 5)
@@ -312,3 +337,75 @@ class TestJupp:
     def test_handmade_invariants(self):
         inv = JuppInvariants(TENSOR_XI_ETA, (0, 0), (8, 0))
         assert jupp_compare(inv, jupp_invariants(B), ((1, 0), (0, 1))).ok
+
+    def test_find_equivalence_rejects_a_bad_bound(self):
+        inv = jupp_invariants(B)
+        for bound in (-1, -3):
+            with pytest.raises(ValueError):
+                find_equivalence(inv, inv, bound=bound)
+        for bound in ("2", 2.0, Fraction(2), None):
+            with pytest.raises(TypeError):
+                find_equivalence(inv, inv, bound=bound)
+        assert find_equivalence(inv, inv, bound=0) is None
+        assert find_equivalence(inv, inv, bound=1) == ((1, 0), (-1, -1))
+
+
+def symmetric(t000, t001, t011, t111):
+    return (((t000, t001), (t001, t011)), ((t001, t011), (t011, t111)))
+
+
+def moved(inv, p):
+    """inv seen through P = ((a, b), (c, d)), |det P| = 1: T2(y) = T1(P y) and
+    p1_2 = P^T p1_1, with w2_2 = P^-1 w2_1, so that Q = P^-1 matches inv to it."""
+    a, b, c, d = p
+    det = a * d - b * c
+    cols = ((a, c), (b, d))
+    w2, p1 = inv.w2, inv.p1_pairings
+    return JuppInvariants(
+        tuple(tuple(tuple(tensor_apply(inv.trilinear, cols[i], cols[j], cols[k])
+                          for k in range(2)) for j in range(2)) for i in range(2)),
+        ((det * (d * w2[0] - b * w2[1])) % 2, (det * (a * w2[1] - c * w2[0])) % 2),
+        tuple(p1[0] * col[0] + p1[1] * col[1] for col in cols))
+
+
+SMALL = st.integers(-3, 3)
+INVARIANTS = st.builds(
+    lambda t, w2, p1: JuppInvariants(symmetric(*t), w2, p1),
+    st.tuples(SMALL, SMALL, SMALL, SMALL),
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(SMALL, SMALL))
+# matrices P = ((a, b), (c, d)) with |det P| = 1, as (a, b, c, d)
+MOVES = tuple(m for m in product(range(-2, 3), repeat=4) if m[0] * m[3] - m[1] * m[2] in (1, -1))
+ZERO = JuppInvariants(symmetric(0, 0, 0, 0), (0, 0), (0, 0))
+
+
+class TestPrunedSearch:
+    def test_matches_the_full_scan_on_bundles(self):
+        # includes bundles with p1 = 0, such as (1, 1), (-1, 1) and (3, 3),
+        # where the p1 condition prunes nothing
+        grid = list(product(range(-4, 5), repeat=2))
+        assert {(1, 1), (-1, 1), (3, 3)} <= {
+            b for b in grid if jupp_invariants(Bundle(*b)).p1_pairings == (0, 0)}
+        invs = [jupp_invariants(Bundle(*b)) for b in grid]
+        hits = 0
+        for inv1, inv2 in product(invs, repeat=2):
+            q = find_equivalence(inv1, inv2, bound=3)
+            assert q == full_scan(inv1, inv2, bound=3), (inv1, inv2)
+            hits += q is not None
+        assert 0 < hits < len(invs) ** 2
+
+    @settings(max_examples=300)
+    @given(inv1=INVARIANTS, inv2=st.one_of(INVARIANTS, st.sampled_from(MOVES)),
+           bound=st.sampled_from((0, 1, 2, 3)))
+    @example(inv1=ZERO, inv2=ZERO, bound=3)
+    @example(inv1=JuppInvariants(symmetric(0, 0, 0, 0), (1, 0), (0, 0)), inv2=(1, 1, 0, 1), bound=3)
+    @example(inv1=JuppInvariants(TENSOR_XI_ETA, (0, 0), (8, 0)), inv2=(1, 0, 1, 1), bound=2)
+    def test_matches_the_full_scan_on_handmade_invariants(self, inv1, inv2, bound):
+        """inv2 is drawn like inv1, or is inv1 moved by a matrix from MOVES,
+        so that many of the searches hit."""
+        if not isinstance(inv2, JuppInvariants):
+            a, b, c, d = inv2
+            inv2 = moved(inv1, inv2)
+            det = a * d - b * c
+            assert jupp_compare(inv1, inv2, ((det * d, -det * b), (-det * c, det * a))).ok
+        assert find_equivalence(inv1, inv2, bound) == full_scan(inv1, inv2, bound)

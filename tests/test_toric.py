@@ -14,6 +14,7 @@ from gkmloc.toric import (
     Polytope,
     VertexData,
     VertexOnCutError,
+    _edge_direction,
     builtin_glue_report,
     builtin_polytopes,
     default_cut,
@@ -166,7 +167,7 @@ class TestHullCombinatorics:
         with pytest.raises(TypeError):
             hull_combinatorics([(0, 0, 0), (1.5, 0, 0), (0, 1, 0), (0, 0, 1)])
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(point_sets())
     def test_matches_the_rational_reference(self, points):
         try:
@@ -249,7 +250,82 @@ class TestDelzantChecks:
             polytope_edges(probe)
 
 
+def reference_project_fixed_data(p, matrix):
+    """project_fixed_data with every edge direction computed from both ends.
+
+    Oracle for test_matches_the_two_ended_reference: each vertex calls
+    _edge_direction from its own end of each of its edges, so every edge is
+    computed twice, and the Delzant checks raise the library's errors.
+    """
+    edges = polytope_edges(p)
+    data = []
+    for idx, vertex in enumerate(p.vertices):
+        neighbors = sorted([j for i, j in edges if i == idx]
+                           + [i for i, j in edges if j == idx])
+        if len(neighbors) != 3:
+            raise NotDelzantVertexError(
+                f"vertex {idx} has {len(neighbors)} edges, expected 3")
+        dirs = tuple(_edge_direction(p, idx, j)[0] for j in neighbors)
+        (a, b, c), (d, e, f), (g, h, k) = dirs
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        if det not in (1, -1):
+            raise NotDelzantVertexError(
+                f"vertex {idx}: edge directions {dirs} have determinant {det}")
+        image = tuple(sum((vertex[c] * row[c] for c in range(3)), ParamPoly.zero())
+                      for row in matrix)
+        weights = tuple(tuple(sum(row[c] * u[c] for c in range(3)) for row in matrix)
+                        for u in dirs)
+        data.append(VertexData(idx, image, weights))
+    return tuple(data)
+
+
+def moved(p, m):
+    """The polytope with every vertex v replaced by the integer matrix m times v."""
+    return Polytope(tuple(
+        tuple(sum((row[c] * v[c] for c in range(3)), ParamPoly.zero()) for row in m)
+        for v in p.vertices))
+
+
+# unimodular 3x3 matrices, including orientation-reversing ones
+GL3_MOVES = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 2, 0), (0, 1, 0), (-1, -1, 1)),
+    ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+    ((2, 1, 1), (1, 1, 0), (-3, 0, -2)),
+    ((-1, 0, 3), (2, 1, -5), (0, 0, 1)),
+)
+
+
 class TestProjection:
+    def test_matches_the_two_ended_reference(self):
+        for poly in (HAT, TILDE):
+            for m in GL3_MOVES:
+                p = moved(poly, m)
+                for matrix in (L_HAT, L_TILDE, ((2, -1, 0), (1, 3, -1))):
+                    assert project_fixed_data(p, matrix) == \
+                        reference_project_fixed_data(p, matrix), (poly.name, m, matrix)
+
+    def test_same_error_as_the_two_ended_reference(self):
+        # the first fails at vertex 0; the second at vertex 2, whose edges to
+        # 0 and 1 were computed from their other ends; in the third, edge 0-1
+        # points along (1, 2, 0) at (1, 2) and (1, 3, 0) at (1, 3)
+        bad = (
+            const_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]),
+            const_polytope([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            Polytope(((const(0), const(0), const(0)), (lin(1, 0), lin(0, 1), const(0)),
+                      (const(0), const(0), const(1)), (const(-1), const(0), const(0)))),
+        )
+        def raised(project, p):
+            try:
+                project(p, L_TILDE)
+            except (NotDelzantVertexError, ParametricCombinatoricsUnstableError) as exc:
+                return type(exc), str(exc)
+            pytest.fail("no error raised")
+
+        for p in bad:
+            assert raised(project_fixed_data, p) == \
+                raised(reference_project_fixed_data, p)
+
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             project_fixed_data(TILDE, ((1, 0), (0, 1)))
