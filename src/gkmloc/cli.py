@@ -45,7 +45,7 @@ def _emit(payload) -> None:
 def _graph(name: str) -> gkm.GKMGraph:
     graphs = gkm.builtin_graphs()
     if name not in graphs:
-        raise gkm.NoSuchFixedPointError(f"unknown builtin graph {name!r}")
+        raise gkm.UnknownGraphError(f"unknown builtin graph {name!r}")
     return graphs[name]
 
 

@@ -2,8 +2,10 @@
 
 Everything downstream (moment graphs, localization sums, intersection rings)
 runs on these types. No floating point is used anywhere in the package; all
-values are integers, `fractions.Fraction`, or polynomials over Fraction in the
-two positive real parameters l1 < l2.
+values are integers, `fractions.Fraction`, or polynomials with rational
+coefficients in the two positive real parameters l1 < l2. A polynomial is
+stored as integer numerators over one common denominator, so its arithmetic
+runs on ints; its coefficients and values are handed out as Fractions.
 """
 
 from __future__ import annotations
@@ -80,16 +82,20 @@ def _exponents(key):
 class ParamPoly:
     """Polynomial in the parameters (l1, l2) with rational coefficients.
 
-    Immutable value type. Terms are stored as {(i, j): coeff} for the monomial
-    l1^i * l2^j. Normal form: every key is a pair of non-negative ints and
-    every value is a nonzero ``Fraction``, so equality of term dicts is equality of polynomials
-    and the hash of the terms is a hash of the polynomial. The public
-    constructors coerce outside input through ``rat``; the arithmetic keeps
-    the normal form itself (Fraction results of Fraction operands, cancelled
-    terms dropped) and wraps its result dict with ``_from_terms`` unchecked.
+    Immutable value type, stored as integer numerators over one common
+    denominator: ``_num`` maps the monomial l1^i * l2^j, keyed (i, j), to an
+    int, and the coefficient of that monomial is ``_num[(i, j)] / _den``.
+    Normal form: every key is a pair of non-negative ints, every numerator is
+    nonzero, ``_den >= 1`` and gcd(_den, *numerators) == 1. Equal polynomials
+    therefore have equal storage, and the zero polynomial is ({}, 1).
+
+    The public constructors coerce outside input through ``rat``. The
+    arithmetic works on the ints and brings each result to normal form with
+    one gcd in ``_make``. ``terms``, ``coefficient`` and ``evaluate`` return
+    ``Fraction``s, and the hash is that of the frozenset of ``terms()``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms=None):
         data = {}
@@ -99,14 +105,26 @@ class ParamPoly:
                 c = rat(c)
                 if c:
                     data[(i, j)] = c
-        self._terms = data
+        den = math.lcm(*(c.denominator for c in data.values()))
+        # Over the lcm of reduced denominators the numerators share no factor
+        # with it, so this is already the normal form.
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in data.items()}
+        self._den = den
         self._hash = None
 
     @classmethod
-    def _from_terms(cls, data) -> "ParamPoly":
-        """Wrap a dict that is already in normal form, without copying it."""
+    def _make(cls, num, den) -> "ParamPoly":
+        """Normal form of the nonzero int numerators ``num`` over ``den >= 1``.
+
+        Divides out gcd(den, *numerators); takes ownership of ``num``.
+        """
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {key: n // g for key, n in num.items()}
+            den //= g
         self = object.__new__(cls)
-        self._terms = data
+        self._num = num
+        self._den = den
         self._hash = None
         return self
 
@@ -128,55 +146,65 @@ class ParamPoly:
     # -- inspection --------------------------------------------------------
 
     def terms(self):
-        """Terms as ((i, j), coeff) pairs, highest (i, j) first."""
-        return tuple(sorted(self._terms.items(), reverse=True))
+        """Terms as ((i, j), coeff) pairs with Fraction coeffs, highest (i, j) first."""
+        den = self._den
+        return tuple(sorted(
+            ((key, Fraction(n, den)) for key, n in self._num.items()), reverse=True))
 
     def coefficient(self, i, j) -> Fraction:
-        return self._terms.get((int(i), int(j)), Fraction(0))
+        return Fraction(self._num.get((int(i), int(j)), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(i + j for i, j in self._terms)
+        return max(i + j for i, j in self._num)
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(i + j == d for i, j in self._terms)
+        return all(i + j == d for i, j in self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, ParamPoly):
             return other
-        if isinstance(other, (int, Fraction, str)):
-            return ParamPoly.const(other)
+        if isinstance(other, str):
+            other = rat(other)
+        if isinstance(other, (int, Fraction)):
+            num = {(0, 0): other.numerator} if other else {}
+            return ParamPoly._make(num, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            total = data.get(key)
-            if total is None:
-                data[key] = c
-            elif total := total + c:
-                data[key] = total
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            num, m2 = dict(self._num), 1
+        else:
+            g = math.gcd(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            num = {key: n * m1 for key, n in self._num.items()}
+            d1 *= m1
+        for key, n in other._num.items():
+            total = num.get(key, 0) + n * m2
+            if total:
+                num[key] = total
             else:
-                del data[key]
-        return ParamPoly._from_terms(data)
+                del num[key]
+        return ParamPoly._make(num, d1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._from_terms({key: -c for key, c in self._terms.items()})
+        return ParamPoly._make({key: -n for key, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -195,18 +223,13 @@ class ParamPoly:
             other = rat(other)
         if isinstance(other, (int, Fraction)):
             if not other:
-                return ParamPoly._from_terms({})
-            return ParamPoly._from_terms(
-                {key: v * other for key, v in self._terms.items()})
+                return ParamPoly._make({}, 1)
+            k = other.numerator
+            return ParamPoly._make(
+                {key: n * k for key, n in self._num.items()}, self._den * other.denominator)
         if isinstance(other, ParamPoly):
-            data = {}
-            for (i1, j1), c1 in self._terms.items():
-                for (i2, j2), c2 in other._terms.items():
-                    key = (i1 + i2, j1 + j2)
-                    total = data.get(key)
-                    data[key] = c1 * c2 if total is None else total + c1 * c2
-            return ParamPoly._from_terms(
-                {key: c for key, c in data.items() if c})
+            return ParamPoly._make(
+                _mul_numerators(self._num, other._num), self._den * other._den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -214,53 +237,56 @@ class ParamPoly:
     def __truediv__(self, other):
         if isinstance(other, ParamPoly):
             return NotImplemented
-        c = rat(other)
-        if c == 0:
+        c = other if isinstance(other, (int, Fraction)) else rat(other)
+        k, d = c.denominator, c.numerator
+        if d == 0:
             raise ZeroDivisionError("division of ParamPoly by zero")
-        return self * (Fraction(1) / c)
+        if d < 0:
+            k, d = -k, -d
+        return ParamPoly._make({key: n * k for key, n in self._num.items()}, self._den * d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("ParamPoly exponents must be non-negative ints")
-        out = ParamPoly._from_terms({(0, 0): Fraction(1)})
+        num = {(0, 0): 1}
         for _ in range(n):
-            out = out * self
-        return out
+            num = _mul_numerators(num, self._num)
+        return ParamPoly._make(num, self._den ** n)
 
     # -- evaluation and comparison ------------------------------------------
 
     def evaluate(self, l1, l2) -> Fraction:
         """Exact value at (l1, l2), summed as one integer numerator.
 
-        Each term c * x**i * y**j is the quotient of the integers
-        c.num * xn**i * yn**j and c.den * xd**i * yd**j; the running sum keeps
-        one numerator over the lcm of the term denominators seen so far, and
-        only the final Fraction is reduced.
+        Each monomial x**i * y**j is the quotient of the integers
+        xn**i * yn**j and xd**i * yd**j; the running sum keeps one numerator
+        over the lcm of the monomial denominators seen so far, and only the
+        final Fraction, over that lcm times ``_den``, is reduced.
         """
         x = l1 if isinstance(l1, (int, Fraction)) else rat(l1)
         y = l2 if isinstance(l2, (int, Fraction)) else rat(l2)
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         num, den = 0, 1
-        for (i, j), c in self._terms.items():
-            term_num = c.numerator * xn**i * yn**j
-            term_den = c.denominator * xd**i * yd**j
+        for (i, j), c in self._num.items():
+            term_num = c * xn**i * yn**j
+            term_den = xd**i * yd**j
             if term_den == den:
                 num += term_num
             else:
                 g = math.gcd(den, term_den)
                 num = num * (term_den // g) + term_num * (den // g)
                 den = den // g * term_den
-        return Fraction(num, den)
+        return Fraction(num, den * self._den)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self.terms()))
         return self._hash
 
     # -- serialization -------------------------------------------------------
@@ -278,7 +304,7 @@ class ParamPoly:
         return cls(data)
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for (i, j), c in self.terms():
@@ -294,6 +320,16 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({str(self)!r})"
+
+
+def _mul_numerators(a, b):
+    """Product of two numerator dicts, with cancelled monomials dropped."""
+    out = {}
+    for (i1, j1), n1 in a.items():
+        for (i2, j2), n2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + n1 * n2
+    return {key: n for key, n in out.items() if n}
 
 
 L1 = ParamPoly({(1, 0): 1})

@@ -30,6 +30,14 @@ class NoSuchFixedPointError(ToolkitError):
     code = "NoSuchFixedPoint"
 
 
+class UnknownGraphError(ToolkitError):
+    code = "UnknownGraph"
+
+
+class TrivialSubcircleError(ToolkitError, ValueError):
+    code = "TrivialSubcircle"
+
+
 class DegenerateWeightError(ToolkitError):
     code = "DegenerateWeight"
 
@@ -70,7 +78,7 @@ class CircleAction:
         if not isinstance(self.a, int) or not isinstance(self.b, int):
             raise TypeError("CircleAction components must be ints")
         if self.a == 0 and self.b == 0:
-            raise ValueError("CircleAction (0, 0) is trivial")
+            raise TrivialSubcircleError("CircleAction (0, 0) is trivial")
 
 
 def as_action(s) -> CircleAction:
@@ -118,7 +126,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class GKMGraph:
-    """Validated moment graph; points and edges are kept in canonical order."""
+    """Validated moment graph; points and edges are kept in canonical order.
+
+    Validation computes the area of every edge; the areas are kept, in edge
+    order, in the private attribute ``_areas`` (not a field, so equality,
+    hash and repr see only points and edges).
+    """
 
     points: tuple
     edges: tuple
@@ -134,12 +147,14 @@ class GKMGraph:
         if len(set(ids)) != len(ids):
             raise ValueError("fixed point ids must be unique")
         known = set(ids)
+        areas = []
         for e in edges:
             if e.tail not in known or e.head not in known:
                 raise MalformedEdgeError(f"edge {e.tail}->{e.head} references unknown point")
             # raises MalformedEdgeError unless head - tail = area * direction
             # with area positive at the sample parameter values
-            sphere_area(self, e)
+            areas.append(sphere_area(self, e))
+        object.__setattr__(self, "_areas", tuple(areas))
 
     @cached_property
     def _by_id(self):
@@ -414,8 +429,7 @@ def omega_basis_values(g: GKMGraph):
     values are the coefficient pairs, keyed by Edge.
     """
     out = {}
-    for e in g.edges:
-        area = sphere_area(g, e)
+    for e, area in zip(g.edges, g._areas):
         if not area.is_homogeneous(1):
             raise ValueError(
                 f"area of {e.tail}->{e.head} is not homogeneous linear: {area}")

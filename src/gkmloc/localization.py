@@ -66,12 +66,17 @@ def localization_table(g: GKMGraph, s):
 def localize(g: GKMGraph, s, integrand):
     """Sum integrand(row) / row.weight_product over localization_table(g, s).
 
-    An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
+    The sum runs over the common denominator D = lcm of the weight products:
+    each row adds integrand(row) * (D // weight_product), an exact int
+    multiple, and the total is divided by D once at the end. An int or
+    Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
     """
-    total = Fraction(0)
-    for row in localization_table(g, s):
-        total += integrand(row) * Fraction(1, row.weight_product)
-    return total
+    rows = localization_table(g, s)
+    den = math.lcm(*(row.weight_product for row in rows))
+    total = 0
+    for row in rows:
+        total += integrand(row) * (den // row.weight_product)
+    return Fraction(total, den) if isinstance(total, int) else total / den
 
 
 def _e2(ws):

@@ -292,11 +292,16 @@ def cubic_from_trilinear(tensor):
 
 
 def tensor_apply(tensor, x, y, z):
-    """Evaluate a 2x2x2 symmetric tensor on three coordinate vectors."""
-    return sum(
-        tensor[i][j][k] * x[i] * y[j] * z[k]
-        for i, j, k in product(range(2), repeat=3)
-    )
+    """Evaluate a 2x2x2 tensor on three coordinate vectors.
+
+    The sum of T[i][j][k] * x[i] * y[j] * z[k] over all 8 index triples,
+    written out with x and y factored; exact for any tensor, symmetric or not.
+    """
+    (t000, t001), (t010, t011) = tensor[0]
+    (t100, t101), (t110, t111) = tensor[1]
+    y0, y1, z0, z1 = y[0], y[1], z[0], z[1]
+    return (x[0] * (y0 * (t000 * z0 + t001 * z1) + y1 * (t010 * z0 + t011 * z1))
+            + x[1] * (y0 * (t100 * z0 + t101 * z1) + y1 * (t110 * z0 + t111 * z1)))
 
 
 @dataclass(frozen=True)
@@ -355,6 +360,9 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
     return JuppInvariants(tensor, (w2_xi, w2_eta), pairings)
 
 
+_INDEX_TRIPLES = tuple(product(range(2), repeat=3))
+
+
 def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppComparison:
     """Decide whether Q identifies two invariant sets.
 
@@ -376,18 +384,16 @@ def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppCompariso
     trilinear_ok = all(
         tensor_apply(inv2.trilinear, cols[i], cols[j], cols[k])
         == inv1.trilinear[i][j][k]
-        for i, j, k in product(range(2), repeat=3)
+        for i, j, k in _INDEX_TRIPLES
     )
     w2_image = (
         (q00 * inv1.w2[0] + q01 * inv1.w2[1]) % 2,
         (q10 * inv1.w2[0] + q11 * inv1.w2[1]) % 2,
     )
     w2_ok = w2_image == tuple(v % 2 for v in inv2.w2)
-    p1_ok = all(
-        inv2.p1_pairings[0] * cols[i][0] + inv2.p1_pairings[1] * cols[i][1]
-        == inv1.p1_pairings[i]
-        for i in range(2)
-    )
+    p1_x, p1_y = inv2.p1_pairings
+    p1_ok = (p1_x * q00 + p1_y * q10 == inv1.p1_pairings[0]
+             and p1_x * q01 + p1_y * q11 == inv1.p1_pairings[1])
     return JuppComparison(trilinear_ok, w2_ok, p1_ok)
 
 

@@ -145,6 +145,18 @@ class TestErrorPaths:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "NoSuchFixedPoint"
 
+    def test_unknown_graph(self, capsys):
+        code, out = capture(capsys, ["graph", "--name", "foo"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "UnknownGraph", "message": "unknown builtin graph 'foo'"}
+
+    def test_trivial_subcircle(self, capsys):
+        code, out = capture(capsys, ["betti", "--a", "0", "--b", "0"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "TrivialSubcircle", "message": "CircleAction (0, 0) is trivial"}
+
     def test_degenerate_subcircle(self, capsys):
         code, out = capture(capsys, ["betti", "--a", "1", "--b", "1"])
         assert code == 1

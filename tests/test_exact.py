@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,15 @@ class TestParamPoly:
         with pytest.raises(ValueError):
             (L1 + L2) ** -1
 
+    def test_bad_divisors_rejected(self):
+        for zero in (0, Fraction(0), "0", "0/5"):
+            with pytest.raises(ZeroDivisionError):
+                L1 / zero
+        with pytest.raises(ValueError):
+            L1 / "1/0"
+        with pytest.raises(TypeError):
+            L1 / 0.5
+
     def test_floats_rejected_by_arithmetic_and_evaluate(self):
         with pytest.raises(TypeError):
             L1 * 0.5
@@ -135,6 +145,62 @@ class TestParamPoly:
             L1 + 0.5
         with pytest.raises(TypeError):
             (L1 + L2).evaluate(0.5, 2)
+
+
+class TestCommonDenominator:
+    """Coefficients are stored as int numerators over one denominator; what
+    callers see are Fractions, equal to the coefficients put in."""
+
+    @staticmethod
+    def assert_fraction_boundary(p, expected):
+        terms = p.terms()
+        assert terms == tuple(sorted(expected.items(), reverse=True))
+        assert all(type(c) is Fraction for _, c in terms)
+        for (i, j), c in expected.items():
+            got = p.coefficient(i, j)
+            assert type(got) is Fraction and got == c
+        assert type(p.coefficient(7, 7)) is Fraction and p.coefficient(7, 7) == 0
+        assert type(p.evaluate(2, 3)) is Fraction
+        assert hash(p) == hash(frozenset(p.terms()))
+
+    def test_different_denominators(self):
+        p = ParamPoly({(2, 0): "3/4", (1, 1): "-5/6", (0, 0): 2})
+        expected = {(2, 0): Fraction(3, 4), (1, 1): Fraction(-5, 6), (0, 0): Fraction(2)}
+        self.assert_fraction_boundary(p, expected)
+        assert p.evaluate(2, 3) == 3 - 5 + 2
+        q = ParamPoly({(1, 0): "1/10"}) + ParamPoly({(1, 0): "2/15", (0, 1): "1/4"})
+        self.assert_fraction_boundary(q, {(1, 0): Fraction(7, 30), (0, 1): Fraction(1, 4)})
+
+    def test_numerators_sharing_a_factor_with_the_denominator(self):
+        p = ParamPoly({(1, 0): "1/2", (0, 1): "1/3"})
+        six_p = p * 6
+        self.assert_fraction_boundary(six_p, {(1, 0): Fraction(3), (0, 1): Fraction(2)})
+        assert six_p == ParamPoly.linear(3, 2) and hash(six_p) == hash(ParamPoly.linear(3, 2))
+        back = (p * 6) / 6
+        self.assert_fraction_boundary(back, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+        assert back == p and hash(back) == hash(p)
+        # halves that add up to integers, and a sum that cancels to zero
+        half = ParamPoly({(1, 0): "1/2", (0, 0): "3/2"})
+        self.assert_fraction_boundary(half + half, {(1, 0): Fraction(1), (0, 0): Fraction(3)})
+        assert (half - half) == ParamPoly.zero() and hash(half - half) == hash(ParamPoly.zero())
+        self.assert_fraction_boundary(p * Fraction(-4, 3),
+                                      {(1, 0): Fraction(-2, 3), (0, 1): Fraction(-4, 9)})
+        self.assert_fraction_boundary(p / Fraction(-1, 6), {(1, 0): Fraction(-3), (0, 1): Fraction(-2)})
+
+    def test_power_of_fraction_coefficients(self):
+        p = ParamPoly({(1, 0): "1/2", (0, 1): "-2/3"})
+        for n in range(5):
+            expected = {}
+            for k in range(n + 1):
+                c = math.comb(n, k) * Fraction(1, 2) ** k * Fraction(-2, 3) ** (n - k)
+                expected[(k, n - k)] = c
+            self.assert_fraction_boundary(p ** n, expected)
+            assert (p ** n).evaluate(Fraction(1, 3), 5) == (Fraction(1, 6) - Fraction(10, 3)) ** n
+
+    def test_cancelled_cross_terms_are_dropped(self):
+        p = ParamPoly({(1, 0): "1/2", (0, 1): "1/3"})
+        q = ParamPoly({(1, 0): "1/2", (0, 1): "-1/3"})
+        self.assert_fraction_boundary(p * q, {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)})
 
 
 RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from gkmloc.gkm import (
     MalformedEdgeError,
     NoSuchFixedPointError,
     NotCoprimeError,
+    TrivialSubcircleError,
     betti_numbers,
     builtin_graphs,
     c1_on_sphere,
@@ -161,6 +163,8 @@ class TestGraphValidation:
     def test_trivial_subcircle_rejected(self):
         with pytest.raises(ValueError):
             CircleAction(0, 0)
+        with pytest.raises(TrivialSubcircleError):
+            CircleAction(0, 0)
 
     def test_edge_reversal_is_harmless(self):
         flipped = []
@@ -284,6 +288,12 @@ class TestSpheres:
     def test_omega_values_reassemble_area(self):
         for e, (x, y) in omega_basis_values(G).items():
             assert ParamPoly.linear(x, y) == sphere_area(G, e)
+
+    def test_stored_areas_are_not_fields(self):
+        rebuilt = GKMGraph(tuple(reversed(G.points)), tuple(reversed(G.edges)))
+        assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
+        assert "_areas" not in repr(G)
+        assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
 
     def test_c2_pairings_from_cocycles(self):
         vals = omega_basis_values(G)

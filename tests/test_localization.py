@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmloc.exact import L1, L2, ParamPoly
 from gkmloc.gkm import (
@@ -8,9 +10,11 @@ from gkmloc.gkm import (
     Edge,
     FixedPoint,
     GKMGraph,
+    restrict_weights,
     tolman_graph,
 )
 from gkmloc.localization import (
+    _CHERN_INTEGRANDS,
     CHERN_MONOMIALS,
     NotHomogeneousCubicError,
     abbv_chern_number,
@@ -118,6 +122,79 @@ class TestOtherValence:
         # integral c1^2 = 9 and integral c2 = Euler number 3
         assert localize(self.CP2, (2, 1), lambda r: sum(r.weights) ** 2) == 9
         assert localize(self.CP2, (2, 1), lambda r: r.weight_product) == 3
+
+
+def per_row_localize(g, s, integrand):
+    """The kernel summed row by row, one Fraction(1, e(p)) per fixed point."""
+    total = Fraction(0)
+    for row in localization_table(g, s):
+        total += integrand(row) * Fraction(1, row.weight_product)
+    return total
+
+
+# GL2(Z) generators: rotation, shear, inverse shear, reflection.
+GENERATORS = (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 0), (0, -1)))
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+SHIFTS = st.tuples(*([st.integers(-3, 3)] * 2), SMALL_RATIONALS)
+
+
+def moved_graph(base, m, shift0, shift1):
+    """base with moment map M*mu + shift and directions M*d."""
+    (m00, m01), (m10, m11) = m
+    t0, t1 = ParamPoly.linear(*shift0), ParamPoly.linear(*shift1)
+    points = tuple(
+        FixedPoint(p.id, (x * m00 + y * m01 + t0, x * m10 + y * m11 + t1))
+        for p in base.points for x, y in (p.moment_image,))
+    edges = tuple(
+        Edge(e.tail, e.head, (m00 * d0 + m01 * d1, m10 * d0 + m11 * d1))
+        for e in base.edges for d0, d1 in (e.direction,))
+    return GKMGraph(points, edges)
+
+
+class TestCommonDenominatorKernel:
+    """localize sums over the lcm of the weight products; the per-row
+    Fraction kernel is the oracle, on moved graphs with rational shifts."""
+
+    @settings(max_examples=120)
+    @given(st.sampled_from(["tolman", "cp2"]),
+           st.lists(st.sampled_from(GENERATORS), max_size=6),
+           SHIFTS, SHIFTS, st.integers(-7, 7), st.integers(-7, 7))
+    def test_matches_the_per_row_kernel(self, base, moves, shift0, shift1, a, b):
+        m = ((1, 0), (0, 1))
+        for (g00, g01), (g10, g11) in moves:
+            (m00, m01), (m10, m11) = m
+            m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
+                 (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
+        g = moved_graph(G if base == "tolman" else TestOtherValence.CP2, m, shift0, shift1)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        s = (a, b)
+        integrands = [
+            *_CHERN_INTEGRANDS.values(),
+            lambda r: (-r.hamiltonian) ** len(r.weights),
+            *(lambda r, k=k: r.hamiltonian ** k for k in range(3)),
+        ]
+        for integrand in integrands:
+            got, want = localize(g, s, integrand), per_row_localize(g, s, integrand)
+            assert type(got) is type(want) and got == want
+        for monomial in CHERN_MONOMIALS:
+            got = abbv_chern_number(g, s, monomial)
+            assert type(got) is Fraction
+            assert got == per_row_localize(g, s, _CHERN_INTEGRANDS[monomial])
+        assert dh_volume(g, s) == (VOLUME if base == "tolman" else L1 * L1)
+
+    def test_a_product_whose_prime_power_no_other_product_has(self):
+        # z is the vertex of two spheres; at s = (2, 2) its weight product is
+        # 4 while the other two are -2, so the lcm must cover the last row
+        star = GKMGraph(
+            (FixedPoint("p", (L1, ParamPoly.zero())), FixedPoint("q", (ParamPoly.zero(), L1)),
+             FixedPoint("z", (ParamPoly.zero(), ParamPoly.zero()))),
+            (Edge("z", "p", (1, 0)), Edge("z", "q", (0, 1))))
+        assert [r.weight_product for r in localization_table(star, (2, 2))] == [-2, -2, 4]
+        assert localize(star, (2, 2), lambda r: 1) == Fraction(-3, 4)
+        for k in range(3):
+            integrand = lambda r, k=k: r.hamiltonian ** k
+            assert localize(star, (2, 2), integrand) == per_row_localize(star, (2, 2), integrand)
 
 
 class TestCubicForm:

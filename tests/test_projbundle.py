@@ -277,6 +277,17 @@ class TestTrilinearForms:
             assert sum(c * u**(3 - n) * v**n for n, c in enumerate(coeffs)) == \
                 tensor_apply(t, y, y, y)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+           *([st.tuples(st.integers(-9, 9), st.integers(-9, 9))] * 3))
+    def test_tensor_apply_is_the_generic_sum(self, entries, x, y, z):
+        """The unrolled formula equals the 8-term sum for any tensor, symmetric or not."""
+        t = tuple(tuple(tuple(entries[4 * i + 2 * j + k] for k in range(2))
+                        for j in range(2)) for i in range(2))
+        generic = sum(t[i][j][k] * x[i] * y[j] * z[k]
+                      for i, j, k in product(range(2), repeat=3))
+        assert tensor_apply(t, x, y, z) == generic
+
     def test_tensor_apply_is_symmetric(self):
         t = trilinear_from_cubic((2, 3, 3, 0))
         x, y, z = (1, 2), (-3, 1), (0, 5)
@@ -377,6 +388,33 @@ INVARIANTS = st.builds(
 # matrices P = ((a, b), (c, d)) with |det P| = 1, as (a, b, c, d)
 MOVES = tuple(m for m in product(range(-2, 3), repeat=4) if m[0] * m[3] - m[1] * m[2] in (1, -1))
 ZERO = JuppInvariants(symmetric(0, 0, 0, 0), (0, 0), (0, 0))
+
+
+def generic_flags(inv1, inv2, q):
+    """The three jupp_compare conditions written as per-index loops."""
+    cols = ((q[0][0], q[1][0]), (q[0][1], q[1][1]))
+    trilinear = all(
+        sum(inv2.trilinear[a][b][c] * cols[i][a] * cols[j][b] * cols[k][c]
+            for a, b, c in product(range(2), repeat=3)) == inv1.trilinear[i][j][k]
+        for i, j, k in product(range(2), repeat=3))
+    w2 = all((q[r][0] * inv1.w2[0] + q[r][1] * inv1.w2[1]) % 2 == inv2.w2[r] % 2
+             for r in range(2))
+    p1 = all(sum(inv2.p1_pairings[a] * cols[i][a] for a in range(2)) == inv1.p1_pairings[i]
+             for i in range(2))
+    return trilinear, w2, p1
+
+
+class TestCompareFlags:
+    @settings(max_examples=300)
+    @given(inv1=INVARIANTS, inv2=st.one_of(INVARIANTS, st.sampled_from(MOVES)),
+           q=st.sampled_from(MOVES))
+    def test_flags_match_the_generic_checks(self, inv1, inv2, q):
+        if not isinstance(inv2, JuppInvariants):
+            inv2 = moved(inv1, inv2)
+        a, b, c, d = q
+        q = ((a, b), (c, d))
+        cmp = jupp_compare(inv1, inv2, q)
+        assert (cmp.trilinear_ok, cmp.w2_ok, cmp.p1_ok) == generic_flags(inv1, inv2, q)
 
 
 class TestPrunedSearch:
