@@ -57,58 +57,39 @@ def _cmd_graph(args):
     return gkm.graph_to_json(_graph(args.name)), 0
 
 
-def _cmd_weights(args):
-    g = _graph(args.name)
-    return {"weights": list(gkm.restrict_weights(g, (args.a, args.b), args.point))}, 0
+def _cmd_weights(g, s, args):
+    return {"weights": list(gkm.restrict_weights(g, s, args.point))}, 0
 
 
-def _cmd_betti(args):
-    g = _graph(args.name)
-    return {"betti": list(gkm.betti_numbers(g, (args.a, args.b)))}, 0
+def _cmd_betti(g, s, args):
+    return {"betti": list(gkm.betti_numbers(g, s))}, 0
 
 
-def _cmd_coprime(args):
-    g = _graph(args.name)
-    ok, witness = gkm.is_coprime_action(g, (args.a, args.b))
+def _cmd_coprime(g, s, args):
+    ok, witness = gkm.is_coprime_action(g, s)
     payload = {"coprime": ok}
     if witness is not None:
-        payload["witness"] = {
-            "point": witness.point,
-            "weights": list(witness.weights),
-            "reason": witness.reason,
-        }
+        payload["witness"] = {"point": witness.point, "weights": list(witness.weights),
+                              "reason": witness.reason}
     return payload, 0
 
 
-def _cmd_spheres(args):
-    g = _graph(args.name)
-    spheres = gkm.isotropy_spheres(g, (args.a, args.b))
-    return {
-        "spheres": [
-            {"tail": e.tail, "head": e.head, "order": order} for e, order in spheres
-        ]
-    }, 0
+def _cmd_spheres(g, s, args):
+    spheres = gkm.isotropy_spheres(g, s)
+    return {"spheres": [{"tail": e.tail, "head": e.head, "order": order}
+                        for e, order in spheres]}, 0
 
 
-def _cmd_chern(args):
-    g = _graph(args.name)
-    value = localization.abbv_chern_number(g, (args.a, args.b), args.monomial)
+def _cmd_chern(g, s, args):
+    value = localization.abbv_chern_number(g, s, args.monomial)
     return {"value": rat_str(value)}, 0
 
 
-def _cmd_dh_volume(args):
-    g = _graph(args.name)
-    s = (args.a, args.b)
-    table = [
-        {
-            "point": row.point,
-            "image": [c for c in g.point(row.point).moment_image],
-            "hamiltonian": row.hamiltonian,
-            "weights": list(row.weights),
-            "weight_product": row.weight_product,
-        }
-        for row in localization.localization_table(g, s)
-    ]
+def _cmd_dh_volume(g, s, args):
+    table = [{"point": row.point, "image": list(g.point(row.point).moment_image),
+              "hamiltonian": row.hamiltonian, "weights": list(row.weights),
+              "weight_product": row.weight_product}
+             for row in localization.localization_table(g, s)]
     return {"volume": localization.dh_volume(g, s), "table": table}, 0
 
 
@@ -350,13 +331,19 @@ def _cmd_reproduce_all(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_action_args(sub):
-    sub.add_argument("--a", type=int, required=True, help="first subcircle component")
-    sub.add_argument("--b", type=int, required=True, help="second subcircle component")
-
-
 def _add_name_arg(sub):
     sub.add_argument("--name", default="tolman", help="builtin graph name")
+
+
+def _add_subcircle_command(sub, name, func, help_text, **extra):
+    """Subcommand with --a, --b, the ``extra`` options and --name; runs func(g, (a, b), args)."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--a", type=int, required=True, help="first subcircle component")
+    p.add_argument("--b", type=int, required=True, help="second subcircle component")
+    for option, kwargs in extra.items():
+        p.add_argument(f"--{option}", **kwargs)
+    _add_name_arg(p)
+    p.set_defaults(func=lambda args: func(_graph(args.name), (args.a, args.b), args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,37 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_name_arg(p)
     p.set_defaults(func=_cmd_graph)
 
-    p = sub.add_parser("weights", help="subcircle weights at a fixed point")
-    _add_action_args(p)
-    p.add_argument("--point", required=True)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_weights)
-
-    p = sub.add_parser("betti", help="Betti numbers from the index histogram")
-    _add_action_args(p)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_betti)
-
-    p = sub.add_parser("coprime", help="test whether a subcircle is coprime")
-    _add_action_args(p)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_coprime)
-
-    p = sub.add_parser("spheres", help="isotropy spheres with stabilizer orders")
-    _add_action_args(p)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_spheres)
-
-    p = sub.add_parser("chern", help="localized Chern number")
-    _add_action_args(p)
-    p.add_argument("--monomial", choices=localization.CHERN_MONOMIALS, required=True)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_chern)
-
-    p = sub.add_parser("dh-volume", help="symplectic volume polynomial with the fixed-point table")
-    _add_action_args(p)
-    _add_name_arg(p)
-    p.set_defaults(func=_cmd_dh_volume)
+    _add_subcircle_command(sub, "weights", _cmd_weights, "subcircle weights at a fixed point",
+                           point={"required": True})
+    _add_subcircle_command(sub, "betti", _cmd_betti, "Betti numbers from the index histogram")
+    _add_subcircle_command(sub, "coprime", _cmd_coprime, "test whether a subcircle is coprime")
+    _add_subcircle_command(sub, "spheres", _cmd_spheres, "isotropy spheres with stabilizer orders")
+    _add_subcircle_command(sub, "chern", _cmd_chern, "localized Chern number",
+                           monomial={"choices": localization.CHERN_MONOMIALS, "required": True})
+    _add_subcircle_command(sub, "dh-volume", _cmd_dh_volume,
+                           "symplectic volume polynomial with the fixed-point table")
 
     p = sub.add_parser("ring", help="intersection ring data of a projectivized bundle")
     p.add_argument("--k1", type=int, required=True)

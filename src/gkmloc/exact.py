@@ -29,6 +29,14 @@ class ZeroVectorError(ToolkitError):
     code = "ZeroVector"
 
 
+class BadRationalError(ToolkitError, ValueError):
+    code = "BadRational"
+
+
+class ChamberSignError(ToolkitError):
+    code = "ChamberSign"
+
+
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
     if isinstance(value, float):
@@ -36,7 +44,9 @@ def rat(value) -> Fraction:
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise BadRationalError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        raise BadRationalError(f"not an exact rational: {value!r}") from None
 
 
 def rat_str(value) -> str:
@@ -330,6 +340,24 @@ def _mul_numerators(a, b):
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + n1 * n2
     return {key: n for key, n in out.items() if n}
+
+
+def chamber_sign(p: ParamPoly) -> int:
+    """Sign of p on the whole chamber 0 < l1 < l2: 1, -1, or 0 when p == 0.
+
+    Exact for degree <= 1: with l1 = u, l2 = u + v (u, v > 0), p is c0 +
+    (c1 + c2)*u + c2*v, of one sign iff c0, c1 + c2 and c2 are (zeros allowed).
+    Raises ChamberSignError, naming the wall, if p changes sign or degree > 1.
+    """
+    if p.degree() > 1:
+        raise ChamberSignError(f"sign of {p} on 0 < l1 < l2: degree > 1 is not supported")
+    # the numerators share the positive denominator _den, so they carry the signs
+    c0, c1, c2 = (p._num.get(key, 0) for key in ((0, 0), (1, 0), (0, 1)))
+    signs = {(c > 0) - (c < 0) for c in (c0, c1 + c2, c2)} - {0}
+    if len(signs) > 1:
+        wall = f"the line {p} = 0" if c0 else f"the wall l2/l1 = {rat_str(Fraction(-c1, c2))}"
+        raise ChamberSignError(f"{p} changes sign on 0 < l1 < l2 at {wall}")
+    return signs.pop() if signs else 0
 
 
 L1 = ParamPoly({(1, 0): 1})

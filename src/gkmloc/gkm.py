@@ -19,8 +19,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .exact import (
+    ChamberSignError,
     ParamPoly,
     ToolkitError,
+    chamber_sign,
     primitive,
     rat,
 )
@@ -60,11 +62,6 @@ class NotCoprimeError(ToolkitError):
 
 class IncompleteCocycleError(ToolkitError):
     code = "IncompleteCocycle"
-
-
-# Sample parameter values used to certify polynomial sign conditions; both
-# satisfy 0 < l1 < l2.
-_SIGN_SAMPLES = ((1, 2), (2, 5))
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class GKMGraph:
             if e.tail not in known or e.head not in known:
                 raise MalformedEdgeError(f"edge {e.tail}->{e.head} references unknown point")
             # raises MalformedEdgeError unless head - tail = area * direction
-            # with area positive at the sample parameter values
+            # with area positive on the whole chamber 0 < l1 < l2
             areas.append(sphere_area(self, e))
         object.__setattr__(self, "_areas", tuple(areas))
 
@@ -177,7 +174,7 @@ class GKMGraph:
 
 
 def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
-    """Area polynomial A of the sphere e: head - tail == A * direction, A > 0 on samples."""
+    """Area polynomial A of the sphere e: head - tail == A * direction, A > 0 on 0 < l1 < l2."""
     tail = g.point(e.tail).moment_image
     head = g.point(e.head).moment_image
     diff = (head[0] - tail[0], head[1] - tail[1])
@@ -186,10 +183,13 @@ def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
     if diff[0] != area * x1 or diff[1] != area * x2:
         raise MalformedEdgeError(
             f"edge {e.tail}->{e.head}: moment images not collinear with {e.direction}")
-    for l1, l2 in _SIGN_SAMPLES:
-        if area.evaluate(l1, l2) <= 0:
-            raise MalformedEdgeError(
-                f"edge {e.tail}->{e.head}: area {area} not positive at ({l1},{l2})")
+    try:
+        positive = chamber_sign(area) == 1
+    except ChamberSignError as exc:
+        raise MalformedEdgeError(f"edge {e.tail}->{e.head}: area {exc}") from None
+    if not positive:
+        raise MalformedEdgeError(
+            f"edge {e.tail}->{e.head}: area {area} not positive on 0 < l1 < l2")
     return area
 
 
@@ -197,8 +197,7 @@ def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
 # built-in graph
 # ---------------------------------------------------------------------------
 
-def _lin(c1, c2) -> ParamPoly:
-    return ParamPoly.linear(c1, c2)
+_lin = ParamPoly.linear
 
 
 @lru_cache(maxsize=None)
@@ -331,19 +330,24 @@ def c1_on_sphere(g: GKMGraph, s, e: Edge) -> Fraction:
     The value does not depend on s as long as w != 0.
     """
     s = as_action(s)
+    return _sphere_c1(g, s, e, lambda pid: sum(restrict_weights(g, s, pid)))
+
+
+def _sphere_c1(g, s, e, weight_sum):
+    """<c1, S_e> with weight_sum(point id) the sum of the weights of s there."""
     w = edge_weight(g, s, e)
     if w == 0:
         raise EdgeFixedPointwiseError(
             f"subcircle ({s.a},{s.b}) fixes the sphere {e.tail}->{e.head} pointwise")
     lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
-    total_lo = sum(restrict_weights(g, s, lo))
-    total_hi = sum(restrict_weights(g, s, hi))
-    return Fraction(total_lo - total_hi, abs(w))
+    return Fraction(weight_sum(lo) - weight_sum(hi), abs(w))
 
 
 def c1_values(g: GKMGraph, s) -> dict:
-    """c1 pairing for every edge, keyed by Edge, in one pass."""
-    return {e: c1_on_sphere(g, s, e) for e in g.edges}
+    """c1 pairing for every edge, keyed by Edge; each point's weights are summed once."""
+    s = as_action(s)
+    sums = {p.id: sum(restrict_weights(g, s, p.id)) for p in g.points}
+    return {e: _sphere_c1(g, s, e, sums.__getitem__) for e in g.edges}
 
 
 # ---------------------------------------------------------------------------

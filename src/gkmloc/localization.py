@@ -1,10 +1,11 @@
-"""Fixed-point localization: exact Chern numbers and symplectic volumes.
+"""Fixed-point localization: Chern numbers, volumes and the graph invariants.
 
-Every sum runs over the fixed points p of a subcircle s = (a, b) acting on
-the 2n-manifold behind an n-valent GKM graph. With e(p) the product of the
-weights of s at p, e1 and e2 their first two elementary symmetric
-polynomials, and H(p) = a*phi1 + b*phi2 the momentum (Atiyah-Bott,
-Berline-Vergne; the Chern numbers are those of n = 3):
+An equivariant class on the 2n-manifold behind an n-valent GKM graph is the
+list of its restrictions to the fixed points p of a subcircle s = (a, b)
+(Goresky-Kottwitz-MacPherson); its integral is sum_p restriction / e(p),
+e(p) the product of the weights at p (Atiyah-Bott, Berline-Vergne). c1, c2,
+c3 and p1 restrict to e1, e2, e(p) and the sum of w^2, and the symplectic
+class l1*xi' + l2*eta' to -H(p), H = a*phi1 + b*phi2 the momentum. For n = 3:
 
     integral c1^3   = sum_p e1^3 / e(p)
     integral c1 c2  = sum_p e1 e2 / e(p)
@@ -12,41 +13,65 @@ Berline-Vergne; the Chern numbers are those of n = 3):
     integral w^n    = (-1)^n sum_p H(p)^n / e(p)
 
 The (-1)^n factor is baked in, so dh_volume returns the honest volume
-polynomial, positive for 0 < l1 < l2.
+polynomial, positive for 0 < l1 < l2. The classifying invariants (tensor,
+c1, p1 pairings) come from one localization_table pass, which also checks
+the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for every
+degree-4 monomial x*y in xi', eta'.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import ParamPoly, ToolkitError
 from .gkm import (
+    CircleAction,
     GKMGraph,
     DegenerateWeightError,
     as_action,
-    c1_values,
     hamiltonian,
-    omega_basis_values,
-    pair_with_c2,
     restrict_weights,
 )
-from .projbundle import JuppInvariants, tensor_apply
+from .projbundle import JuppInvariants, trilinear_from_cubic
 
 
 class NotHomogeneousCubicError(ToolkitError):
     code = "NotHomogeneousCubic"
 
 
+class NonSpanningBasisError(ToolkitError, ValueError):
+    code = "NonSpanningBasis"
+
+
+class NonIntegralC1Error(ToolkitError, ValueError):
+    code = "NonIntegralC1"
+
+
+class LocalizationCheckError(ToolkitError, ValueError):
+    code = "LocalizationCheck"
+
+
 @dataclass(frozen=True)
 class FixedPointContribution:
-    """One row of the localization table: point, momentum, weights, product."""
+    """One row of the localization table; the momentum is computed only when read."""
 
     point: str
-    hamiltonian: ParamPoly
     weights: tuple
     weight_product: int
+    _graph: GKMGraph = field(repr=False, compare=False)
+    _action: CircleAction = field(repr=False, compare=False)
+
+    @property
+    def hamiltonian(self) -> ParamPoly:
+        return hamiltonian(self._graph, self._action, self.point)
+
+
+# Restrictions at one point: h*xi'(p), h*eta'(p), e1, sum of w^2 (p1), e(p).
+_OmegaRow = namedtuple("_OmegaRow", "x y e1 p1 weight_product")
 
 
 def localization_table(g: GKMGraph, s):
@@ -59,19 +84,25 @@ def localization_table(g: GKMGraph, s):
         if prod == 0:
             raise DegenerateWeightError(
                 f"subcircle ({s.a},{s.b}) has a zero weight at {p.id}")
-        rows.append(FixedPointContribution(p.id, hamiltonian(g, s, p.id), ws, prod))
+        rows.append(FixedPointContribution(p.id, ws, prod, g, s))
     return tuple(rows)
 
 
 def localize(g: GKMGraph, s, integrand):
     """Sum integrand(row) / row.weight_product over localization_table(g, s).
 
+    An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
+    """
+    return _row_sum(localization_table(g, s), integrand)
+
+
+def _row_sum(rows, integrand):
+    """Sum integrand(row) / row.weight_product over rows.
+
     The sum runs over the common denominator D = lcm of the weight products:
     each row adds integrand(row) * (D // weight_product), an exact int
-    multiple, and the total is divided by D once at the end. An int or
-    Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
+    multiple, and the total is divided by D once at the end.
     """
-    rows = localization_table(g, s)
     den = math.lcm(*(row.weight_product for row in rows))
     total = 0
     for row in rows:
@@ -113,89 +144,80 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
     return localize(g, s, lambda row: (-row.hamiltonian) ** len(row.weights))
 
 
+def _omega_integrals(g: GKMGraph, s):
+    """The sums of one table pass, with xi', eta' read as ints over their denominator h.
+
+    Returns t[k] = integral xi'^k eta'^(3-k), c1_xy[k] = integral c1 xi'^k
+    eta'^(2-k) and (integral p1 xi', integral p1 eta'), after the certificate
+    integral xi'^k eta'^(2-k) == 0.
+    """
+    s = as_action(s)
+    rows = localization_table(g, s)
+    if any(len(r.weights) != 3 for r in rows) or not all(a.is_homogeneous(1) for a in g._areas):
+        raise NotHomogeneousCubicError("volume is not a homogeneous cubic: the graph is "
+                                       "not 3-valent or an area is not homogeneous linear")
+    coeffs = [(-ham.coefficient(1, 0), -ham.coefficient(0, 1))
+              for ham in (row.hamiltonian for row in rows)]
+    h = math.lcm(*(c.denominator for pair in coeffs for c in pair))
+    omega = [_OmegaRow(x.numerator * (h // x.denominator), y.numerator * (h // y.denominator),
+                       sum(row.weights), sum(w * w for w in row.weights), row.weight_product)
+             for row, (x, y) in zip(rows, coeffs)]
+    for k in range(3):
+        if value := _row_sum(omega, lambda r: r.x ** k * r.y ** (2 - k)) / h ** 2:
+            raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({s.a},{s.b}): "
+                                         f"integral xi'^{k} eta'^{2 - k} is {value}, not 0")
+    t = tuple(_row_sum(omega, lambda r: r.x ** k * r.y ** (3 - k)) / h ** 3 for k in range(4))
+    if not any(t):
+        raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")
+    c1_xy = tuple(
+        _row_sum(omega, lambda r: r.e1 * r.x ** k * r.y ** (2 - k)) / h ** 2 for k in range(3))
+    return t, c1_xy, (_row_sum(omega, lambda r: r.p1 * r.x) / h,
+                      _row_sum(omega, lambda r: r.p1 * r.y) / h)
+
+
+def _solve_c1(t, c1_xy):
+    """c1 = alpha*xi' + beta*eta' from integral c1*x*y = T(c1, x, y), which for
+    x*y = xi'^k eta'^(2-k) reads alpha*t[k+1] + beta*t[k] = c1_xy[k]."""
+    eqs = [(t[k + 1], t[k], c1_xy[k], k) for k in (2, 1, 0)]
+    for (x1, y1, r1, _), (x2, y2, r2, _) in combinations(eqs, 2):
+        if det := x1 * y2 - x2 * y1:
+            break
+    else:
+        raise NonSpanningBasisError("the (xi', eta') values do not span the dual plane: "
+                                    f"integral xi'^k eta'^(3-k) = {', '.join(map(str, t))}")
+    alpha, beta = (r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det
+    for x, y, r, k in eqs:
+        if alpha * x + beta * y != r:
+            raise LocalizationCheckError(
+                f"c1 = {alpha}*xi' + {beta}*eta' is not a combination of xi', eta': "
+                f"integral c1 xi'^{k} eta'^{2 - k} is {r}, not {alpha * x + beta * y}")
+    return alpha, beta
+
+
 def cubic_form_from_gkm(g: GKMGraph, s):
     """Cubic intersection tensor on the basis (xi', eta') of degree-2 classes.
 
-    The symplectic class decomposes as l1*xi' + l2*eta', so the volume
-    polynomial is sum_i C(3,i) l1^i l2^(3-i) * integral(xi'^i eta'^(3-i));
-    the pairings are read off the coefficients. Entries use index 0 for xi'
-    and 1 for eta'. Raises NotHomogeneousCubic when the volume polynomial is
-    not a homogeneous cubic.
+    The entry with k indices 0 (xi') and 3 - k indices 1 (eta') is the
+    localized integral xi'^k eta'^(3-k).
     """
-    vol = dh_volume(g, s)
-    if vol.is_zero() or not vol.is_homogeneous(3):
-        raise NotHomogeneousCubicError(f"volume {vol} is not a homogeneous cubic")
-
-    def pairing(num_xi):
-        c = vol.coefficient(num_xi, 3 - num_xi)
-        val = c / math.comb(3, num_xi)
-        return int(val) if val.denominator == 1 else val
-
-    by_xi_count = [pairing(k) for k in range(4)]
-    return tuple(
-        tuple(
-            tuple(by_xi_count[(i == 0) + (j == 0) + (k == 0)] for k in range(2))
-            for j in range(2))
-        for i in range(2)
-    )
+    t = _omega_integrals(g, s)[0]
+    return trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0]))
 
 
 def c1_in_omega_basis(g: GKMGraph, s):
-    """Coordinates (alpha, beta) with c1 = alpha*xi' + beta*eta'.
-
-    Solved exactly from two spheres with independent (xi', eta') values and
-    verified against every sphere of the graph.
-    """
-    basis = omega_basis_values(g)
-    c1s = c1_values(g, s)
-    edges = list(g.edges)
-    solution = None
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            (x1, e1), (x2, e2) = basis[edges[i]], basis[edges[j]]
-            det = x1 * e2 - x2 * e1
-            if det == 0:
-                continue
-            v1, v2 = c1s[edges[i]], c1s[edges[j]]
-            alpha = Fraction(v1 * e2 - v2 * e1, det)
-            beta = Fraction(x1 * v2 - x2 * v1, det)
-            solution = (alpha, beta)
-            break
-        if solution:
-            break
-    if solution is None:
-        raise ValueError("the (xi', eta') values do not span the dual plane")
-    alpha, beta = solution
-    for e in edges:
-        x, y = basis[e]
-        if alpha * x + beta * y != c1s[e]:
-            raise ValueError(f"c1 is not a combination of xi', eta' on {e.tail}->{e.head}")
-    return solution
+    """Coordinates (alpha, beta), as Fractions, with c1 = alpha*xi' + beta*eta'."""
+    return _solve_c1(*_omega_integrals(g, s)[:2])
 
 
 def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
-    """Classifying invariants of the manifold behind a GKM graph.
-
-    Assembled purely from localization data, on the ordered basis (xi', eta'):
-    the trilinear tensor from the volume polynomial, w2 as c1 mod 2, and
-    p1 = c1^2 - 2 c2 paired against the basis (c2 pairs as the sum of the
-    per-sphere values of the class).
+    """Classifying invariants on the basis (xi', eta'), from one localization pass:
+    the trilinear tensor, w2 = c1 mod 2 (c1 must be integral) and <p1, xi'>, <p1, eta'>.
     """
-    tensor = cubic_form_from_gkm(g, s)
-    alpha, beta = c1_in_omega_basis(g, s)
+    t, c1_xy, p1_x = _omega_integrals(g, s)
+    alpha, beta = _solve_c1(t, c1_xy)
     if alpha.denominator != 1 or beta.denominator != 1:
-        raise ValueError("c1 is not an integral combination of xi', eta'")
-    c1 = (int(alpha), int(beta))
-    w2 = (c1[0] % 2, c1[1] % 2)
-
-    basis = omega_basis_values(g)
-    c2_xi = pair_with_c2(g, {e: v[0] for e, v in basis.items()})
-    c2_eta = pair_with_c2(g, {e: v[1] for e, v in basis.items()})
-
-    def p1_pairing(axis, c2_pair):
-        y = (1, 0) if axis == 0 else (0, 1)
-        val = tensor_apply(tensor, c1, c1, y) - 2 * c2_pair
-        return int(val)
-
-    pairings = (p1_pairing(0, c2_xi), p1_pairing(1, c2_eta))
-    return JuppInvariants(tensor, w2, pairings)
+        raise NonIntegralC1Error(
+            f"c1 = {alpha}*xi' + {beta}*eta' is not an integral combination of xi', eta'")
+    tensor = trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0]))
+    return JuppInvariants(tensor, (alpha.numerator % 2, beta.numerator % 2),
+                          (int(p1_x[0]), int(p1_x[1])))

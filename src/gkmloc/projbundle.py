@@ -17,7 +17,6 @@ Degree-2k elements are stored as coordinate vectors in that basis, ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import groupby, product
 
 from .exact import Rational, ToolkitError, rat
@@ -245,8 +244,9 @@ def trilinear_from_cubic(coeffs):
     """Polarize a binary cubic form S into the symmetric tensor T(x, y, z).
 
     coeffs are (c0, c1, c2, c3) for S(u, v) = c0 u^3 + c1 u^2 v + c2 u v^2 +
-    c3 v^3; the tensor is indexed by the same basis order and satisfies
-    6 T(x,y,z) = S(x+y+z) - S(x+y) - S(x+z) - S(y+z) + S(x) + S(y) + S(z).
+    c3 v^3; the tensor is indexed by the same basis order, so T(y, y, y) =
+    S(y) and the entries with 3, 2, 1, 0 indices 0 are c0, c1/3, c2/3, c3
+    (ints when integral).
     """
     try:
         coeffs = tuple(rat(c) for c in coeffs)
@@ -254,30 +254,10 @@ def trilinear_from_cubic(coeffs):
         raise NotCubicError(f"bad cubic coefficients: {exc}") from None
     if len(coeffs) != 4:
         raise NotCubicError("a binary cubic form has exactly 4 coefficients")
-
-    def add(x, y):
-        return (x[0] + y[0], x[1] + y[1])
-
-    basis = ((1, 0), (0, 1))
-
-    def entry(x, y, z):
-        s = (
-            _eval_cubic(coeffs, add(add(x, y), z))
-            - _eval_cubic(coeffs, add(x, y))
-            - _eval_cubic(coeffs, add(x, z))
-            - _eval_cubic(coeffs, add(y, z))
-            + _eval_cubic(coeffs, x)
-            + _eval_cubic(coeffs, y)
-            + _eval_cubic(coeffs, z)
-        )
-        val = Fraction(s, 6)
-        return int(val) if val.denominator == 1 else val
-
-    return tuple(
-        tuple(tuple(entry(basis[i], basis[j], basis[k]) for k in range(2))
-              for j in range(2))
-        for i in range(2)
-    )
+    c0, c1, c2, c3 = coeffs
+    by_zeros = [int(v) if v.denominator == 1 else v for v in (c3, c2 / 3, c1 / 3, c0)]
+    return tuple(tuple(tuple(by_zeros[(i == 0) + (j == 0) + (k == 0)] for k in range(2))
+                       for j in range(2)) for i in range(2))
 
 
 def cubic_from_trilinear(tensor):

@@ -76,8 +76,7 @@ def polytope_from_json(data: dict) -> Polytope:
     return Polytope(verts, data.get("name", ""))
 
 
-def _lin(c1, c2) -> ParamPoly:
-    return ParamPoly.linear(c1, c2)
+_lin = ParamPoly.linear
 
 
 def builtin_polytopes():

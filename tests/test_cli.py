@@ -175,7 +175,13 @@ class TestErrorPaths:
     def test_zero_denominator(self, capsys):
         code, out = capture(capsys, ["kahler-cone", "--l1", "1/0", "--l2", "2"])
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "ValueError"
+        assert json.loads(out)["error"]["code"] == "BadRational"
+
+    def test_non_rational_parameter(self, capsys):
+        code, out = capture(capsys, ["kahler-cone", "--l1", "x", "--l2", "2"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "BadRational", "message": "not an exact rational: 'x'"}
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -7,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 from gkmloc.exact import (
     L1,
     L2,
+    BadRationalError,
+    ChamberSignError,
     ParamPoly,
     ZeroVectorError,
+    chamber_sign,
     primitive,
     rat,
     rat_str,
@@ -34,6 +37,14 @@ class TestRational:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             rat("1/0")
+
+    def test_bad_rationals_are_structured(self):
+        for text in ["1/0", "x", "", "1/2/3"]:
+            with pytest.raises(BadRationalError) as err:
+                rat(text)
+            assert isinstance(err.value, ValueError)
+            assert err.value.code == "BadRational"
+            assert repr(text) in str(err.value)
 
     def test_exact_field_ops(self):
         assert rat("1/3") + rat("1/6") == rat("1/2")
@@ -282,3 +293,42 @@ class TestParamPolyNormalForm:
             got = p.evaluate(x, y)
             assert type(got) is Fraction
             assert got == naive_evaluate(p, x, y)
+
+
+class TestChamberSign:
+    """chamber_sign decides the sign on all of 0 < l1 < l2, not at samples."""
+
+    def test_signs(self):
+        for p in [L1, L2, L2 - L1, 2 * L1 + L2, ParamPoly.const(1), L2 - L1 + 1]:
+            assert chamber_sign(p) == 1, p
+            assert chamber_sign(-p) == -1, p
+        assert chamber_sign(ParamPoly.zero()) == 0
+
+    def test_sign_change_names_the_wall(self):
+        with pytest.raises(ChamberSignError, match=r"wall l2/l1 = 3$"):
+            chamber_sign(3 * L1 - L2)
+        with pytest.raises(ChamberSignError, match=r"wall l2/l1 = 3/2$"):
+            chamber_sign(L2 * 2 - L1 * 3)
+        with pytest.raises(ChamberSignError, match=r"line -1\*l1 \+ 1 = 0$"):
+            chamber_sign(1 - L1)
+
+    def test_higher_degree_is_not_decided(self):
+        with pytest.raises(ChamberSignError, match="degree > 1"):
+            chamber_sign(L1 * L1)
+
+    @settings(max_examples=300)
+    @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 5))
+    def test_agrees_with_chamber_points(self, c0, c1, c2, den):
+        # l1 = u, l2 = u + v over u, v in {1/1000, 1, 1000}: a linear form with
+        # coefficients of size <= 4 that changes sign on the chamber changes
+        # sign among these points
+        p = ParamPoly.linear(c1, c2, c0) / den
+        grid = (Fraction(1, 1000), 1, 1000)
+        values = {p.evaluate(u, u + v) for u in grid for v in grid}
+        signs = {(v > 0) - (v < 0) for v in values}
+        try:
+            sign = chamber_sign(p)
+        except ChamberSignError:
+            assert {1, -1} <= signs
+        else:
+            assert signs == {sign} if sign else values == {0}

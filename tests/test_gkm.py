@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gkmloc import gkm
 from gkmloc.exact import ParamPoly
 from gkmloc.gkm import (
     AxisSubcircleError,
@@ -146,6 +147,32 @@ class TestGraphValidation:
         with pytest.raises(MalformedEdgeError):
             GKMGraph(pts, (Edge("p", "q", (1, 0)),))
 
+    def test_area_negative_inside_the_chamber_rejected(self):
+        # 3*l1 - l2 is positive at (1, 2) and (2, 5) but -1 at (1, 4)
+        pts = (
+            FixedPoint("p", (lin(0, 0), lin(0, 0))),
+            FixedPoint("q", (lin(3, -1), lin(0, 0))),
+        )
+        with pytest.raises(MalformedEdgeError, match=r"p->q: .*wall l2/l1 = 3$"):
+            GKMGraph(pts, (Edge("p", "q", (1, 0)),))
+
+    def test_area_positive_on_the_closed_chamber_edge_accepted(self):
+        # l2 - l1 vanishes only on the wall l1 = l2, outside the open chamber
+        pts = (
+            FixedPoint("p", (lin(0, 0), lin(0, 0))),
+            FixedPoint("q", (lin(-1, 1), lin(0, 0))),
+        )
+        g = GKMGraph(pts, (Edge("p", "q", (1, 0)),))
+        assert sphere_area(g, g.edges[0]) == lin(-1, 1)
+
+    def test_zero_area_rejected(self):
+        pts = (
+            FixedPoint("p", (lin(1, 0), lin(0, 0))),
+            FixedPoint("q", (lin(1, 0), lin(0, 0))),
+        )
+        with pytest.raises(MalformedEdgeError, match="not positive"):
+            GKMGraph(pts, (Edge("p", "q", (1, 0)),))
+
     def test_backwards_edge_rejected(self):
         # head - tail = -l1 * (1, 0): negative area
         pts = (
@@ -269,6 +296,31 @@ class TestSpheres:
         e = next(e for e in G.edges if edge_key(e) == ("x11", "x21"))
         with pytest.raises(EdgeFixedPointwiseError):
             c1_on_sphere(G, (0, 1), e)
+
+    def test_c1_values_sums_each_point_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, s, point_id):
+            calls.append(point_id)
+            return restrict_weights(g, s, point_id)
+
+        monkeypatch.setattr(gkm, "restrict_weights", counting)
+        for s in [(2, 1), (1, 3), (-4, 7)]:
+            calls.clear()
+            vals = c1_values(G, s)
+            assert sorted(calls) == sorted(POINT_IDS)
+            assert vals == {e: c1_on_sphere(G, s, e) for e in G.edges}
+            assert all(type(v) is Fraction for v in vals.values())
+
+    def test_c1_values_raises_at_the_first_fixed_sphere(self):
+        # the sphere-by-sphere loop is the oracle: same error, message and edge
+        for s in [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2)]:
+            with pytest.raises(EdgeFixedPointwiseError) as want:
+                for e in G.edges:
+                    c1_on_sphere(G, s, e)
+            with pytest.raises(EdgeFixedPointwiseError) as got:
+                c1_values(G, s)
+            assert str(got.value) == str(want.value), s
 
     def test_omega_basis_values(self):
         expected = {

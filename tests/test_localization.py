@@ -1,21 +1,29 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmloc.exact import L1, L2, ParamPoly
+from gkmloc import localization
+from gkmloc.exact import L1, L2, ParamPoly, primitive
 from gkmloc.gkm import (
     DegenerateWeightError,
     Edge,
     FixedPoint,
     GKMGraph,
+    c1_values,
+    omega_basis_values,
+    pair_with_c2,
     restrict_weights,
     tolman_graph,
 )
 from gkmloc.localization import (
     _CHERN_INTEGRANDS,
     CHERN_MONOMIALS,
+    LocalizationCheckError,
+    NonIntegralC1Error,
+    NonSpanningBasisError,
     NotHomogeneousCubicError,
     abbv_chern_number,
     c1_in_omega_basis,
@@ -245,3 +253,254 @@ class TestJuppData:
         # <p1, y> = <c1^2, y> - 2 <c2, y> with <c2, xi'> = <c2, eta'> = 6
         for axis, y in ((0, (1, 0)), (1, (0, 1))):
             assert inv.p1_pairings[axis] == tensor_apply(TENSOR, c1, c1, y) - 12
+
+
+# The three routes the invariants took before they shared one localization
+# pass, kept as oracles: the volume read-off, the sphere search with c1 checked
+# on every sphere, and p1 through the c2 cocycle.
+
+def volume_read_off(g, s):
+    """Tensor entries from the coefficients of the volume polynomial."""
+    vol = dh_volume(g, s)
+    if vol.is_zero() or not vol.is_homogeneous(3):
+        raise NotHomogeneousCubicError(f"volume {vol} is not a homogeneous cubic")
+    by_xi_count = []
+    for k in range(4):
+        val = vol.coefficient(k, 3 - k) / math.comb(3, k)
+        by_xi_count.append(int(val) if val.denominator == 1 else val)
+    return tuple(tuple(tuple(by_xi_count[(i == 0) + (j == 0) + (k == 0)] for k in range(2))
+                       for j in range(2)) for i in range(2))
+
+
+def sphere_search_c1(g, s):
+    """c1 from the first two spheres with independent (xi', eta') values."""
+    basis, c1s = omega_basis_values(g), c1_values(g, s)
+    for e, f in itertools.combinations(g.edges, 2):
+        (x1, y1), (x2, y2) = basis[e], basis[f]
+        det = x1 * y2 - x2 * y1
+        if det:
+            alpha = Fraction(c1s[e] * y2 - c1s[f] * y1, det)
+            beta = Fraction(x1 * c1s[f] - x2 * c1s[e], det)
+            break
+    else:
+        raise ValueError("the (xi', eta') values do not span the dual plane")
+    for e in g.edges:
+        x, y = basis[e]
+        if alpha * x + beta * y != c1s[e]:
+            raise ValueError(f"c1 is not a combination of xi', eta' on {e.tail}->{e.head}")
+    return alpha, beta
+
+
+def c2_route_p1(g, tensor, c1):
+    """<p1, y> = T(c1, c1, y) - 2 <c2, y>, with c2 dual to the sum of the spheres."""
+    basis = omega_basis_values(g)
+    c2 = [pair_with_c2(g, {e: v[axis] for e, v in basis.items()}) for axis in range(2)]
+    return tuple(int(tensor_apply(tensor, c1, c1, y) - 2 * c2[axis])
+                 for axis, y in ((0, (1, 0)), (1, (0, 1))))
+
+
+def reparametrized(g, k, r):
+    """g with every moment coordinate p(l1, l2) replaced by r * p(l1, l2 + k*l1).
+
+    For k >= 0 and r > 0 every area stays positive on the chamber, and the
+    basis changes to xi'' = r*(xi' + k*eta'), eta'' = r*eta'.
+    """
+    def sub(p):
+        c = p.coefficient
+        return ParamPoly.linear(r * (c(1, 0) + k * c(0, 1)), r * c(0, 1), r * c(0, 0))
+    points = tuple(FixedPoint(p.id, tuple(sub(c) for c in p.moment_image)) for p in g.points)
+    return GKMGraph(points, g.edges)
+
+
+def h_of(g, s):
+    """Common denominator of the l1, l2 coefficients of H over the fixed points."""
+    return math.lcm(*(c.denominator for r in localization_table(g, s)
+                      for c in (r.hamiltonian.coefficient(1, 0), r.hamiltonian.coefficient(0, 1))))
+
+
+RATIONAL_SHIFTS = st.tuples(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
+
+
+class TestOnePassAgainstOldRoutes:
+    """The one-pass tensor, c1 and p1 against the three old routes, on
+    GL2(Z)-moved graphs with rational shifts (so h > 1 runs), reparametrized
+    symplectic classes and random generic subcircles."""
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(["tolman", "cp2"]),
+           st.lists(st.sampled_from(GENERATORS), max_size=6),
+           RATIONAL_SHIFTS, RATIONAL_SHIFTS, st.integers(0, 3),
+           st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
+           st.integers(-7, 7), st.integers(-7, 7))
+    def test_matches_the_old_routes(self, base, moves, shift0, shift1, k, r, a, b):
+        m = ((1, 0), (0, 1))
+        for (g00, g01), (g10, g11) in moves:
+            (m00, m01), (m10, m11) = m
+            m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
+                 (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
+        g = moved_graph(G if base == "tolman" else TestOtherValence.CP2, m, shift0, shift1)
+        g = reparametrized(g, k, r)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        s = (a, b)
+        if base == "cp2":
+            for route in (volume_read_off, cubic_form_from_gkm, jupp_invariants_from_gkm):
+                with pytest.raises(NotHomogeneousCubicError):
+                    route(g, s)
+            return
+        tensor = cubic_form_from_gkm(g, s)
+        want = volume_read_off(g, s)
+        assert tensor == want
+        flat = [v for plane in tensor for row in plane for v in row]
+        assert [type(v) for v in flat] == [type(v) for plane in want for row in plane for v in row]
+        c1 = c1_in_omega_basis(g, s)
+        assert c1 == sphere_search_c1(g, s)
+        assert all(type(v) is Fraction for v in c1)
+        if any(v.denominator != 1 for v in c1):
+            with pytest.raises(NonIntegralC1Error):
+                jupp_invariants_from_gkm(g, s)
+            return
+        c1 = tuple(int(v) for v in c1)
+        inv = jupp_invariants_from_gkm(g, s)
+        assert inv.trilinear == tensor
+        assert inv.w2 == (c1[0] % 2, c1[1] % 2)
+        assert inv.p1_pairings == c2_route_p1(g, tensor, c1)
+
+    def test_denominator_h_is_applied(self):
+        # shifts with l1, l2 coefficients of denominator 2 and 3 give h = 6
+        g = moved_graph(G, ((1, 1), (0, 1)), (Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 1))
+        for s in [(3, 1), (1, 2), (3, 2)]:
+            assert h_of(g, s) == 6
+            assert cubic_form_from_gkm(g, s) == TENSOR
+            assert c1_in_omega_basis(g, s) == (2, 2)
+            inv = jupp_invariants_from_gkm(g, s)
+            assert (inv.trilinear, inv.w2, inv.p1_pairings) == (TENSOR, (0, 0), (8, 0))
+
+    def test_reparametrized_values(self):
+        # l2 -> l2 + l1: xi'' = xi' + eta', so T(xi'', xi'', xi'') = 2 + 3 + 3 = 8
+        g = reparametrized(G, 1, 1)
+        assert cubic_form_from_gkm(g, (2, 1)) == (((8, 3), (3, 1)), ((3, 1), (1, 0)))
+        assert c1_in_omega_basis(g, (2, 1)) == (2, 0)
+        # <p1, xi''> = <p1, xi'> + <p1, eta'> = 8 + 0
+        assert jupp_invariants_from_gkm(g, (2, 1)).p1_pairings == (8, 0)
+        # halving the class: entries 1/4, 1/8 stay Fractions, the zero an int
+        half = cubic_form_from_gkm(reparametrized(G, 0, Fraction(1, 2)), (2, 1))
+        assert half == (((Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 8), Fraction(1, 8))),
+                        ((Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 8), 0)))
+        assert type(half[1][1][1]) is int and type(half[0][0][0]) is Fraction
+
+
+class TestOnePass:
+    def test_return_types(self):
+        tensor = cubic_form_from_gkm(G, (2, 1))
+        assert all(type(v) is int for plane in tensor for row in plane for v in row)
+        assert all(type(v) is Fraction for v in c1_in_omega_basis(G, (2, 1)))
+        inv = jupp_invariants_from_gkm(G, (2, 1))
+        assert all(type(v) is int for v in inv.w2 + inv.p1_pairings)
+
+    def test_not_three_valent(self):
+        sphere = GKMGraph(
+            (FixedPoint("p", (ParamPoly.zero(), ParamPoly.zero())),
+             FixedPoint("q", (ParamPoly.const(1), ParamPoly.zero()))),
+            (Edge("p", "q", (1, 0)),))
+        for g in (sphere, TestOtherValence.CP2):
+            for route in (cubic_form_from_gkm, c1_in_omega_basis, jupp_invariants_from_gkm):
+                with pytest.raises(NotHomogeneousCubicError):
+                    route(g, (2, 1))
+
+    def test_chern_numbers_never_build_the_momentum(self, monkeypatch):
+        def no_momentum(*args):
+            raise AssertionError("hamiltonian called")
+
+        monkeypatch.setattr(localization, "hamiltonian", no_momentum)
+        for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
+            assert abbv_chern_number(G, (2, 1), monomial) == value
+        with pytest.raises(AssertionError, match="hamiltonian called"):
+            dh_volume(G, (2, 1))
+
+    def test_non_integral_c1(self):
+        # four times the class: c1 = (xi'' + eta'') / 2
+        g = reparametrized(G, 0, 4)
+        assert c1_in_omega_basis(g, (2, 1)) == (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(NonIntegralC1Error, match=r"c1 = 1/2\*xi' \+ 1/2\*eta'") as err:
+            jupp_invariants_from_gkm(g, (2, 1))
+        assert err.value.code == "NonIntegralC1" and isinstance(err.value, ValueError)
+
+    def test_non_spanning_basis(self):
+        # l2 -> 2*l1 leaves every area a multiple of l1, so eta'' = 0
+        g = reparametrized(G, 2, 1)
+        g = GKMGraph(tuple(FixedPoint(p.id, tuple(
+            ParamPoly.linear(c.coefficient(1, 0), 0, c.coefficient(0, 0)) for c in p.moment_image))
+            for p in g.points), g.edges)
+        assert cubic_form_from_gkm(g, (2, 1)) == (((20, 0), (0, 0)), ((0, 0), (0, 0)))
+        for route in (c1_in_omega_basis, jupp_invariants_from_gkm):
+            with pytest.raises(NonSpanningBasisError) as err:
+                route(g, (2, 1))
+            assert err.value.code == "NonSpanningBasis" and isinstance(err.value, ValueError)
+        with pytest.raises(ValueError, match="do not span"):
+            sphere_search_c1(g, (2, 1))
+
+    # K4 in the plane: 3-valent and consistent edge by edge, but no manifold
+    K4 = GKMGraph(
+        (FixedPoint("p0", (ParamPoly.zero(), ParamPoly.zero())),
+         FixedPoint("p1", (2 * L1, ParamPoly.zero())),
+         FixedPoint("p2", (ParamPoly.zero(), 2 * L1)), FixedPoint("p3", (L1, L1))),
+        (Edge("p0", "p1", (1, 0)), Edge("p0", "p2", (0, 1)), Edge("p0", "p3", (1, 1)),
+         Edge("p1", "p2", (-1, 1)), Edge("p1", "p3", (-1, 1)), Edge("p2", "p3", (1, -1))))
+
+    def test_abbv_certificate(self):
+        for route in (cubic_form_from_gkm, c1_in_omega_basis, jupp_invariants_from_gkm):
+            with pytest.raises(LocalizationCheckError,
+                               match=r"certificate fails at subcircle \(2,1\): "
+                                     r"integral xi'\^2 eta'\^0 is -9, not 0") as err:
+                route(self.K4, (2, 1))
+            assert err.value.code == "LocalizationCheck"
+
+    def test_zero_volume(self):
+        # a fake K4 with integral xi'^3 = -4/7 at (3, 5), seven times, and one
+        # with 4: every sum of the pass vanishes, the volume too
+        def k4(tag, corners):
+            points = [FixedPoint(f"{tag}{i}", (L1 * x, L1 * y))
+                      for i, (x, y) in enumerate(corners)]
+            edges = [Edge(f"{tag}{i}", f"{tag}{j}", primitive(
+                (corners[j][0] - corners[i][0], corners[j][1] - corners[i][1]))[0])
+                for i, j in itertools.combinations(range(4), 2)]
+            return points, edges
+
+        parts = [k4(f"a{n}_", ((-2, 0), (-1, -1), (1, 1), (2, 0))) for n in range(7)]
+        parts.append(k4("b", ((-2, -2), (-2, -1), (2, -2), (2, -1))))
+        g = GKMGraph(tuple(p for ps, _ in parts for p in ps),
+                     tuple(e for _, es in parts for e in es))
+        with pytest.raises(NotHomogeneousCubicError, match="volume 0 "):
+            volume_read_off(g, (3, 5))
+        for route in (cubic_form_from_gkm, jupp_invariants_from_gkm):
+            with pytest.raises(NotHomogeneousCubicError, match="volume is zero"):
+                route(g, (3, 5))
+
+    @staticmethod
+    def cube():
+        """(CP^1)^3 with T^2 acting through (1,0), (0,1), (1,1) and sides l1, l2, l1 + l2.
+
+        b2 = 3, so c1 = 2(a + b + c) is not in the span of xi' = a + c and
+        eta' = b + c: two equations give c1 = xi' + 2 eta', the third fails.
+        """
+        sides, dirs = (L1, L2, L1 + L2), ((1, 0), (0, 1), (1, 1))
+        corners = list(itertools.product((0, 1), repeat=3))
+        name = "v{}{}{}".format
+        points = []
+        for bits in corners:
+            x, y, z = (side * bit for side, bit in zip(sides, bits))
+            points.append(FixedPoint(name(*bits), (x + z, y + z)))
+        edges = [Edge(name(*bits), name(*(bits[:i] + (1,) + bits[i + 1:])), dirs[i])
+                 for bits in corners for i in range(3) if not bits[i]]
+        return GKMGraph(tuple(points), tuple(edges))
+
+    def test_c1_outside_the_span(self):
+        g = self.cube()
+        assert cubic_form_from_gkm(g, (2, 1)) == (((0, 2), (2, 2)), ((2, 2), (2, 0)))
+        for route in (c1_in_omega_basis, jupp_invariants_from_gkm):
+            with pytest.raises(LocalizationCheckError,
+                               match=r"c1 = 1\*xi' \+ 2\*eta' is not a combination"):
+                route(g, (2, 1))
+        with pytest.raises(ValueError, match="not a combination"):
+            sphere_search_c1(g, (2, 1))

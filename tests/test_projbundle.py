@@ -251,6 +251,27 @@ class TestTrilinearForms:
         t = trilinear_from_cubic((0, 1, 0, 0))
         assert t[0][0][1] == Fraction(1, 3)
 
+    @settings(max_examples=200)
+    @given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 6])),
+                    min_size=4, max_size=4))
+    def test_matches_the_polarization_identity(self, coeffs):
+        # 6 T(x,y,z) = S(x+y+z) - S(x+y) - S(x+z) - S(y+z) + S(x) + S(y) + S(z)
+        def cubic(v):
+            return sum(c * v[0] ** (3 - n) * v[1] ** n for n, c in enumerate(coeffs))
+
+        def add(*vs):
+            return tuple(map(sum, zip(*vs)))
+
+        basis = ((1, 0), (0, 1))
+        tensor = trilinear_from_cubic(coeffs)
+        for i, j, k in product(range(2), repeat=3):
+            x, y, z = basis[i], basis[j], basis[k]
+            want = Fraction(cubic(add(x, y, z)) - cubic(add(x, y)) - cubic(add(x, z))
+                            - cubic(add(y, z)) + cubic(x) + cubic(y) + cubic(z), 6)
+            got = tensor[i][j][k]
+            assert got == want
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+
     def test_malformed_cubics_rejected(self):
         with pytest.raises(NotCubicError):
             trilinear_from_cubic((1, 2, 3))
