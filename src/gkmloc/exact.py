@@ -342,22 +342,122 @@ def _mul_numerators(a, b):
     return {key: n for key, n in out.items() if n}
 
 
+def linear_forms(values):
+    """Int forms (a, b, c), one den >= 1: value == (a*u + b*v + c*w) / den, where l1 = u,
+    l2 = u + v, w = 1 (the chamber is u, v > 0). Values: rationals, degree <= 1 ParamPolys."""
+    polys = [p if isinstance(p, ParamPoly) else ParamPoly.const(p) for p in values]
+    if bad := [p for p in polys if not p._num.keys() <= {(1, 0), (0, 1), (0, 0)}]:
+        raise ValueError(f"{bad[0]} has degree > 1, not a linear form")
+    den = math.lcm(*(p._den for p in polys))
+    forms = []
+    for p in polys:
+        m, c2 = den // p._den, p._num.get((0, 1), 0)
+        forms.append(((p._num.get((1, 0), 0) + c2) * m, c2 * m, p._num.get((0, 0), 0) * m))
+    return forms, den
+
+
+def linear_poly(form, den=1) -> ParamPoly:
+    """The ParamPoly (a*u + b*v + c) / den = ((a - b)*l1 + b*l2 + c) / den of form (a, b, c)."""
+    a, b, c = form
+    num = {(1, 0): a - b, (0, 1): b, (0, 0): c}
+    return ParamPoly._make({key: n for key, n in num.items() if n}, den)
+
+
+def chamber_lattice(values):
+    """The ``linear_forms`` a*u + b*v + c*w as ints a*X**4 + b*X + c (X = 2**k), and sign(n).
+
+    Int sums and products carry the coefficient of u^i v^j w^h as balanced base-X digit
+    4*i + j. A 3x3 determinant of differences, or a difference of dot products of two,
+    has coefficients below 2**11 * H**3 <= X/2 (H: the largest input coefficient), and
+    sign(n) reads such a form back and signs it on the chamber."""
+    forms, _ = linear_forms(values)
+    k = 3 * max((abs(c) for f in forms for c in f), default=0).bit_length() + 12
+    mask, half, top = (1 << k) - 1, 1 << (k - 1), sum(1 << (k * e + k - 1) for e in range(16))
+
+    def sign(n):
+        if not abs(n) & top:    # every digit is below X/2 and has the sign of n
+            return (n > 0) - (n < 0)
+        form = {}
+        for e in range(16):
+            c = ((n + half) & mask) - half      # the balanced digit, in [-X/2, X/2)
+            n = (n - c) >> k
+            form[divmod(e, 4)] = c
+        return _form_sign({key: c for key, c in form.items() if c})
+
+    return [(a << 4 * k) + (b << k) + c for a, b, c in forms], sign
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder of polynomials given as coefficient lists, lowest first."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        s = len(a) - len(b)
+        q[s] = c = Fraction(a[-1]) / b[-1]
+        for m, x in enumerate(b):
+            a[s + m] -= c * x
+        while a and not a[-1]:
+            a.pop()
+    return q, a
+
+
+def _form_sign(form, poly=None):
+    """Sign on u, v > 0, w = 1 of the form with nonzero int coefficients {(i, j): c}.
+
+    One sign among them decides. Else the form must be w^h * u^e * g(v/u): a Sturm
+    sequence counts the distinct roots of g on t > 0, and the smallest is the wall
+    l2/l1 = 1 + t, exact when rational, else in an isolating interval."""
+    signs = {c > 0 for c in form.values()}
+    if len(signs) < 2:
+        return (1 if signs.pop() else -1) if signs else 0
+    poly = poly or sum((c * L1**i * (L2 - L1)**j for (i, j), c in form.items()), ParamPoly())
+    degrees = {i + j for i, j in form}
+    if degrees == {0, 1}:
+        raise ChamberSignError(f"{poly} changes sign on 0 < l1 < l2 at the line {poly} = 0")
+    if len(degrees) > 1:
+        raise ChamberSignError(f"sign of {poly} on 0 < l1 < l2 is not decided (not homogeneous)")
+    e = degrees.pop()
+    powers = [j for _, j in form]               # g(t), without the factors u, v > 0
+    g = [form.get((e - j, j), 0) for j in range(min(powers), max(powers) + 1)]
+    seq = [g, [m * c for m, c in enumerate(g)][1:]]
+    while r := _pdivmod(seq[-2], seq[-1])[1]:
+        seq.append([-c for c in r])
+    if len(seq[-1]) > 1:                        # multiple roots: use the square-free part
+        seq[:] = [_pdivmod(p, seq[-1])[0] for p in seq]
+
+    def changes(t):                             # along seq, at t or at +infinity (None)
+        values = [p[-1] if t is None else sum(c * t**m for m, c in enumerate(p)) for p in seq]
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    if changes(0) == changes(None):
+        return 1 if g[0] > 0 else -1
+    # bisect to the smallest root alone in (lo, hi], hi - lo < 1/(3*lead**2): a rational
+    # root's denominator divides lead, so the root is then the closest such fraction to hi
+    lead = abs(g[-1])
+    lo, hi = Fraction(0), 1 + Fraction(max(map(abs, g)), lead)
+    while changes(lo) - changes(hi) > 1 or (hi - lo) * 3 * lead**2 >= 1:
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if changes(lo) > changes(mid) else (mid, hi)
+    root = hi.limit_denominator(lead)
+    if lo < root <= hi and not sum(c * root**m for m, c in enumerate(g)):
+        wall = f"the wall l2/l1 = {rat_str(1 + root)}"
+    else:
+        wall = f"a wall l2/l1 between {1 + lo} and {1 + hi}"
+    verb = "changes sign" if e == 1 else "vanishes"
+    raise ChamberSignError(f"{poly} {verb} on 0 < l1 < l2 at {wall}")
+
+
 def chamber_sign(p: ParamPoly) -> int:
     """Sign of p on the whole chamber 0 < l1 < l2: 1, -1, or 0 when p == 0.
 
-    Exact for degree <= 1: with l1 = u, l2 = u + v (u, v > 0), p is c0 +
-    (c1 + c2)*u + c2*v, of one sign iff c0, c1 + c2 and c2 are (zeros allowed).
-    Raises ChamberSignError, naming the wall, if p changes sign or degree > 1.
-    """
-    if p.degree() > 1:
-        raise ChamberSignError(f"sign of {p} on 0 < l1 < l2: degree > 1 is not supported")
-    # the numerators share the positive denominator _den, so they carry the signs
-    c0, c1, c2 = (p._num.get(key, 0) for key in ((0, 0), (1, 0), (0, 1)))
-    signs = {(c > 0) - (c < 0) for c in (c0, c1 + c2, c2)} - {0}
-    if len(signs) > 1:
-        wall = f"the line {p} = 0" if c0 else f"the wall l2/l1 = {rat_str(Fraction(-c1, c2))}"
-        raise ChamberSignError(f"{p} changes sign on 0 < l1 < l2 at {wall}")
-    return signs.pop() if signs else 0
+    Decided by ``_form_sign`` on p as a form in (u, v, w) = (l1, l2 - l1, 1); raises
+    ChamberSignError, naming the wall, if p vanishes on the chamber, or if p is not
+    homogeneous and the form has mixed signs."""
+    form = {}
+    for (i, j), c in p._num.items():
+        for m in range(j + 1):                  # l2^j = (u + v)^j
+            form[i + j - m, m] = form.get((i + j - m, m), 0) + c * math.comb(j, m)
+    return _form_sign({key: c for key, c in form.items() if c}, p)
 
 
 L1 = ParamPoly({(1, 0): 1})

@@ -60,6 +60,10 @@ class NotCoprimeError(ToolkitError):
     code = "NotCoprime"
 
 
+class NotUniformlyValentError(ToolkitError, ValueError):
+    code = "NotUniformlyValent"
+
+
 class IncompleteCocycleError(ToolkitError):
     code = "IncompleteCocycle"
 
@@ -306,7 +310,7 @@ def betti_numbers(g: GKMGraph, s):
     """Even Betti numbers (b0, b1, ..., b_{2n}) read off the index histogram."""
     valences = {len(outgoing_edges(g, p.id)) for p in g.points}
     if len(valences) != 1:
-        raise ValueError("graph is not uniformly valent")
+        raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
     n = valences.pop()
     betti = [0] * (2 * n + 1)
     for p in g.points:

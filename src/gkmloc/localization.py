@@ -51,6 +51,10 @@ class NonIntegralC1Error(ToolkitError, ValueError):
     code = "NonIntegralC1"
 
 
+class NonIntegralP1Error(ToolkitError, ValueError):
+    code = "NonIntegralP1"
+
+
 class LocalizationCheckError(ToolkitError, ValueError):
     code = "LocalizationCheck"
 
@@ -211,13 +215,15 @@ def c1_in_omega_basis(g: GKMGraph, s):
 
 def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
     """Classifying invariants on the basis (xi', eta'), from one localization pass:
-    the trilinear tensor, w2 = c1 mod 2 (c1 must be integral) and <p1, xi'>, <p1, eta'>.
+    the trilinear tensor, w2 = c1 mod 2 and <p1, xi'>, <p1, eta'> (all must be integral).
     """
     t, c1_xy, p1_x = _omega_integrals(g, s)
     alpha, beta = _solve_c1(t, c1_xy)
     if alpha.denominator != 1 or beta.denominator != 1:
         raise NonIntegralC1Error(
             f"c1 = {alpha}*xi' + {beta}*eta' is not an integral combination of xi', eta'")
+    if any(q.denominator != 1 for q in p1_x):
+        raise NonIntegralP1Error(f"<p1, xi'> = {p1_x[0]}, <p1, eta'> = {p1_x[1]}: not integers")
     tensor = trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0]))
     return JuppInvariants(tensor, (alpha.numerator % 2, beta.numerator % 2),
-                          (int(p1_x[0]), int(p1_x[1])))
+                          (p1_x[0].numerator, p1_x[1].numerator))

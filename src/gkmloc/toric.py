@@ -1,12 +1,10 @@
 """Delzant 3-polytopes with parameterized vertices, and moment-map gluing.
 
-Vertices are triples of linear polynomials in (l1, l2). Hull combinatorics
-are computed exactly at the sample values (1, 2) and revalidated at (1, 3);
-any disagreement is reported as unstable instead of silently picking one
-answer. At each sample the rational vertices are scaled by the lcm of their
-denominators and the hull search runs on that integer lattice: a positive
-scale changes no orientation sign, zero test or collinear order, so the
-facets and edges are those of the rational points.
+Vertices are triples of linear polynomials in (l1, l2), written as int linear
+forms in (u, v, w) = (l1, l2 - l1, 1). Hull orientations (cubic forms), collinear
+orders (quadratic), edge areas and cut sides (linear) are signed by ``exact``'s
+kernel on the whole chamber 0 < l1 < l2, never at sample values; a sign that is
+not constant there is reported as unstable, naming the wall.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
@@ -16,12 +14,13 @@ data of the built-in six-point GKM graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
-from .exact import ParamPoly, ToolkitError, primitive, rat
+from .exact import (ChamberSignError, ParamPoly, ToolkitError, chamber_lattice, chamber_sign,
+                    linear_forms, linear_poly, primitive)
 from . import gkm
 
 
@@ -41,7 +40,9 @@ class NotFullDimensionalError(ToolkitError):
     code = "NotFullDimensional"
 
 
-_HULL_SAMPLES = ((1, 2), (1, 3))
+class MalformedPolytopeError(ToolkitError, ValueError):
+    code = "MalformedPolytope"
+
 
 L_HAT = ((1, 0, 1), (0, 1, 0))
 L_TILDE = ((1, 0, 0), (0, 1, 0))
@@ -60,6 +61,8 @@ class Polytope:
         for v in verts:
             if len(v) != 3 or not all(isinstance(c, ParamPoly) for c in v):
                 raise TypeError("vertices must be triples of ParamPoly")
+            if any(c.degree() > 1 for c in v):
+                raise MalformedPolytopeError(f"vertex coordinates must have degree <= 1: {v}")
 
 
 def polytope_to_json(p: Polytope) -> dict:
@@ -70,41 +73,21 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def polytope_from_json(data: dict) -> Polytope:
-    verts = tuple(
-        tuple(ParamPoly.from_json(c) for c in v) for v in data["vertices"]
-    )
-    return Polytope(verts, data.get("name", ""))
-
-
-_lin = ParamPoly.linear
+    try:
+        verts = tuple(tuple(ParamPoly.from_json(c) for c in v) for v in data["vertices"])
+        return Polytope(verts, data.get("name", ""))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedPolytopeError(f"malformed polytope: {type(exc).__name__}: {exc}") from None
 
 
 def builtin_polytopes():
     """The prism and the corner-chopped simplex behind the built-in graph."""
-    zero = _lin(0, 0)
-    hat = Polytope(
-        (
-            (zero, zero, zero),
-            (_lin(1, 1), zero, zero),
-            (zero, _lin(1, 1), zero),
-            (zero, zero, _lin(1, 0)),
-            (_lin(1, 1), zero, _lin(1, 0)),
-            (zero, _lin(1, 1), _lin(1, 0)),
-        ),
-        name="tolman-hat",
-    )
-    tilde = Polytope(
-        (
-            (zero, zero, zero),
-            (_lin(2, 1), zero, zero),
-            (zero, _lin(2, 1), zero),
-            (_lin(1, 0), _lin(1, 0), _lin(1, 0)),
-            (_lin(1, 0), _lin(0, 1), _lin(1, 0)),
-            (_lin(0, 1), _lin(1, 0), _lin(1, 0)),
-        ),
-        name="tolman-tilde",
-    )
-    return {"tolman-hat": hat, "tolman-tilde": tilde}
+    # 0, l1, l2, l1 + l2 and 2*l1 + l2
+    o, a, b, s, t = (ParamPoly.linear(*c) for c in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))
+    hat = ((o, o, o), (s, o, o), (o, s, o), (o, o, a), (s, o, a), (o, s, a))
+    tilde = ((o, o, o), (t, o, o), (o, t, o), (a, a, a), (a, b, a), (b, a, a))
+    return {"tolman-hat": Polytope(hat, name="tolman-hat"),
+            "tolman-tilde": Polytope(tilde, name="tolman-tilde")}
 
 
 # ---------------------------------------------------------------------------
@@ -128,84 +111,79 @@ def _sub3(u, v):
 
 
 def hull_combinatorics(points):
-    """Facets and edges of the convex hull of exact rational 3D points.
+    """Facets and edges of the convex hull of 3D points, on the whole chamber.
 
     Brute force over point triples: every plane through three points that
     supports the whole set is a facet (recorded as the frozenset of incident
     indices, so coplanar quadrilateral facets come out whole); edges are
     pairs of points shared by two facets. Intended for small inputs.
 
-    Coordinates are coerced with ``rat`` (floats raise ``TypeError``), then
-    every point is multiplied by the lcm of all coordinate denominators and
-    the search runs on ints. Each side test is a determinant that scales by
-    the cube of that positive factor, and each collinear sort key by its
-    square, so every sign, zero and order is the same as over the rationals.
+    Coordinates are rationals (floats raise ``TypeError``) or degree <= 1
+    ParamPolys, run as ints by ``exact.chamber_lattice``: each side test is
+    then a cubic form and each collinear comparison a quadratic one, signed
+    on all of 0 < l1 < l2 or raising ParametricCombinatoricsUnstableError.
     """
-    pts = [tuple(rat(c) for c in p) for p in points]
-    scale = math.lcm(*(c.denominator for p in pts for c in p))
-    pts = [tuple(c.numerator * (scale // c.denominator) for c in p)
-           for p in pts]
+    flat, sign = chamber_lattice([c for p in points for c in p])
+    pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
     facets = set()
     full_dim = False
-    for i, j, k in combinations(range(n), 3):
-        normal = _cross(_sub3(pts[j], pts[i]), _sub3(pts[k], pts[i]))
-        if normal == (0, 0, 0):
-            continue
-        sides = [_dot3(normal, _sub3(pts[m], pts[i])) for m in range(n)]
-        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            full_dim = True
-            continue
-        facets.add(frozenset(m for m in range(n) if sides[m] == 0))
-    if not full_dim and len(facets) <= 1:
-        raise NotFullDimensionalError("points do not affinely span 3-space")
-    edges = set()
-    for f1, f2 in combinations(facets, 2):
-        common = sorted(f1 & f2)
-        if len(common) < 2:
-            continue
-        if len(common) > 2:
-            # collinear points along the facet intersection line; the edge
-            # endpoints are the extreme two
-            base = pts[common[0]]
-            line = _sub3(pts[common[-1]], base)
-            common.sort(key=lambda m: _dot3(_sub3(pts[m], base), line))
-        edges.add((common[0], common[-1]))
+    try:
+        for i in range(n):
+            rel = [_sub3(q, pts[i]) for q in pts]
+            for j, k in combinations(range(i + 1, n), 2):
+                a, b, c = _cross(rel[j], rel[k])
+                if not (a or b or c):
+                    continue
+                sides = [sign(a * x + b * y + c * z) for x, y, z in rel]
+                if 1 in sides and -1 in sides:
+                    full_dim = True
+                    continue
+                facets.add(frozenset(m for m in range(n) if sides[m] == 0))
+        if not full_dim and len(facets) <= 1:
+            raise NotFullDimensionalError("points do not affinely span 3-space")
+        edges = set()
+        for f1, f2 in combinations(facets, 2):
+            common = sorted(f1 & f2)
+            if len(common) < 2:
+                continue
+            if len(common) > 2:
+                # collinear points on the facets' common line: the edge joins the extreme two
+                base = pts[common[0]]
+                line = _sub3(pts[common[-1]], base)
+                key = {m: _dot3(_sub3(pts[m], base), line) for m in common}
+                common.sort(key=cmp_to_key(lambda a, b: sign(key[a] - key[b])))
+            edges.add((common[0], common[-1]))
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(f"hull combinatorics change: {exc}") from None
     return frozenset(facets), frozenset(edges)
 
 
 def polytope_edges(p: Polytope):
-    """Edges of the hull as sorted index pairs, certified at both samples."""
-    results = []
-    for l1, l2 in _HULL_SAMPLES:
-        coords = [
-            tuple(c.evaluate(l1, l2) for c in v) for v in p.vertices
-        ]
-        results.append(hull_combinatorics(coords))
-    if results[0] != results[1]:
-        raise ParametricCombinatoricsUnstableError(
-            f"hull combinatorics differ between samples {_HULL_SAMPLES}")
-    _, edges = results[0]
-    return tuple(sorted(edges))
+    """Edges of the hull as sorted index pairs, the same on all of 0 < l1 < l2."""
+    return tuple(sorted(hull_combinatorics(p.vertices)[1]))
 
 
-def _edge_direction(p: Polytope, i: int, j: int):
-    """Primitive integer direction u and area A with v_j - v_i == A * u."""
-    diff = tuple(p.vertices[j][c] - p.vertices[i][c] for c in range(3))
-    sample = [c.evaluate(*_HULL_SAMPLES[0]) for c in diff]
-    den = math.lcm(*(q.denominator for q in sample))
-    ints = [int(q * den) for q in sample]
-    u, _ = primitive(ints)
-    k = next(c for c in range(3) if u[c])
-    area = diff[k] / u[k]
-    if any(diff[c] != area * u[c] for c in range(3)):
+def _edge_direction(forms, den, i: int, j: int):
+    """Primitive integer direction u with v_j - v_i == A * u for an area A > 0.
+
+    The u, v, w columns of the coefficient matrix of v_j - v_i must be multiples
+    of one primitive u, taken from the first nonzero column, where A's form then
+    has a positive coefficient: A > 0 on the chamber unless it changes sign there.
+    """
+    diff = [(y[0] - x[0], y[1] - x[1], y[2] - x[2])
+            for x, y in zip(forms[3 * i:3 * i + 3], forms[3 * j:3 * j + 3])]
+    u, _ = primitive(next((col for col in zip(*diff) if any(col)), (0, 0, 0)))
+    k = 0 if u[0] else 1 if u[1] else 2
+    a, b, c = (x // u[k] for x in diff[k])
+    if any(row != (a * t, b * t, c * t) for row, t in zip(diff, u)):
         raise ParametricCombinatoricsUnstableError(
             f"edge {i}-{j} direction varies with the parameters")
-    for l1, l2 in _HULL_SAMPLES:
-        if area.evaluate(l1, l2) <= 0:
-            raise ParametricCombinatoricsUnstableError(
-                f"edge {i}-{j} degenerates at ({l1},{l2})")
-    return u, area
+    try:
+        chamber_sign(linear_poly((a, b, c), den))
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(f"edge {i}-{j} degenerates: {exc}") from None
+    return u
 
 
 def vertex_weights(p: Polytope, index: int, edges=None):
@@ -216,19 +194,17 @@ def vertex_weights(p: Polytope, index: int, edges=None):
     """
     if edges is None:
         edges = polytope_edges(p)
-    return _vertex_directions(p, index, edges, {})
+    return _vertex_directions(*linear_forms([c for v in p.vertices for c in v]), index, edges, {})
 
 
-def _vertex_directions(p: Polytope, index: int, edges, known):
-    """vertex_weights, reusing the directions in ``known`` and adding to it.
+def _vertex_directions(forms, den, index: int, edges, known):
+    """vertex_weights on the ``linear_forms`` of the coordinates, reusing ``known``.
 
-    ``known`` maps an ordered pair (i, j) to the primitive direction from
-    v_i to v_j. An edge already computed from its other endpoint is reused as
-    -u: the area is the same from both ends and ``primitive`` keeps the sign,
-    so _edge_direction(p, j, i) would return exactly that, and would fail
-    exactly when _edge_direction(p, i, j) did.
+    ``known`` maps (i, j) to the direction from v_i to v_j. An edge known from
+    its other end is reused as -u: the area is the same from both ends and fixes
+    the sign of u, so _edge_direction would return exactly that, or fail.
     """
-    if not 0 <= index < len(p.vertices):
+    if not 0 <= index < len(forms) // 3:
         raise IndexError(f"no vertex {index}")
     neighbors = [j for i, j in edges if i == index] + [i for i, j in edges if j == index]
     if len(neighbors) != 3:
@@ -238,7 +214,7 @@ def _vertex_directions(p: Polytope, index: int, edges, known):
     for j in sorted(neighbors):
         back = known.get((j, index))
         if back is None:
-            u = known[(index, j)] = _edge_direction(p, index, j)[0]
+            u = known[(index, j)] = _edge_direction(forms, den, index, j)
         else:
             u = tuple(-c for c in back)
         dirs.append(u)
@@ -272,21 +248,18 @@ def project_fixed_data(p: Polytope, matrix):
     if len(rows) != 2 or any(len(r) != 3 for r in rows):
         raise ValueError("projection must be a 2x3 integer matrix")
     edges = polytope_edges(p)
+    forms, den = linear_forms([c for v in p.vertices for c in v])
 
     def project_vec(v):
-        return (
-            sum(rows[0][c] * v[c] for c in range(3)),
-            sum(rows[1][c] * v[c] for c in range(3)),
-        )
+        return _dot3(rows[0], v), _dot3(rows[1], v)
 
     data = []
     known = {}
     for idx in range(len(p.vertices)):
-        dirs = _vertex_directions(p, idx, edges, known)
-        image = (
-            sum((p.vertices[idx][c] * rows[0][c] for c in range(3)), ParamPoly.zero()),
-            sum((p.vertices[idx][c] * rows[1][c] for c in range(3)), ParamPoly.zero()),
-        )
+        dirs = _vertex_directions(forms, den, idx, edges, known)
+        # the projected u, v, w coefficient columns are the forms of the image
+        columns = zip(*forms[3 * idx:3 * idx + 3])
+        image = tuple(linear_poly(form, den) for form in zip(*map(project_vec, columns)))
         data.append(VertexData(idx, image, tuple(project_vec(u) for u in dirs)))
     return tuple(data)
 
@@ -307,17 +280,14 @@ def default_cut() -> ParamPoly:
 
 
 def _side_of_cut(image, cut):
-    """-1 below, +1 above, stable across samples; on-cut or unstable raises."""
-    sides = []
-    for l1, l2 in _HULL_SAMPLES:
-        delta = image[1].evaluate(l1, l2) - cut.evaluate(l1, l2)
-        if delta == 0:
-            raise VertexOnCutError(f"vertex image {image[1]} lies on the cut level")
-        sides.append(1 if delta > 0 else -1)
-    if sides[0] != sides[1]:
-        raise ParametricCombinatoricsUnstableError(
-            "cut side changes between parameter samples")
-    return sides[0]
+    """-1 below, +1 above, on the whole chamber; on-cut or unstable raises."""
+    try:
+        side = chamber_sign(image[1] - cut)
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
+    if side == 0:
+        raise VertexOnCutError(f"vertex image {image[1]} lies on the cut level")
+    return side
 
 
 def glue_check(hat_data, tilde_data, cut: ParamPoly | None = None,

@@ -1,7 +1,9 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from gkmloc.exact import (
@@ -11,7 +13,10 @@ from gkmloc.exact import (
     ChamberSignError,
     ParamPoly,
     ZeroVectorError,
+    chamber_lattice,
     chamber_sign,
+    linear_forms,
+    linear_poly,
     primitive,
     rat,
     rat_str,
@@ -222,6 +227,32 @@ SCALARS = st.one_of(st.integers(-3, 3), RATIONALS)
 POINTS = st.one_of(st.integers(-4, 4), RATIONALS)
 
 
+T = sympy.symbols("t")
+LINEAR_FACTORS = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any)
+
+
+@st.composite
+def binary_forms(draw):
+    """Coefficients c_0..c_d of g(t) = sum c_j t^j, d <= 3: free ones, or a
+    product of factors a*t - b with a double root or a root at t = 0."""
+    shape = draw(st.sampled_from(("coefficients", "double root", "boundary root", "factors")))
+    if shape == "coefficients":
+        return draw(st.lists(st.integers(-9, 9), min_size=3, max_size=4))
+    factors = [draw(LINEAR_FACTORS) for _ in range(draw(st.integers(2, 3)))]
+    if shape == "double root":
+        factors[1] = factors[0]
+    elif shape == "boundary root":
+        factors[0] = (1, 0)
+    g = sympy.Poly(sympy.Mul(*(a * T - b for a, b in factors)), T)
+    return [int(c) for c in reversed(g.all_coeffs())]
+
+
+def form_in_chamber_coordinates(coeffs):
+    """The ParamPoly sum c_j u^(d-j) v^j with u = l1, v = l2 - l1."""
+    d = len(coeffs) - 1
+    return sum((c * L1 ** (d - j) * (L2 - L1) ** j for j, c in enumerate(coeffs)), ParamPoly())
+
+
 def naive_add(p, q):
     data = dict(p.terms())
     for key, c in q.terms():
@@ -312,9 +343,70 @@ class TestChamberSign:
         with pytest.raises(ChamberSignError, match=r"line -1\*l1 \+ 1 = 0$"):
             chamber_sign(1 - L1)
 
-    def test_higher_degree_is_not_decided(self):
-        with pytest.raises(ChamberSignError, match="degree > 1"):
-            chamber_sign(L1 * L1)
+    def test_higher_degree_is_decided(self):
+        assert chamber_sign(L1 * L1) == 1
+        assert chamber_sign(-(L2 ** 2 - L1 * L2)) == -1          # -l2*(l2 - l1)
+        assert chamber_sign((L2 - L1) ** 2) == 1                 # a root at the boundary only
+        # u^2 - u*v + v^2: mixed signs in (u, v), no root on v/u > 0 (Sturm)
+        assert chamber_sign(3 * L1 ** 2 - 3 * L1 * L2 + L2 ** 2) == 1
+        assert chamber_sign(L1 * (3 * L1 ** 2 - 3 * L1 * L2 + L2 ** 2) / 7) == 1
+        assert chamber_sign(L1 ** 2 * L2 + 5) == 1               # one sign, with a constant
+
+    def test_higher_degree_walls(self):
+        with pytest.raises(ChamberSignError, match=r"vanishes on 0 < l1 < l2 at the wall l2/l1 = 2$"):
+            chamber_sign((L2 - 2 * L1) ** 2)                     # a double root
+        with pytest.raises(ChamberSignError, match=r"at the wall l2/l1 = 3$"):
+            chamber_sign(L1 * (L2 - L1) * (L2 - 3 * L1))         # factors u, v stripped
+        with pytest.raises(ChamberSignError, match=r"at the wall l2/l1 = 5/3$"):
+            chamber_sign((3 * L2 - 5 * L1) * (L2 - 4 * L1) * (L2 - L1) * 2)
+        with pytest.raises(ChamberSignError, match=r"a wall l2/l1 between (\S+) and (\S+)$") as err:
+            chamber_sign(L2 ** 2 - 2 * L1 ** 2)
+        lo, hi = (Fraction(x) for x in str(err.value).rsplit(" ", 3)[1::2])
+        assert lo < hi and lo ** 2 < 2 < hi ** 2
+        with pytest.raises(ChamberSignError, match="is not decided"):
+            chamber_sign(L1 ** 2 - L1)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_binary_forms_against_sympy(self, data):
+        coeffs = data.draw(binary_forms())
+        g = sympy.Poly(list(reversed(coeffs)), T)
+        p = form_in_chamber_coordinates(coeffs)
+        positive = g.count_roots(0, None) - (coeffs[0] == 0)
+        if not any(coeffs):
+            assert chamber_sign(p) == 0
+        elif positive == 0:
+            assert chamber_sign(p) == (1 if g.eval(1) > 0 else -1)
+        else:
+            smallest = min(r for r in g.real_roots() if r > 0)
+            with pytest.raises(ChamberSignError) as err:
+                chamber_sign(p)
+            message = str(err.value)
+            if smallest.is_rational:
+                assert message.endswith(f"at the wall l2/l1 = {rat_str(Fraction(str(1 + smallest)))}")
+            else:
+                lo, hi = (Fraction(x) for x in message.rsplit(" ", 3)[1::2])
+                assert lo < 1 + smallest < hi
+                assert g.count_roots(lo - 1, hi - 1) == 1
+
+    @settings(max_examples=200)
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda key: sum(key) <= 3), st.integers(-4, 4), min_size=1, max_size=6))
+    def test_forms_with_constants(self, terms):
+        # oracle: sympy's expansion of p(u, u + v) at w = 1
+        p = ParamPoly(terms)
+        if not p or p.is_homogeneous(p.degree()):
+            return
+        u, v = sympy.symbols("u v")
+        form = sympy.Poly(sympy.expand(sum(
+            int(c) * u ** i * (u + v) ** j for (i, j), c in p.terms())), u, v)
+        signs = {c > 0 for c in form.coeffs()}
+        if len(signs) == 1:
+            assert chamber_sign(p) == (1 if signs.pop() else -1)
+        else:
+            with pytest.raises(ChamberSignError,
+                               match="line" if p.degree() == 1 else "is not decided"):
+                chamber_sign(p)
 
     @settings(max_examples=300)
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 5))
@@ -332,3 +424,51 @@ class TestChamberSign:
             assert {1, -1} <= signs
         else:
             assert signs == {sign} if sign else values == {0}
+
+
+def verdict(message):
+    """A ChamberSignError message without its polynomial: the verb and the wall."""
+    return re.search(r"(vanishes|changes sign|is not decided).*?(l2/l1.*|the line|$)",
+                     message).group(1, 2)
+
+
+class TestLinearForms:
+    def test_forms_and_back(self):
+        values = [L1, L2, ParamPoly.linear(Fraction(1, 2), -3, Fraction(5, 3)), Fraction(7, 4), 2]
+        forms, den = linear_forms(values)
+        assert den == 12
+        assert forms == [(12, 0, 0), (12, 12, 0), (-30, -36, 20), (0, 0, 21), (0, 0, 24)]
+        for value, form in zip(values, forms):
+            assert linear_poly(form, den) == value
+
+    def test_degree_and_floats_rejected(self):
+        with pytest.raises(ValueError, match="degree > 1"):
+            linear_forms([L1, L1 * L2])
+        with pytest.raises(TypeError):
+            linear_forms([0.5])
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+                              st.integers(1, 6)), min_size=4, max_size=4), st.booleans())
+    def test_lattice_signs_of_determinants(self, rows, homogeneous):
+        # the packed determinant of three differences reads back as the chamber
+        # sign of the same determinant built from ParamPolys
+        values = [ParamPoly.linear(a, b, 0 if homogeneous else c) / d for a, b, c, d in rows]
+        ints, sign = chamber_lattice(values * 3)
+        polys = [[values[(3 * m + k) % 4] for k in range(3)] for m in range(4)]
+        packed = [ints[3 * m:3 * m + 3] for m in range(4)]
+
+        def det(rows, base):
+            (a, b, c), (d, e, f), (g, h, k) = [[x - y for x, y in zip(r, base)] for r in rows]
+            return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+        want = det(polys[1:], polys[0])
+        got = det(packed[1:], packed[0])
+        try:
+            expected = chamber_sign(want)
+        except ChamberSignError as exc:
+            with pytest.raises(ChamberSignError) as err:
+                sign(got)
+            assert verdict(str(err.value)) == verdict(str(exc))
+        else:
+            assert sign(got) == expected

@@ -18,6 +18,7 @@ from gkmloc.gkm import (
     MalformedEdgeError,
     NoSuchFixedPointError,
     NotCoprimeError,
+    NotUniformlyValentError,
     TrivialSubcircleError,
     betti_numbers,
     builtin_graphs,
@@ -271,6 +272,9 @@ class TestMorseData:
         path = GKMGraph(pts, (Edge("p", "q", (1, 0)), Edge("q", "r", (1, 0))))
         with pytest.raises(ValueError):
             betti_numbers(path, (2, 1))
+        with pytest.raises(NotUniformlyValentError, match=r"valent: \[1, 2\]$") as err:
+            betti_numbers(path, (2, 1))
+        assert err.value.code == "NotUniformlyValent"
 
 
 class TestSpheres:

@@ -23,6 +23,7 @@ from gkmloc.localization import (
     CHERN_MONOMIALS,
     LocalizationCheckError,
     NonIntegralC1Error,
+    NonIntegralP1Error,
     NonSpanningBasisError,
     NotHomogeneousCubicError,
     abbv_chern_number,
@@ -295,7 +296,7 @@ def c2_route_p1(g, tensor, c1):
     """<p1, y> = T(c1, c1, y) - 2 <c2, y>, with c2 dual to the sum of the spheres."""
     basis = omega_basis_values(g)
     c2 = [pair_with_c2(g, {e: v[axis] for e, v in basis.items()}) for axis in range(2)]
-    return tuple(int(tensor_apply(tensor, c1, c1, y) - 2 * c2[axis])
+    return tuple(tensor_apply(tensor, c1, c1, y) - 2 * c2[axis]
                  for axis, y in ((0, (1, 0)), (1, (0, 1))))
 
 
@@ -361,10 +362,15 @@ class TestOnePassAgainstOldRoutes:
                 jupp_invariants_from_gkm(g, s)
             return
         c1 = tuple(int(v) for v in c1)
+        p1 = c2_route_p1(g, tensor, c1)
+        if any(Fraction(v).denominator != 1 for v in p1):
+            with pytest.raises(NonIntegralP1Error):
+                jupp_invariants_from_gkm(g, s)
+            return
         inv = jupp_invariants_from_gkm(g, s)
         assert inv.trilinear == tensor
         assert inv.w2 == (c1[0] % 2, c1[1] % 2)
-        assert inv.p1_pairings == c2_route_p1(g, tensor, c1)
+        assert inv.p1_pairings == p1
 
     def test_denominator_h_is_applied(self):
         # shifts with l1, l2 coefficients of denominator 2 and 3 give h = 6
@@ -425,6 +431,14 @@ class TestOnePass:
         with pytest.raises(NonIntegralC1Error, match=r"c1 = 1/2\*xi' \+ 1/2\*eta'") as err:
             jupp_invariants_from_gkm(g, (2, 1))
         assert err.value.code == "NonIntegralC1" and isinstance(err.value, ValueError)
+
+    def test_non_integral_p1(self):
+        # a third of the class: c1 = 6*xi'' + 6*eta'' stays integral, <p1, xi''> = 8/3 does not
+        g = reparametrized(G, 0, Fraction(1, 3))
+        assert c1_in_omega_basis(g, (2, 1)) == (6, 6)
+        with pytest.raises(NonIntegralP1Error, match=r"<p1, xi'> = 8/3, <p1, eta'> = 0: not integers") as err:
+            jupp_invariants_from_gkm(g, (2, 1))
+        assert err.value.code == "NonIntegralP1" and isinstance(err.value, ValueError)
 
     def test_non_spanning_basis(self):
         # l2 -> 2*l1 leaves every area a multiple of l1, so eta'' = 0

@@ -1,20 +1,22 @@
+import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmloc.exact import ParamPoly
+from gkmloc.exact import ChamberSignError, L1, L2, ParamPoly, chamber_sign, primitive
 from gkmloc.toric import (
     L_HAT,
     L_TILDE,
+    MalformedPolytopeError,
     NotDelzantVertexError,
     NotFullDimensionalError,
     ParametricCombinatoricsUnstableError,
     Polytope,
     VertexData,
     VertexOnCutError,
-    _edge_direction,
     builtin_glue_report,
     builtin_polytopes,
     default_cut,
@@ -216,6 +218,25 @@ class TestBuiltinPolytopes:
     def test_vertex_validation(self):
         with pytest.raises(TypeError):
             Polytope(((lin(1, 0), lin(0, 1)),))
+        with pytest.raises(MalformedPolytopeError, match="degree <= 1"):
+            Polytope(((lin(1, 0), lin(0, 1), L1 * L2),))
+
+    def test_malformed_json(self):
+        good = polytope_to_json(TILDE)
+        bad = (
+            {"name": "no vertices"},
+            {"vertices": [good["vertices"][0][:2]]},
+            {"vertices": [[[{"i": 1, "j": 0, "c": "1/0"}], [], []]]},
+            {"vertices": [[[{"i": 1, "j": "x", "c": "1"}], [], []]]},
+            {"vertices": [[[{"i": 1, "c": "1"}], [], []]]},
+            {"vertices": [[[{"i": 2, "j": 0, "c": "1"}], [], []]]},
+            {"vertices": [[7, [], []]]},
+            ["not", "a", "dict"],
+        )
+        for data in bad:
+            with pytest.raises(MalformedPolytopeError) as err:
+                polytope_from_json(data)
+            assert err.value.code == "MalformedPolytope" and isinstance(err.value, ValueError)
 
 
 class TestDelzantChecks:
@@ -231,6 +252,17 @@ class TestDelzantChecks:
         tet = const_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
         with pytest.raises(NotDelzantVertexError):
             vertex_weights(tet, 0)
+
+    def test_degenerate_edge_names_the_wall(self):
+        # v_1 - v_0 = (3*l1 - l2) * (1, 0, 0) vanishes at l2 = 3*l1
+        p = Polytope(((const(0), const(0), const(0)), (3 * L1 - L2, const(0), const(0)),
+                      (const(0), const(1), const(0)), (const(0), const(0), const(1))))
+        with pytest.raises(ParametricCombinatoricsUnstableError,
+                           match=r"^edge 0-1 degenerates: .* wall l2/l1 = 3$") as got:
+            vertex_weights(p, 0, edges=((0, 1), (0, 2), (0, 3)))
+        with pytest.raises(ParametricCombinatoricsUnstableError) as want:
+            reference_edge_direction(p, 0, 1)
+        assert str(got.value) == str(want.value)
 
     def test_unknown_vertex_index(self):
         with pytest.raises(IndexError):
@@ -249,13 +281,75 @@ class TestDelzantChecks:
         with pytest.raises(ParametricCombinatoricsUnstableError):
             polytope_edges(probe)
 
+    def test_apex_that_both_samples_missed(self):
+        # the apex is beyond the face x + y + z = 2*l1 for l2 < 4*l1 and below
+        # z = 0 for l2 > 4*l1: the samples (1, 2) and (1, 3) agreed on edge
+        # (3, 4), which (0, 4) replaces at (1, 5)
+        two = 2 * L1
+        apex = Polytope((
+            (const(0), const(0), const(0)),
+            (two, const(0), const(0)),
+            (const(0), two, const(0)),
+            (const(0), const(0), two),
+            (L1, L1, 4 * L1 - L2),
+        ))
+        sides = [hull_combinatorics([tuple(c.evaluate(*at) for c in v) for v in apex.vertices])[1]
+                 for at in ((1, 2), (1, 3), (1, 5))]
+        assert sides[0] == sides[1] and (3, 4) in sides[0]
+        assert (3, 4) not in sides[2] and (0, 4) in sides[2]
+        with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 4$"):
+            polytope_edges(apex)
+
+    def test_three_collinear_vertices_on_an_edge_line(self):
+        # (l1, 0, 0) lies between (0, 0, 0) and (l2, 0, 0) on the whole chamber;
+        # the endpoint order compares l1^2 with l1*l2
+        simplex = Polytope((
+            (const(0), const(0), const(0)),
+            (L2, const(0), const(0)),
+            (const(0), L1, const(0)),
+            (const(0), const(0), L1),
+            (L1, const(0), const(0)),
+        ))
+        facets, _ = hull_combinatorics(simplex.vertices)
+        assert {0, 1, 4} <= max(facets, key=len)
+        assert polytope_edges(simplex) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        # (l2 - 2*l1, 0, 0) passes the origin at l2 = 2*l1
+        crossing = Polytope(simplex.vertices[:4] + ((L2 - 2 * L1, const(0), const(0)),))
+        with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 2$"):
+            polytope_edges(crossing)
+
+
+def reference_edge_direction(p, i, j):
+    """The ParamPoly route to the direction and area of edge i-j.
+
+    The difference v_j - v_i is taken as ParamPolys, its value at (1, 2) gives
+    the primitive direction u, and the area A = diff[k] / u[k] must satisfy
+    diff == A * u as a polynomial identity and be positive on the chamber.
+    """
+    diff = tuple(p.vertices[j][c] - p.vertices[i][c] for c in range(3))
+    sample = [c.evaluate(1, 2) for c in diff]
+    den = math.lcm(*(q.denominator for q in sample))
+    u, _ = primitive([int(q * den) for q in sample])
+    k = next(c for c in range(3) if u[c])
+    area = diff[k] / u[k]
+    if any(diff[c] != area * u[c] for c in range(3)):
+        raise ParametricCombinatoricsUnstableError(
+            f"edge {i}-{j} direction varies with the parameters")
+    try:
+        assert chamber_sign(area) == 1
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(
+            f"edge {i}-{j} degenerates: {exc}") from None
+    return u, area
+
 
 def reference_project_fixed_data(p, matrix):
     """project_fixed_data with every edge direction computed from both ends.
 
     Oracle for test_matches_the_two_ended_reference: each vertex calls
-    _edge_direction from its own end of each of its edges, so every edge is
-    computed twice, and the Delzant checks raise the library's errors.
+    reference_edge_direction, the ParamPoly route, from its own end of each
+    of its edges, so every edge is computed twice, and the Delzant checks
+    raise the library's errors. Images are ParamPoly sums.
     """
     edges = polytope_edges(p)
     data = []
@@ -265,7 +359,7 @@ def reference_project_fixed_data(p, matrix):
         if len(neighbors) != 3:
             raise NotDelzantVertexError(
                 f"vertex {idx} has {len(neighbors)} edges, expected 3")
-        dirs = tuple(_edge_direction(p, idx, j)[0] for j in neighbors)
+        dirs = tuple(reference_edge_direction(p, idx, j)[0] for j in neighbors)
         (a, b, c), (d, e, f), (g, h, k) = dirs
         det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
         if det not in (1, -1):
@@ -294,6 +388,75 @@ GL3_MOVES = (
     ((2, 1, 1), (1, 1, 0), (-3, 0, -2)),
     ((-1, 0, 3), (2, 1, -5), (0, 0, 1)),
 )
+
+
+def matmul(x, y):
+    return tuple(tuple(sum(x[r][k] * y[k][c] for k in range(len(y))) for c in range(len(y[0])))
+                 for r in range(len(x)))
+
+
+def inverse3(m):
+    """Inverse of a unimodular integer 3x3 matrix: its adjugate times the determinant."""
+    def minor(r, c):
+        (a, b), (d, e) = [[m[i][j] for j in range(3) if j != c] for i in range(3) if i != r]
+        return a * e - b * d
+
+    det = sum((-1) ** c * m[0][c] * minor(0, c) for c in range(3))
+    assert det in (1, -1)
+    return tuple(tuple(det * (-1) ** (r + c) * minor(c, r) for c in range(3)) for r in range(3))
+
+
+# GL3(Z) generators: elementary moves, a swap and a sign change
+GL3_GENERATORS = (
+    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, -1), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (2, 0, 1)),
+    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+    ((1, 0, 0), (0, -1, 0), (0, 0, 1)),
+)
+GL3_WORDS = st.lists(st.sampled_from(GL3_GENERATORS), max_size=8).map(
+    lambda word: reduce(matmul, word, GL3_MOVES[0]))
+
+# chamber points l2/l1 from just above 1 to far out, at two scales of l1
+CHAMBER_GRID = tuple((l1, l1 * r) for l1 in (1, Fraction(3, 7))
+                     for r in (Fraction(1001, 1000), Fraction(3, 2), 2, 3, 5, 1000))
+
+
+class TestCertifiedOnTheChamber:
+    """The certified edges are the hull's edges at every point of the chamber grid."""
+
+    @staticmethod
+    def assert_certified(p):
+        edges = polytope_edges(p)
+        for at in CHAMBER_GRID:
+            points = [tuple(c.evaluate(*at) for c in v) for v in p.vertices]
+            assert tuple(sorted(hull_combinatorics(points)[1])) == edges, at
+
+    def test_builtin_pair_under_the_moves(self):
+        for poly in (HAT, TILDE):
+            for m in GL3_MOVES:
+                self.assert_certified(moved(poly, m))
+
+    @settings(max_examples=60)
+    @given(GL3_WORDS, st.sampled_from(("tolman-hat", "tolman-tilde")))
+    def test_builtin_pair_under_random_words(self, m, name):
+        self.assert_certified(moved(builtin_polytopes()[name], m))
+
+
+class TestNoSamplePoints:
+    def test_glue_never_evaluates(self, monkeypatch):
+        """The toric pipeline decides everything on the chamber: no value of a
+        ParamPoly at a sample point is ever taken."""
+        def no_samples(*args):
+            raise AssertionError("ParamPoly.evaluate called")
+
+        monkeypatch.setattr(ParamPoly, "evaluate", no_samples)
+        assert builtin_glue_report().ok
+        for m_hat, m_tilde in zip(GL3_MOVES, GL3_MOVES[::-1]):
+            report = glue_check(
+                project_fixed_data(moved(HAT, m_hat), matmul(L_HAT, inverse3(m_hat))),
+                project_fixed_data(moved(TILDE, m_tilde), matmul(L_TILDE, inverse3(m_tilde))))
+            assert report.ok and report.matched == builtin_glue_report().matched
 
 
 class TestProjection:
@@ -390,3 +553,8 @@ class TestGlue:
         wobble = VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ())
         with pytest.raises(ParametricCombinatoricsUnstableError):
             glue_check(hat_data, tilde_data + (wobble,))
+        # above the cut on the whole chamber but for the wall l2/l1 = 5, where
+        # it touches it: no sample pair sees that
+        touch = VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ())
+        with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 5$"):
+            glue_check(hat_data, tilde_data + (touch,))
