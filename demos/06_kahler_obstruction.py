@@ -9,7 +9,7 @@ positive, hence the verdict string NotObstructedByThisTest.
 
 from fractions import Fraction
 
-from gkmloc import curve_invariants, evaluate_class_on_curve, kahler_obstruction
+from gkmloc import curve_invariants, kahler_obstruction
 
 inv = curve_invariants(2)
 print("destabilizing sphere for n = 2:")
@@ -27,8 +27,9 @@ for l2 in [Fraction(3, 2), Fraction(19, 10), 2, Fraction(21, 10), 3]:
 
 print("\nthe obstruction boundary is the ray l2 = 2*l1:")
 for l1, l2 in [(1, 2), (2, 4), (Fraction(1, 3), Fraction(2, 3))]:
-    assert evaluate_class_on_curve(l1, l2) == 0
-    assert kahler_obstruction(l1, l2).verdict == "Obstructed"
+    verdict = kahler_obstruction(l1, l2)
+    assert verdict.pairing == 0
+    assert verdict.verdict == "Obstructed"
 print("  pairing vanishes along the whole ray, all obstructed")
 
 print("\nlarger n obstruct more of the cone (no existence claim attached):")

@@ -11,6 +11,9 @@ The package computes, over the rationals and with no floating point:
   * Delzant 3-polytopes, their projected fixed-point data, and the gluing
     that reproduces the built-in graph;
   * the destabilizing-curve obstruction cutting down the Kaehler cone.
+
+The documented reference values form one table, ``cli._reproduce_checks``:
+``gkmloc reproduce-all`` prints it, and the acceptance suite runs each row.
 """
 
 from .exact import L1, L2, ParamPoly, Rational, ToolkitError, primitive, rat, rat_str
@@ -22,7 +25,6 @@ from .gkm import (
     GKMGraph,
     betti_numbers,
     builtin_graphs,
-    c1_on_sphere,
     c1_values,
     edge_weight,
     fixed_point_index,
@@ -57,7 +59,6 @@ from .projbundle import (
     RingElement,
     c1_cubed,
     c2_pairings,
-    cubic_coefficients,
     cubic_form,
     cubic_from_trilinear,
     cup,
@@ -94,7 +95,6 @@ from .kahlercone import (
     CurveInvariants,
     ObstructionVerdict,
     curve_invariants,
-    evaluate_class_on_curve,
     kahler_obstruction,
 )
 

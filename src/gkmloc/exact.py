@@ -55,6 +55,7 @@ def rat_str(value) -> str:
 
 
 def _as_int(c):
+    """An int, or the int value of an integral Fraction; anything else raises TypeError."""
     if isinstance(c, int):
         return c
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -162,7 +163,7 @@ class ParamPoly:
             ((key, Fraction(n, den)) for key, n in self._num.items()), reverse=True))
 
     def coefficient(self, i, j) -> Fraction:
-        return Fraction(self._num.get((int(i), int(j)), 0), self._den)
+        return Fraction(self._num.get(_exponents((i, j)), 0), self._den)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

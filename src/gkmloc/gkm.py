@@ -22,6 +22,7 @@ from .exact import (
     ChamberSignError,
     ParamPoly,
     ToolkitError,
+    _as_int,
     chamber_sign,
     primitive,
     rat,
@@ -68,6 +69,10 @@ class IncompleteCocycleError(ToolkitError):
     code = "IncompleteCocycle"
 
 
+class MalformedGraphError(ToolkitError, ValueError):
+    code = "MalformedGraph"
+
+
 @dataclass(frozen=True)
 class CircleAction:
     """Subcircle {(t^a, t^b)} of T^2; (a, b) must not both vanish."""
@@ -87,7 +92,7 @@ def as_action(s) -> CircleAction:
     if isinstance(s, CircleAction):
         return s
     a, b = s
-    return CircleAction(int(a), int(b))
+    return CircleAction(_as_int(a), _as_int(b))
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class Edge:
     direction: tuple
 
     def __post_init__(self):
-        d = tuple(int(c) for c in self.direction)
+        d = tuple(_as_int(c) for c in self.direction)
         object.__setattr__(self, "direction", d)
         if len(d) != 2:
             raise MalformedEdgeError("edge direction must be a 2-vector")
@@ -255,14 +260,17 @@ def graph_to_json(g: GKMGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> GKMGraph:
-    points = tuple(
-        FixedPoint(rec["id"], tuple(ParamPoly.from_json(c) for c in rec["image"]))
-        for rec in data["points"]
-    )
-    edges = tuple(
-        Edge(rec["tail"], rec["head"], tuple(rec["dir"])) for rec in data["edges"]
-    )
-    return GKMGraph(points, edges)
+    try:
+        points = tuple(
+            FixedPoint(rec["id"], tuple(ParamPoly.from_json(c) for c in rec["image"]))
+            for rec in data["points"]
+        )
+        edges = tuple(
+            Edge(rec["tail"], rec["head"], tuple(rec["dir"])) for rec in data["edges"]
+        )
+        return GKMGraph(points, edges)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise MalformedGraphError(f"malformed graph: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +308,7 @@ def hamiltonian(g: GKMGraph, s, point_id: str) -> ParamPoly:
 
 def fixed_point_index(weights) -> int:
     """Morse index of the momentum at a point: twice the number of negative weights."""
-    ws = tuple(int(w) for w in weights)
+    ws = tuple(_as_int(w) for w in weights)
     if any(w == 0 for w in ws):
         raise DegenerateWeightError(f"zero weight in {ws}; index undefined")
     return 2 * sum(1 for w in ws if w < 0)
@@ -322,8 +330,8 @@ def betti_numbers(g: GKMGraph, s):
 # spheres: first Chern class
 # ---------------------------------------------------------------------------
 
-def c1_on_sphere(g: GKMGraph, s, e: Edge) -> Fraction:
-    """Pairing of c1 of the ambient manifold with the invariant sphere e.
+def c1_values(g: GKMGraph, s) -> dict:
+    """Pairing of c1 of the ambient manifold with every invariant sphere, keyed by Edge.
 
     Computed from the weight sums at the two poles: with p_min/p_max the
     endpoints ordered by the momentum of s (their difference equals
@@ -331,27 +339,20 @@ def c1_on_sphere(g: GKMGraph, s, e: Edge) -> Fraction:
 
         <c1, S> = (sum of weights at p_min - sum at p_max) / |w|.
 
-    The value does not depend on s as long as w != 0.
+    The values do not depend on s as long as no w is 0; each point's weights
+    are summed once.
     """
     s = as_action(s)
-    return _sphere_c1(g, s, e, lambda pid: sum(restrict_weights(g, s, pid)))
-
-
-def _sphere_c1(g, s, e, weight_sum):
-    """<c1, S_e> with weight_sum(point id) the sum of the weights of s there."""
-    w = edge_weight(g, s, e)
-    if w == 0:
-        raise EdgeFixedPointwiseError(
-            f"subcircle ({s.a},{s.b}) fixes the sphere {e.tail}->{e.head} pointwise")
-    lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
-    return Fraction(weight_sum(lo) - weight_sum(hi), abs(w))
-
-
-def c1_values(g: GKMGraph, s) -> dict:
-    """c1 pairing for every edge, keyed by Edge; each point's weights are summed once."""
-    s = as_action(s)
     sums = {p.id: sum(restrict_weights(g, s, p.id)) for p in g.points}
-    return {e: _sphere_c1(g, s, e, sums.__getitem__) for e in g.edges}
+    out = {}
+    for e in g.edges:
+        w = edge_weight(g, s, e)
+        if w == 0:
+            raise EdgeFixedPointwiseError(
+                f"subcircle ({s.a},{s.b}) fixes the sphere {e.tail}->{e.head} pointwise")
+        lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
+        out[e] = Fraction(sums[lo] - sums[hi], abs(w))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rational, ToolkitError, rat
+from .exact import ToolkitError, rat
 
 
 class NotDestabilizingError(ToolkitError):
@@ -56,21 +56,6 @@ def curve_invariants(n: int = 2) -> CurveInvariants:
     return CurveInvariants(n=n, m=m, c1_pairing=3 - m, eta_pairing=1, xi_pairing=-n)
 
 
-def _check_parameters(l1, l2):
-    l1, l2 = rat(l1), rat(l2)
-    if not 0 < l1 < l2:
-        raise InvalidKahlerParametersError(
-            f"need 0 < l1 < l2, got l1 = {l1}, l2 = {l2}")
-    return l1, l2
-
-
-def evaluate_class_on_curve(l1, l2, n: int = 2) -> Rational:
-    """Pairing of the symplectic class l1*xi + l2*eta with the sphere: l2 - n*l1."""
-    l1, l2 = _check_parameters(l1, l2)
-    inv = curve_invariants(n)
-    return l1 * inv.xi_pairing + l2 * inv.eta_pairing
-
-
 @dataclass(frozen=True)
 class ObstructionVerdict:
     verdict: str
@@ -85,11 +70,17 @@ class ObstructionVerdict:
 def kahler_obstruction(l1, l2, n: int = 2) -> ObstructionVerdict:
     """Verdict for the parameters (l1, l2): obstructed iff l2 - n*l1 <= 0.
 
-    A non-positive pairing is returned as the certificate. A positive pairing
-    only means this particular curve does not obstruct, hence the verdict
-    string NotObstructedByThisTest.
+    ``pairing`` is the pairing of the symplectic class l1*xi + l2*eta with the
+    sphere, l2 - n*l1. A non-positive pairing is returned as the certificate.
+    A positive pairing only means this particular curve does not obstruct,
+    hence the verdict string NotObstructedByThisTest.
     """
-    value = evaluate_class_on_curve(l1, l2, n)
+    l1, l2 = rat(l1), rat(l2)
+    if not 0 < l1 < l2:
+        raise InvalidKahlerParametersError(
+            f"need 0 < l1 < l2, got l1 = {l1}, l2 = {l2}")
+    inv = curve_invariants(n)
+    value = l1 * inv.xi_pairing + l2 * inv.eta_pairing
     if value <= 0:
         return ObstructionVerdict(OBSTRUCTED, n, value, value)
     return ObstructionVerdict(NOT_OBSTRUCTED, n, value, None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby, product
 
-from .exact import Rational, ToolkitError, rat
+from .exact import Rational, ToolkitError, _as_int, rat
 
 
 class DegreeOverflowError(ToolkitError):
@@ -221,15 +221,6 @@ def cubic_form(bundle: Bundle, a, b) -> Rational:
     return integrate(bundle, cup(bundle, cup(bundle, y, y), y))
 
 
-def cubic_coefficients(bundle: Bundle):
-    """Coefficients (u^3, u^2 v, u v^2, v^3) of the cubic form on basis (xi, eta).
-
-    That is, integral of (u*xi + v*eta)^3 as a polynomial in (u, v), read off
-    the trilinear tensor of jupp_invariants.
-    """
-    return cubic_from_trilinear(jupp_invariants(bundle).trilinear)
-
-
 # ---------------------------------------------------------------------------
 # trilinear forms and diffeomorphism invariants
 # ---------------------------------------------------------------------------
@@ -325,16 +316,15 @@ class JuppComparison:
 
 
 def jupp_invariants(bundle: Bundle) -> JuppInvariants:
-    """Invariants of P(E) on the ordered basis (xi, eta), via ring reduction."""
+    """Invariants of P(E) on the ordered basis (xi, eta), via ring reduction.
+
+    The tensor polarizes the cubic of the four ring moments integral
+    xi^k eta^(3-k), as the graph route polarizes its localized moments.
+    """
     basis = (xi(), eta())
-    tensor = tuple(
-        tuple(
-            tuple(
-                int(integrate(bundle, cup(bundle, cup(bundle, basis[i], basis[j]), basis[k])))
-                for k in range(2))
-            for j in range(2))
-        for i in range(2)
-    )
+    squares = (cup(bundle, basis[0], basis[0]), cup(bundle, basis[1], basis[1]))
+    m = [integrate(bundle, cup(bundle, sq, y)) for sq in squares for y in basis]
+    tensor = trilinear_from_cubic((m[0], 3 * m[1], 3 * m[2], m[3]))
     p1, (w2_eta, w2_xi), _ = p1_and_w2(bundle)
     pairings = tuple(int(integrate(bundle, cup(bundle, p1, y))) for y in basis)
     return JuppInvariants(tensor, (w2_xi, w2_eta), pairings)
@@ -354,8 +344,8 @@ def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppCompariso
       w2:         Q * w2_1 == w2_2  (mod 2),
       p1:         <p1_2, Q x> == <p1_1, x> on basis vectors.
     """
-    ((q00, q01), (q10, q11)) = ((int(q[0][0]), int(q[0][1])),
-                                (int(q[1][0]), int(q[1][1])))
+    ((q00, q01), (q10, q11)) = ((_as_int(q[0][0]), _as_int(q[0][1])),
+                                (_as_int(q[1][0]), _as_int(q[1][1])))
     det = q00 * q11 - q01 * q10
     if det not in (1, -1):
         raise NotUnimodularError(f"det Q = {det}; Q must be unimodular")

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .exact import (ChamberSignError, ParamPoly, ToolkitError, chamber_lattice, chamber_sign,
-                    linear_forms, linear_poly, primitive)
+from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
+                    chamber_sign, linear_forms, linear_poly, primitive)
 from . import gkm
 
 
@@ -244,7 +244,7 @@ def project_fixed_data(p: Polytope, matrix):
 
     Projected weights are kept as-is (they need not be primitive).
     """
-    rows = tuple(tuple(int(c) for c in row) for row in matrix)
+    rows = tuple(tuple(_as_int(c) for c in row) for row in matrix)
     if len(rows) != 2 or any(len(r) != 3 for r in rows):
         raise ValueError("projection must be a 2x3 integer matrix")
     edges = polytope_edges(p)

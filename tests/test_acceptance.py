@@ -1,8 +1,11 @@
 """Acceptance suite: every capability checked end to end with exact arithmetic.
 
-Each test covers one numbered criterion and finishes by printing a single
-PASS line (run with -s to see them); any failure surfaces as a normal pytest
-failure for that criterion. All comparisons are exact, no tolerances.
+``test_reference_row`` runs the reference table that ``gkmloc reproduce-all``
+prints (``cli._reproduce_checks``), one test ID per row name. The numbered
+criteria are the sweeps: each checks a reference value over a range of
+subcircles, bundles, parameters or random inputs, taking the value from the
+table rather than restating it, and finishes by printing a single PASS line
+(run with -s to see them). All comparisons are exact, no tolerances.
 """
 
 import math
@@ -10,10 +13,13 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from gkmloc.exact import L1, L2, ParamPoly
+import pytest
+
+from gkmloc.cli import _reproduce_checks
 from gkmloc.gkm import (
     betti_numbers,
     is_coprime_action,
+    outgoing_edges,
     restrict_weights,
     c1_values,
     tolman_coprime_criterion,
@@ -29,22 +35,13 @@ from gkmloc.projbundle import (
     Bundle,
     RingElement,
     c1_cubed,
-    c2_pairings,
-    cubic_coefficients,
     cubic_form,
     cup,
-    cup_power,
     degree2,
-    eta,
-    integrate,
     jupp_compare,
     jupp_invariants,
-    one,
-    p1_and_w2,
     tensor_apply,
-    total_chern,
     trilinear_from_cubic,
-    xi,
 )
 from gkmloc.kahlercone import kahler_obstruction
 from gkmloc.toric import (
@@ -62,10 +59,6 @@ B = Bundle(-1, -1)
 
 POINT_IDS = ("x00", "x03", "x11", "x13", "x21", "x40")
 
-VOLUME = ParamPoly({(3, 0): 2, (2, 1): 3, (1, 2): 3})
-
-TENSOR = (((2, 1), (1, 1)), ((1, 1), (1, 0)))
-
 C1_TABLE = {
     ("x00", "x40"): 6,
     ("x00", "x03"): 4,
@@ -78,82 +71,76 @@ C1_TABLE = {
     ("x11", "x21"): 0,
 }
 
+CHECKS = _reproduce_checks()
+REFERENCE = {name: expected for name, expected, _ in CHECKS}
+
 
 def nondegenerate(a, b):
     return 0 not in (a, b, a + b, a - b, 2 * a - b)
+
+
+def subcircles(radius):
+    """The non-degenerate subcircles (a, b) with |a|, |b| <= radius."""
+    return [(a, b) for a, b in product(range(-radius, radius + 1), repeat=2)
+            if nondegenerate(a, b)]
 
 
 def done(num, label):
     print(f"ACCEPTANCE {num:02d} {label}: PASS")
 
 
+def test_row_names_are_unique():
+    names = [name for name, _, _ in CHECKS]
+    assert len(set(names)) == len(names), sorted(n for n in names if names.count(n) > 1)
+
+
+@pytest.mark.parametrize(("name", "expected", "got"), CHECKS,
+                         ids=[name for name, _, _ in CHECKS])
+def test_reference_row(name, expected, got):
+    assert got == expected
+
+
 def test_criterion_01_localized_chern_numbers():
-    assert abbv_chern_number(G, (2, 1), "c1^3") == 64
-    assert abbv_chern_number(G, (2, 1), "c1c2") == 24
-    assert abbv_chern_number(G, (2, 1), "c3") == 6
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            if nondegenerate(a, b):
-                assert abbv_chern_number(G, (a, b), "c1^3") == 64, (a, b)
-    done(1, "localized c1^3 = 64 for every non-degenerate subcircle")
+    for monomial in ("c1^3", "c1c2", "c3"):
+        want = REFERENCE[f"abbv/{monomial}-(2,1)"]
+        for s in subcircles(10):
+            assert abbv_chern_number(G, s, monomial) == want, (monomial, s)
+    done(1, "localized Chern numbers agree for every non-degenerate subcircle")
 
 
 def test_criterion_02_volume_polynomial():
-    for s in [(2, 1), (1, 3), (3, 2), (5, 2)]:
-        assert dh_volume(G, s) == VOLUME, s
+    for s in subcircles(6):
+        assert dh_volume(G, s) == REFERENCE["dh/volume-(2,1)"], s
     done(2, "volume polynomial 2*l1^3 + 3*l1^2*l2 + 3*l1*l2^2")
 
 
 def test_criterion_03_c1_pairings_on_spheres():
-    vals = {tuple(sorted((e.tail, e.head))): v for e, v in c1_values(G, (2, 1)).items()}
-    assert vals == C1_TABLE
-    assert sorted(vals.values(), reverse=True) == [6, 4, 4, 2, 2, 2, 2, 2, 0]
+    for s in subcircles(6):
+        vals = {tuple(sorted((e.tail, e.head))): v for e, v in c1_values(G, s).items()}
+        assert vals == C1_TABLE, s
     done(3, "per-sphere c1 pairings match the reference table")
 
 
-def test_criterion_04_ring_normal_forms():
-    c1, c2, c3 = total_chern(B)
-    assert c1 == degree2(2, 2)
-    assert c2 == RingElement(4, (0, 6))
-    assert c3 == RingElement(6, (6,))
-    assert c2 == 6 * cup(B, xi(), xi()) - 6 * cup(B, eta(), eta())
-    assert cup_power(B, xi(), 3) == RingElement(6, (2,))
-    assert c1_cubed(B) == 64
-    assert integrate(B, cup_power(B, c1, 3)) == 64
-    p1, w2, c1_even = p1_and_w2(B)
-    assert p1 == RingElement(4, (8, 0))
-    assert w2 == (0, 0) and c1_even
-    assert c2_pairings(B) == (6, 6)
-    assert cubic_form(B, 3, 2) == 106
-    done(4, "intersection ring normal forms at (k1, k2) = (-1, -1)")
-
-
 def test_criterion_05_cubic_tensors_agree():
-    from_graph = cubic_form_from_gkm(G, (2, 1))
-    from_ring = trilinear_from_cubic(cubic_coefficients(B))
-    assert from_graph == TENSOR
-    assert from_ring == TENSOR
-    for i, j, k in product(range(2), repeat=3):
-        assert from_graph[i][j][k] == from_ring[i][j][k]
+    from_ring = jupp_invariants(B).trilinear
+    for s in subcircles(6):
+        from_graph = cubic_form_from_gkm(G, s)
+        for i, j, k in product(range(2), repeat=3):
+            assert from_graph[i][j][k] == from_ring[i][j][k], (s, i, j, k)
     done(5, "localization and ring cubic tensors agree entrywise")
 
 
 def test_criterion_06_invariants_identified():
-    inv_graph = jupp_invariants_from_gkm(G, (2, 1))
     inv_ring = jupp_invariants(B)
-    cmp = jupp_compare(inv_graph, inv_ring, ((1, 0), (0, 1)))
-    assert cmp.trilinear_ok
-    assert cmp.w2_ok
-    assert cmp.p1_ok
-    assert cmp.ok
+    for s in subcircles(6):
+        cmp = jupp_compare(jupp_invariants_from_gkm(G, s), inv_ring, ((1, 0), (0, 1)))
+        assert (cmp.trilinear_ok, cmp.w2_ok, cmp.p1_ok) == (True, True, True), s
     done(6, "classifying invariants match under the identity basis change")
 
 
 def test_criterion_07_betti_numbers():
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            if nondegenerate(a, b):
-                assert betti_numbers(G, (a, b)) == (1, 0, 2, 0, 2, 0, 1), (a, b)
+    for s in subcircles(10):
+        assert list(betti_numbers(G, s)) == REFERENCE["betti/(2,1)"], s
     done(7, "Betti numbers (1,0,2,0,2,0,1) for every non-degenerate subcircle")
 
 
@@ -161,11 +148,9 @@ def test_criterion_08_toric_glue():
     polys = builtin_polytopes()
     for poly in polys.values():
         edges = polytope_edges(poly)
-        assert len(edges) == 9
         for idx in range(len(poly.vertices)):
             assert len(vertex_weights(poly, idx, edges)) == 3
     report = builtin_glue_report()
-    assert report.ok
     assert report.matched == POINT_IDS
     assert report.tilde_points == ("x00", "x11", "x21", "x40")
     assert report.hat_points == ("x03", "x13")
@@ -175,7 +160,6 @@ def test_criterion_08_toric_glue():
     by_image = {}
     for vd in list(hat_data) + list(tilde_data):
         by_image.setdefault(vd.image, []).append(vd)
-    from gkmloc.gkm import outgoing_edges
     for pid in POINT_IDS:
         point = G.point(pid)
         want = sorted(d for _, d in outgoing_edges(G, pid))
@@ -208,20 +192,16 @@ def test_criterion_09_coprime_criterion_equivalence():
 
 
 def test_criterion_10_kahler_obstruction():
-    at_boundary = kahler_obstruction(1, 2)
-    assert at_boundary.verdict == "Obstructed"
-    assert at_boundary.certificate == 0
-    inside = kahler_obstruction(1, 3)
-    assert inside.verdict == "NotObstructedByThisTest"
-    assert inside.certificate is None
-    assert kahler_obstruction(1, Fraction(19, 10)).verdict == "Obstructed"
-    for l1, l2 in [(1, 2), (1, 3), (2, 5), (1, Fraction(19, 10))]:
+    for l1, l2 in [(1, 2), (1, 3), (2, 5), (1, Fraction(19, 10)), (Fraction(1, 3), 1)]:
         previously_obstructed = False
         for n in range(2, 11):
-            verdict = bool(kahler_obstruction(l1, l2, n))
+            verdict = kahler_obstruction(l1, l2, n)
+            assert verdict.pairing == l2 - n * l1, (l1, l2, n)
+            assert bool(verdict) == (verdict.pairing <= 0), (l1, l2, n)
+            assert verdict.certificate == (verdict.pairing if verdict else None), (l1, l2, n)
             if previously_obstructed:
                 assert verdict, (l1, l2, n)
-            previously_obstructed = previously_obstructed or verdict
+            previously_obstructed = previously_obstructed or bool(verdict)
     done(10, "destabilizing sphere obstructs exactly when l2 - n*l1 <= 0")
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gkmloc.cli import run
+from gkmloc.cli import _reproduce_checks, run
 
 
 def capture(capsys, argv):
@@ -202,7 +202,7 @@ class TestReproduceAll:
         results = payload["results"]
         assert results["failed"] == 0
         assert results["passed"] == results["total"] == len(payload["checks"])
-        assert results["total"] >= 60
+        assert results["total"] == len(_reproduce_checks())
         assert all(rec["pass"] for rec in payload["checks"])
 
     def test_output_is_deterministic(self, capsys):

@@ -104,6 +104,16 @@ class TestParamPoly:
         assert p.coefficient(1, 0) == 1
         assert p.coefficient(0, 1) == Fraction(1, 2)
 
+    def test_coefficient_exponents_are_not_truncated(self):
+        # int() would read the exponent 1.5 as 1 and (1.0, 0) as (1, 0)
+        p = ParamPoly.linear(2, 1)
+        for key in ((1.5, 0), (1.0, 0), (Fraction(1), 0), ("1", 0)):
+            with pytest.raises(TypeError):
+                p.coefficient(*key)
+        with pytest.raises(ValueError):
+            p.coefficient(-1, 0)
+        assert p.coefficient(1, 0) == 2
+
     def test_json_round_trip(self):
         p = ParamPoly({(3, 0): 2, (1, 2): Fraction(-1, 3), (0, 0): 7})
         assert ParamPoly.from_json(p.to_json()) == p

@@ -16,13 +16,14 @@ from gkmloc.gkm import (
     GKMGraph,
     IncompleteCocycleError,
     MalformedEdgeError,
+    MalformedGraphError,
     NoSuchFixedPointError,
     NotCoprimeError,
     NotUniformlyValentError,
     TrivialSubcircleError,
+    as_action,
     betti_numbers,
     builtin_graphs,
-    c1_on_sphere,
     c1_values,
     edge_weight,
     fixed_point_index,
@@ -43,6 +44,16 @@ from gkmloc.gkm import (
 
 def lin(c1, c2):
     return ParamPoly.linear(c1, c2)
+
+
+def sphere_c1(g, s, e):
+    """Oracle for c1_values: <c1, S_e> from the weights at both poles, edge by edge."""
+    w = edge_weight(g, s, e)
+    if w == 0:
+        raise EdgeFixedPointwiseError(
+            f"subcircle ({s[0]},{s[1]}) fixes the sphere {e.tail}->{e.head} pointwise")
+    lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
+    return Fraction(sum(restrict_weights(g, s, lo)) - sum(restrict_weights(g, s, hi)), abs(w))
 
 
 G = tolman_graph()
@@ -126,6 +137,23 @@ class TestGraphStructure:
     def test_json_round_trip(self):
         assert graph_from_json(graph_to_json(G)) == G
 
+    def test_malformed_json(self):
+        good = graph_to_json(G)
+        point, edge = good["points"][0], good["edges"][0]
+        bad = (
+            {"edges": good["edges"]},
+            {"points": [{"image": point["image"]}], "edges": []},
+            {"points": good["points"], "edges": [dict(edge, dir=5)]},
+            {"points": [dict(point, image=None)], "edges": []},
+            {"points": good["points"], "edges": [dict(edge, dir=[1.5, 0])]},
+            ["not", "a", "dict"],
+            None,
+        )
+        for data in bad:
+            with pytest.raises(MalformedGraphError) as err:
+                graph_from_json(data)
+            assert err.value.code == "MalformedGraph" and isinstance(err.value, ValueError)
+
 
 class TestGraphValidation:
     def test_empty_graph_rejected(self):
@@ -135,6 +163,13 @@ class TestGraphValidation:
     def test_non_primitive_direction_rejected(self):
         with pytest.raises(MalformedEdgeError):
             Edge("p", "q", (2, 2))
+
+    def test_non_integral_direction_rejected(self):
+        # int() would truncate (1.5, 0) to (1, 0)
+        for d in ((1.5, 0), (Fraction(3, 2), 0), (1.0, 0)):
+            with pytest.raises(TypeError):
+                Edge("a", "b", d)
+        assert Edge("a", "b", (Fraction(1), 0)).direction == (1, 0)
 
     def test_loop_rejected(self):
         with pytest.raises(MalformedEdgeError):
@@ -187,6 +222,15 @@ class TestGraphValidation:
         pts = (FixedPoint("p", (lin(0, 0), lin(0, 0))),)
         with pytest.raises(MalformedEdgeError):
             GKMGraph(pts, (Edge("p", "q", (1, 0)),))
+
+    def test_non_integral_subcircle_rejected(self):
+        # int() would truncate (5/2, 1) to (2, 1)
+        for s in ((Fraction(5, 2), 1), (2, 1.0), (2.5, 1)):
+            with pytest.raises(TypeError):
+                as_action(s)
+            with pytest.raises(TypeError):
+                restrict_weights(G, s, "x00")
+        assert as_action((Fraction(4, 2), 1)) == CircleAction(2, 1)
 
     def test_trivial_subcircle_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +299,13 @@ class TestMorseData:
         with pytest.raises(DegenerateWeightError):
             fixed_point_index((0, 1, 2))
 
+    def test_non_integral_weight_rejected(self):
+        # int() would truncate -1/2 to 0 and -0.5 to 0
+        for ws in ((Fraction(-1, 2), 1, 2), (-0.5, 1, 2)):
+            with pytest.raises(TypeError):
+                fixed_point_index(ws)
+        assert fixed_point_index((Fraction(-2), 1, 2)) == 2
+
     def test_betti_numbers(self):
         assert betti_numbers(G, (2, 1)) == (1, 0, 2, 0, 2, 0, 1)
         assert betti_numbers(G, (1, 3)) == (1, 0, 2, 0, 2, 0, 1)
@@ -298,8 +349,9 @@ class TestSpheres:
 
     def test_pointwise_fixed_sphere_rejected(self):
         e = next(e for e in G.edges if edge_key(e) == ("x11", "x21"))
+        assert edge_weight(G, (0, 1), e) == 0
         with pytest.raises(EdgeFixedPointwiseError):
-            c1_on_sphere(G, (0, 1), e)
+            c1_values(G, (0, 1))
 
     def test_c1_values_sums_each_point_once(self, monkeypatch):
         calls = []
@@ -313,7 +365,7 @@ class TestSpheres:
             calls.clear()
             vals = c1_values(G, s)
             assert sorted(calls) == sorted(POINT_IDS)
-            assert vals == {e: c1_on_sphere(G, s, e) for e in G.edges}
+            assert vals == {e: sphere_c1(G, s, e) for e in G.edges}
             assert all(type(v) is Fraction for v in vals.values())
 
     def test_c1_values_raises_at_the_first_fixed_sphere(self):
@@ -321,7 +373,7 @@ class TestSpheres:
         for s in [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2)]:
             with pytest.raises(EdgeFixedPointwiseError) as want:
                 for e in G.edges:
-                    c1_on_sphere(G, s, e)
+                    sphere_c1(G, s, e)
             with pytest.raises(EdgeFixedPointwiseError) as got:
                 c1_values(G, s)
             assert str(got.value) == str(want.value), s

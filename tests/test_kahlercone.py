@@ -8,7 +8,6 @@ from gkmloc.kahlercone import (
     InvalidKahlerParametersError,
     NotDestabilizingError,
     curve_invariants,
-    evaluate_class_on_curve,
     kahler_obstruction,
 )
 
@@ -34,17 +33,17 @@ class TestCurveInvariants:
 
 class TestPairing:
     def test_values(self):
-        assert evaluate_class_on_curve(1, 2) == 0
-        assert evaluate_class_on_curve(1, 3) == 1
-        assert evaluate_class_on_curve(1, Fraction(19, 10)) == Fraction(-1, 10)
+        assert kahler_obstruction(1, 2).pairing == 0
+        assert kahler_obstruction(1, 3).pairing == 1
+        assert kahler_obstruction(1, Fraction(19, 10)).pairing == Fraction(-1, 10)
 
     def test_rational_string_arguments(self):
-        assert evaluate_class_on_curve("1/2", "3/4") == Fraction(-1, 4)
+        assert kahler_obstruction("1/2", "3/4").pairing == Fraction(-1, 4)
 
     def test_parameter_validation(self):
         for l1, l2 in [(2, 1), (1, 1), (0, 1), (-1, 2)]:
             with pytest.raises(InvalidKahlerParametersError):
-                evaluate_class_on_curve(l1, l2)
+                kahler_obstruction(l1, l2)
 
 
 class TestVerdicts:

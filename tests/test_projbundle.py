@@ -15,7 +15,6 @@ from gkmloc.projbundle import (
     RingElement,
     c1_cubed,
     c2_pairings,
-    cubic_coefficients,
     cubic_form,
     cubic_from_trilinear,
     cup,
@@ -46,6 +45,15 @@ def closed_c1_cubed(k1, k2):
 
 def closed_cubic_form(k1, k2, a, b):
     return b * (3 * a * a - 3 * k1 * a * b + (k1 * k1 - k2) * b * b)
+
+
+def nested_tensor(bundle):
+    """Oracle for jupp_invariants' tensor: the 8 entries integral b_i b_j b_k, b = (xi, eta),
+    each from two cups."""
+    basis = (xi(), eta())
+    return tuple(tuple(tuple(
+        integrate(bundle, cup(bundle, cup(bundle, basis[i], basis[j]), basis[k]))
+        for k in range(2)) for j in range(2)) for i in range(2))
 
 
 def full_scan(inv1, inv2, bound=3):
@@ -234,9 +242,12 @@ class TestCubicForm:
                     k1, k2, a, b), (k1, k2, a, b)
 
     def test_coefficients(self):
-        assert cubic_coefficients(B) == (2, 3, 3, 0)
+        def coefficients(bundle):
+            return cubic_from_trilinear(jupp_invariants(bundle).trilinear)
+
+        assert coefficients(B) == (2, 3, 3, 0)
         for k1, k2 in product(range(-2, 3), repeat=2):
-            assert cubic_coefficients(Bundle(k1, k2)) == (k1 * k1 - k2, -3 * k1, 3, 0)
+            assert coefficients(Bundle(k1, k2)) == (k1 * k1 - k2, -3 * k1, 3, 0)
 
     def test_rational_arguments(self):
         # 2 * (3/4 + 3 + 8)
@@ -322,10 +333,25 @@ class TestJupp:
         assert inv.w2 == (0, 0)
         assert inv.p1_pairings == (8, 0)
 
+    def test_tensor_matches_the_nested_cups(self):
+        for k1, k2 in product(range(-6, 7), repeat=2):
+            bundle = Bundle(k1, k2)
+            tensor = jupp_invariants(bundle).trilinear
+            assert tensor == nested_tensor(bundle), (k1, k2)
+            assert all(type(v) is int for plane in tensor for row in plane for v in row)
+
     def test_identity_comparison(self):
         inv = jupp_invariants(B)
         cmp = jupp_compare(inv, inv, ((1, 0), (0, 1)))
         assert cmp.ok and not cmp.failures
+
+    def test_non_integral_q_rejected(self):
+        # int() would truncate 1.9 to 1 and report the identity as ok
+        inv = jupp_invariants(B)
+        for q in (((1.9, 0), (0, 1)), ((1, 0), (Fraction(1, 2), 1)), ((1.0, 0), (0, 1))):
+            with pytest.raises(TypeError):
+                jupp_compare(inv, inv, q)
+        assert jupp_compare(inv, inv, ((Fraction(1), 0), (0, 1))).ok
 
     def test_non_unimodular_rejected(self):
         inv = jupp_invariants(B)

@@ -495,6 +495,14 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_fixed_data(TILDE, ((1, 0, 0),))
 
+    def test_non_integral_matrix_rejected(self):
+        # int() would truncate the row (1.5, 0, 1) to (1, 0, 1), that is L_HAT
+        for matrix in (((1.5, 0, 1), (0, 1, 0)), ((1, 0, 1), (0, Fraction(1, 2), 0))):
+            with pytest.raises(TypeError):
+                project_fixed_data(HAT, matrix)
+        assert project_fixed_data(HAT, ((Fraction(1), 0, 1), (0, 1, 0))) == \
+            project_fixed_data(HAT, L_HAT)
+
     def test_tilde_vertex_one(self):
         data = project_fixed_data(TILDE, L_TILDE)
         vd = data[1]
