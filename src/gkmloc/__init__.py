@@ -33,9 +33,7 @@ from .gkm import (
     hamiltonian,
     is_coprime_action,
     isotropy_spheres,
-    omega_basis_values,
     outgoing_edges,
-    pair_with_c2,
     restrict_weights,
     sphere_area,
     tolman_coprime_criterion,
@@ -46,6 +44,7 @@ from .localization import (
     FixedPointContribution,
     abbv_chern_number,
     c1_in_omega_basis,
+    c2_pairings_from_gkm,
     cubic_form_from_gkm,
     dh_volume,
     jupp_invariants_from_gkm,

@@ -215,9 +215,9 @@ def _reproduce_checks():
     add("isotropy/orders-at-x00-(7,2)", [2, 7, 9], at_x00)
     add("isotropy/c1-nonnegative", True, all(v >= 0 for v in c1s.values()))
 
-    basis = gkm.omega_basis_values(g)
-    add("c2-pairing/xi", Fraction(6), gkm.pair_with_c2(g, {e: v[0] for e, v in basis.items()}))
-    add("c2-pairing/eta", Fraction(6), gkm.pair_with_c2(g, {e: v[1] for e, v in basis.items()}))
+    c2_xi, c2_eta = localization.c2_pairings_from_gkm(g, (2, 1))
+    add("c2-pairing/xi", Fraction(6), c2_xi)
+    add("c2-pairing/eta", Fraction(6), c2_eta)
 
     add("abbv/c1^3-(2,1)", Fraction(64), localization.abbv_chern_number(g, (2, 1), "c1^3"))
     add("abbv/c1^3-(1,3)", Fraction(64), localization.abbv_chern_number(g, (1, 3), "c1^3"))
@@ -230,7 +230,8 @@ def _reproduce_checks():
     add("dh/volume-(1,3)", volume, localization.dh_volume(g, (1, 3)))
     add("dh/value-at-(1,2)", Fraction(20), volume21.evaluate(1, 2))
 
-    tensor = localization.cubic_form_from_gkm(g, (2, 1))
+    inv_graph = localization.jupp_invariants_from_gkm(g, (2, 1))
+    tensor = inv_graph.trilinear
     add("cubic/xi3-xi2eta-xieta2-eta3", [2, 1, 1, 0],
         [tensor[0][0][0], tensor[0][0][1], tensor[0][1][1], tensor[1][1][1]])
     add("c1/omega-coordinates", [Fraction(2), Fraction(2)],
@@ -263,7 +264,6 @@ def _reproduce_checks():
     add("ring/cubic-(3,2)-(-1,-1)", Fraction(106), projbundle.cubic_form(b, 3, 2))
     add("ring/cubic-(1,0)", Fraction(0), projbundle.cubic_form(b, 1, 0))
 
-    inv_graph = localization.jupp_invariants_from_gkm(g, (2, 1))
     inv_ring = projbundle.jupp_invariants(b)
     identity = ((1, 0), (0, 1))
     add("jupp/tensors-equal", inv_ring.trilinear, inv_graph.trilinear)

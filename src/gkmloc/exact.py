@@ -56,7 +56,7 @@ def rat_str(value) -> str:
 
 def _as_int(c):
     """An int, or the int value of an integral Fraction; anything else raises TypeError."""
-    if isinstance(c, int):
+    if type(c) is int:
         return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
@@ -74,10 +74,6 @@ def primitive(vec):
     if g == 0:
         raise ZeroVectorError("the zero vector has no primitive form")
     return tuple(c // g for c in comps), g
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def _exponents(key):
@@ -106,7 +102,7 @@ class ParamPoly:
     ``Fraction``s, and the hash is that of the frozenset of ``terms()``.
     """
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
         data = {}
@@ -121,7 +117,6 @@ class ParamPoly:
         # with it, so this is already the normal form.
         self._num = {key: c.numerator * (den // c.denominator) for key, c in data.items()}
         self._den = den
-        self._hash = None
 
     @classmethod
     def _make(cls, num, den) -> "ParamPoly":
@@ -136,7 +131,6 @@ class ParamPoly:
         self = object.__new__(cls)
         self._num = num
         self._den = den
-        self._hash = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -296,9 +290,7 @@ class ParamPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms()))
-        return self._hash
+        return hash(frozenset(self.terms()))
 
     # -- serialization -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from .exact import (
     _as_int,
     chamber_sign,
     primitive,
-    rat,
 )
 
 
@@ -65,10 +64,6 @@ class NotUniformlyValentError(ToolkitError, ValueError):
     code = "NotUniformlyValent"
 
 
-class IncompleteCocycleError(ToolkitError):
-    code = "IncompleteCocycle"
-
-
 class MalformedGraphError(ToolkitError, ValueError):
     code = "MalformedGraph"
 
@@ -81,7 +76,7 @@ class CircleAction:
     b: int
 
     def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if type(self.a) is not int or type(self.b) is not int:
             raise TypeError("CircleAction components must be ints")
         if self.a == 0 and self.b == 0:
             raise TrivialSubcircleError("CircleAction (0, 0) is trivial")
@@ -425,37 +420,3 @@ def isotropy_spheres(g: GKMGraph, s):
         raise NotCoprimeError(f"subcircle ({s.a},{s.b}) is not coprime: {witness}")
     return tuple((e, abs(edge_weight(g, s, e))) for e in g.edges)
 
-
-# ---------------------------------------------------------------------------
-# degree-2 classes from areas, and the c2 pairing
-# ---------------------------------------------------------------------------
-
-def omega_basis_values(g: GKMGraph):
-    """Per-edge values (xi, eta) of the two classes decomposing the symplectic class.
-
-    The symplectic class evaluates on the sphere e to its area, and the area
-    is required to be homogeneous linear: area = xi*l1 + eta*l2. The returned
-    values are the coefficient pairs, keyed by Edge.
-    """
-    out = {}
-    for e, area in zip(g.edges, g._areas):
-        if not area.is_homogeneous(1):
-            raise ValueError(
-                f"area of {e.tail}->{e.head} is not homogeneous linear: {area}")
-        out[e] = (area.coefficient(1, 0), area.coefficient(0, 1))
-    return out
-
-
-def pair_with_c2(g: GKMGraph, values) -> Fraction:
-    """Pair a degree-2 class, given by its value on each sphere, with c2.
-
-    c2 of the ambient manifold is Poincare dual to the sum of the invariant
-    spheres, so the pairing is the sum of the per-edge values. Every edge of
-    the graph must be present in the mapping.
-    """
-    total = Fraction(0)
-    for e in g.edges:
-        if e not in values:
-            raise IncompleteCocycleError(f"missing value on edge {e.tail}->{e.head}")
-        total += rat(values[e])
-    return total

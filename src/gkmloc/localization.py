@@ -14,9 +14,9 @@ class l1*xi' + l2*eta' to -H(p), H = a*phi1 + b*phi2 the momentum. For n = 3:
 
 The (-1)^n factor is baked in, so dh_volume returns the honest volume
 polynomial, positive for 0 < l1 < l2. The classifying invariants (tensor,
-c1, p1 pairings) come from one localization_table pass, which also checks
-the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for every
-degree-4 monomial x*y in xi', eta'.
+c1, p1 and c2 pairings) come from one localization_table pass, which also
+checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
+every degree-4 monomial x*y in xi', eta'.
 """
 
 from __future__ import annotations
@@ -211,6 +211,17 @@ def cubic_form_from_gkm(g: GKMGraph, s):
 def c1_in_omega_basis(g: GKMGraph, s):
     """Coordinates (alpha, beta), as Fractions, with c1 = alpha*xi' + beta*eta'."""
     return _solve_c1(*_omega_integrals(g, s)[:2])
+
+
+def c2_pairings_from_gkm(g: GKMGraph, s):
+    """(<c2, xi'>, <c2, eta'>), as Fractions, from p1 = c1^2 - 2*c2 on the one pass:
+    <c2, x> = (T(c1, c1, x) - <p1, x>) / 2 with T the tensor and c1 = alpha*xi' + beta*eta'.
+    """
+    t, c1_xy, p1_x = _omega_integrals(g, s)
+    alpha, beta = _solve_c1(t, c1_xy)
+    # T(c1, c1, x) for x = xi' (k = 1) and x = eta' (k = 0)
+    return tuple((alpha ** 2 * t[k + 2] + 2 * alpha * beta * t[k + 1] + beta ** 2 * t[k] - p1) / 2
+                 for k, p1 in zip((1, 0), p1_x))
 
 
 def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:

@@ -55,7 +55,7 @@ class Bundle:
     k2: int
 
     def __post_init__(self):
-        if not isinstance(self.k1, int) or not isinstance(self.k2, int):
+        if type(self.k1) is not int or type(self.k2) is not int:
             raise TypeError("bundle Chern numbers must be ints")
 
 
@@ -383,7 +383,7 @@ def find_equivalence(inv1: JuppInvariants, inv2: JuppInvariants, bound: int = 3)
     scan. Every skipped matrix fails jupp_compare, so the result is the
     matrix, or None, that the full scan of the box would return.
     """
-    if not isinstance(bound, int):
+    if type(bound) is not int:
         raise TypeError(f"bound must be an int, got {bound!r}")
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")

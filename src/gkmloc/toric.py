@@ -290,21 +290,18 @@ def _side_of_cut(image, cut):
     return side
 
 
-def glue_check(hat_data, tilde_data, cut: ParamPoly | None = None,
-               reference: gkm.GKMGraph | None = None) -> GlueReport:
-    """Check that the two projected halves glue to the reference fixed-point data.
+def glue_check(hat_data, tilde_data) -> GlueReport:
+    """Check that the two projected halves glue to the built-in fixed-point data.
 
-    Keeps tilde vertices strictly below the cut level (second moment
-    coordinate) and hat vertices strictly above, then matches the union
-    against the reference graph (default: the built-in one): every fixed
-    point must be hit by exactly one surviving vertex with the same moment
-    image, and the projected weight multiset must equal the multiset of
-    outgoing primitive directions at that point.
+    Keeps tilde vertices strictly below the cut level ``default_cut()``
+    (second moment coordinate) and hat vertices strictly above, then matches
+    the union against the built-in graph: every fixed point must be hit by
+    exactly one surviving vertex with the same moment image, and the
+    projected weight multiset must equal the multiset of outgoing primitive
+    directions at that point.
     """
-    if cut is None:
-        cut = default_cut()
-    if reference is None:
-        reference = gkm.tolman_graph()
+    cut = default_cut()
+    reference = gkm.tolman_graph()
 
     kept = []
     for side_name, data, want in (("tilde", tilde_data, -1), ("hat", hat_data, 1)):

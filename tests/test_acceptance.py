@@ -27,6 +27,7 @@ from gkmloc.gkm import (
 )
 from gkmloc.localization import (
     abbv_chern_number,
+    c2_pairings_from_gkm,
     cubic_form_from_gkm,
     dh_volume,
     jupp_invariants_from_gkm,
@@ -35,6 +36,7 @@ from gkmloc.projbundle import (
     Bundle,
     RingElement,
     c1_cubed,
+    c2_pairings,
     cubic_form,
     cup,
     degree2,
@@ -261,3 +263,11 @@ def test_criterion_11_property_sweeps():
             assert c1_cubed(twisted) == c1_cubed(Bundle(k1, k2))
             assert jupp_compare(inv1, jupp_invariants(twisted), ((1, 0), (t, 1))).ok
     done(11, "algebraic property sweeps (ring laws, cubic, polarization, twists)")
+
+
+def test_criterion_12_c2_pairings_identified():
+    want = (REFERENCE["c2-pairing/xi"], REFERENCE["c2-pairing/eta"])
+    assert want == tuple(reversed(c2_pairings(B)))
+    for s in subcircles(6):
+        assert c2_pairings_from_gkm(G, s) == want, s
+    done(12, "graph-side <c2, xi'>, <c2, eta'> equal the ring's (<c2, xi>, <c2, eta>)")

@@ -14,7 +14,6 @@ from gkmloc.gkm import (
     EdgeFixedPointwiseError,
     FixedPoint,
     GKMGraph,
-    IncompleteCocycleError,
     MalformedEdgeError,
     MalformedGraphError,
     NoSuchFixedPointError,
@@ -32,9 +31,7 @@ from gkmloc.gkm import (
     hamiltonian,
     is_coprime_action,
     isotropy_spheres,
-    omega_basis_values,
     outgoing_edges,
-    pair_with_c2,
     restrict_weights,
     sphere_area,
     tolman_coprime_criterion,
@@ -54,6 +51,30 @@ def sphere_c1(g, s, e):
             f"subcircle ({s[0]},{s[1]}) fixes the sphere {e.tail}->{e.head} pointwise")
     lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
     return Fraction(sum(restrict_weights(g, s, lo)) - sum(restrict_weights(g, s, hi)), abs(w))
+
+
+def omega_basis_values(g):
+    """Per-edge coefficients (xi, eta) of the area xi*l1 + eta*l2, keyed by Edge."""
+    out = {}
+    for e in g.edges:
+        area = sphere_area(g, e)
+        if not area.is_homogeneous(1):
+            raise ValueError(f"area of {e.tail}->{e.head} is not homogeneous linear: {area}")
+        out[e] = (area.coefficient(1, 0), area.coefficient(0, 1))
+    return out
+
+
+def pair_with_c2(g, values):
+    """Oracle for localization.c2_pairings_from_gkm: c2 is Poincare dual to the sum
+    of the invariant spheres, so <c2, x> is the sum of the values of x on every
+    edge; a missing edge raises KeyError."""
+    return sum((Fraction(values[e]) for e in g.edges), Fraction(0))
+
+
+def sphere_c2_pairings(g):
+    """(<c2, xi'>, <c2, eta'>) as sphere sums."""
+    basis = omega_basis_values(g)
+    return tuple(pair_with_c2(g, {e: v[axis] for e, v in basis.items()}) for axis in range(2))
 
 
 G = tolman_graph()
@@ -154,6 +175,13 @@ class TestGraphStructure:
                 graph_from_json(data)
             assert err.value.code == "MalformedGraph" and isinstance(err.value, ValueError)
 
+    def test_bool_direction_rejected(self):
+        # bool is an int subclass: [false, true] used to load as the direction (0, 1)
+        data = graph_to_json(G)
+        data["edges"][0]["dir"] = [False, True]
+        with pytest.raises(MalformedGraphError, match="TypeError"):
+            graph_from_json(data)
+
 
 class TestGraphValidation:
     def test_empty_graph_rejected(self):
@@ -232,6 +260,15 @@ class TestGraphValidation:
                 restrict_weights(G, s, "x00")
         assert as_action((Fraction(4, 2), 1)) == CircleAction(2, 1)
 
+    def test_bool_subcircle_rejected(self):
+        with pytest.raises(TypeError):
+            restrict_weights(G, (True, 1), "x00")
+
+    def test_bool_circle_action_rejected(self):
+        for a, b in ((True, 2), (2, False)):
+            with pytest.raises(TypeError):
+                CircleAction(a, b)
+
     def test_trivial_subcircle_rejected(self):
         with pytest.raises(ValueError):
             CircleAction(0, 0)
@@ -305,6 +342,10 @@ class TestMorseData:
             with pytest.raises(TypeError):
                 fixed_point_index(ws)
         assert fixed_point_index((Fraction(-2), 1, 2)) == 2
+
+    def test_bool_weight_rejected(self):
+        with pytest.raises(TypeError):
+            fixed_point_index((True, -1))
 
     def test_betti_numbers(self):
         assert betti_numbers(G, (2, 1)) == (1, 0, 2, 0, 2, 0, 1)
@@ -413,7 +454,7 @@ class TestSpheres:
     def test_incomplete_cocycle_rejected(self):
         vals = dict(c1_values(G, (2, 1)))
         vals.pop(next(iter(vals)))
-        with pytest.raises(IncompleteCocycleError):
+        with pytest.raises(KeyError):
             pair_with_c2(G, vals)
 
 

@@ -13,8 +13,6 @@ from gkmloc.gkm import (
     FixedPoint,
     GKMGraph,
     c1_values,
-    omega_basis_values,
-    pair_with_c2,
     restrict_weights,
     tolman_graph,
 )
@@ -28,6 +26,7 @@ from gkmloc.localization import (
     NotHomogeneousCubicError,
     abbv_chern_number,
     c1_in_omega_basis,
+    c2_pairings_from_gkm,
     cubic_form_from_gkm,
     dh_volume,
     jupp_invariants_from_gkm,
@@ -35,6 +34,7 @@ from gkmloc.localization import (
     localize,
 )
 from gkmloc.projbundle import tensor_apply
+from test_gkm import omega_basis_values, sphere_c2_pairings
 
 G = tolman_graph()
 
@@ -294,8 +294,7 @@ def sphere_search_c1(g, s):
 
 def c2_route_p1(g, tensor, c1):
     """<p1, y> = T(c1, c1, y) - 2 <c2, y>, with c2 dual to the sum of the spheres."""
-    basis = omega_basis_values(g)
-    c2 = [pair_with_c2(g, {e: v[axis] for e, v in basis.items()}) for axis in range(2)]
+    c2 = sphere_c2_pairings(g)
     return tuple(tensor_apply(tensor, c1, c1, y) - 2 * c2[axis]
                  for axis, y in ((0, (1, 0)), (1, (0, 1))))
 
@@ -371,6 +370,30 @@ class TestOnePassAgainstOldRoutes:
         assert inv.trilinear == tensor
         assert inv.w2 == (c1[0] % 2, c1[1] % 2)
         assert inv.p1_pairings == p1
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(["tolman", "cp2"]),
+           st.lists(st.sampled_from(GENERATORS), max_size=6),
+           RATIONAL_SHIFTS, RATIONAL_SHIFTS, st.integers(0, 3),
+           st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
+           st.integers(-7, 7), st.integers(-7, 7))
+    def test_c2_pairings_match_the_sphere_sum(self, base, moves, shift0, shift1, k, r, a, b):
+        m = ((1, 0), (0, 1))
+        for (g00, g01), (g10, g11) in moves:
+            (m00, m01), (m10, m11) = m
+            m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
+                 (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
+        g = moved_graph(G if base == "tolman" else TestOtherValence.CP2, m, shift0, shift1)
+        g = reparametrized(g, k, r)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        if base == "cp2":
+            with pytest.raises(NotHomogeneousCubicError):
+                c2_pairings_from_gkm(g, (a, b))
+            return
+        got = c2_pairings_from_gkm(g, (a, b))
+        assert got == sphere_c2_pairings(g)
+        assert all(type(v) is Fraction for v in got)
 
     def test_denominator_h_is_applied(self):
         # shifts with l1, l2 coefficients of denominator 2 and 3 give h = 6
@@ -453,6 +476,13 @@ class TestOnePass:
             assert err.value.code == "NonSpanningBasis" and isinstance(err.value, ValueError)
         with pytest.raises(ValueError, match="do not span"):
             sphere_search_c1(g, (2, 1))
+
+    def test_c2_pairings_reject_what_the_pass_rejects(self):
+        with pytest.raises(NotHomogeneousCubicError):
+            c2_pairings_from_gkm(TestOtherValence.CP2, (2, 1))
+        with pytest.raises(LocalizationCheckError,
+                           match=r"certificate fails at subcircle \(2,1\)"):
+            c2_pairings_from_gkm(self.K4, (2, 1))
 
     # K4 in the plane: 3-valent and consistent edge by edge, but no manifold
     K4 = GKMGraph(

@@ -196,6 +196,12 @@ class TestCharacteristicClasses:
         assert c1_cubed(Bundle(0, 0)) == 54
         assert c1_cubed(Bundle(-1, 0)) == 56
 
+    def test_bool_bundle_rejected(self):
+        # Bundle(True, 0) used to pass as Bundle(1, 0)
+        for k1, k2 in ((True, 0), (0, False)):
+            with pytest.raises(TypeError):
+                Bundle(k1, k2)
+
     def test_c1_cubed_matches_ring_route(self):
         for k1, k2 in product(range(-3, 4), repeat=2):
             value = c1_cubed(Bundle(k1, k2))
@@ -406,6 +412,11 @@ class TestJupp:
                 find_equivalence(inv, inv, bound=bound)
         assert find_equivalence(inv, inv, bound=0) is None
         assert find_equivalence(inv, inv, bound=1) == ((1, 0), (-1, -1))
+
+    def test_find_equivalence_rejects_a_bool_bound(self):
+        inv = jupp_invariants(B)
+        with pytest.raises(TypeError):
+            find_equivalence(inv, inv, True)
 
 
 def symmetric(t000, t001, t011, t111):

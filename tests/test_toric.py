@@ -503,6 +503,10 @@ class TestProjection:
         assert project_fixed_data(HAT, ((Fraction(1), 0, 1), (0, 1, 0))) == \
             project_fixed_data(HAT, L_HAT)
 
+    def test_bool_matrix_rejected(self):
+        with pytest.raises(TypeError):
+            project_fixed_data(HAT, ((True, False, True), (False, True, False)))
+
     def test_tilde_vertex_one(self):
         data = project_fixed_data(TILDE, L_TILDE)
         vd = data[1]
@@ -551,8 +555,9 @@ class TestGlue:
     def test_vertex_on_cut_rejected(self):
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = project_fixed_data(TILDE, L_TILDE)
+        on_cut = VertexData(9, (lin(0, 0), default_cut()), ())
         with pytest.raises(VertexOnCutError):
-            glue_check(hat_data, tilde_data, cut=ParamPoly.linear(0, 1))
+            glue_check(hat_data, tilde_data + (on_cut,))
 
     def test_parameter_dependent_cut_side_rejected(self):
         hat_data = project_fixed_data(HAT, L_HAT)
