@@ -11,6 +11,7 @@ failing reproduce-all run, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -314,12 +315,7 @@ def _cmd_reproduce_all(args):
     for name, expected, got in _reproduce_checks():
         ok = expected == got
         failed += 0 if ok else 1
-        rows.append({
-            "name": name,
-            "expected": _canon(expected),
-            "got": _canon(got),
-            "pass": ok,
-        })
+        rows.append({"name": name, "expected": expected, "got": got, "pass": ok})
     payload = {
         "command": "reproduce-all",
         "inputs": {},
@@ -349,6 +345,7 @@ def _add_subcircle_command(sub, name, func, help_text, **extra):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``run`` keeps its own, so changing this one cannot affect it."""
     parser = argparse.ArgumentParser(
         prog="gkmloc",
         description="Exact localization invariants of GKM graphs and projective bundles",
@@ -397,9 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on the first call and kept for the process.
+
+    Sharing it is safe: it holds only constants and handlers that look up
+    what they compute with when called, and argparse resolves sys.stdout and
+    sys.stderr when it prints.
+    """
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
     except ToolkitError as exc:

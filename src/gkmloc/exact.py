@@ -99,7 +99,8 @@ class ParamPoly:
     The public constructors coerce outside input through ``rat``. The
     arithmetic works on the ints and brings each result to normal form with
     one gcd in ``_make``. ``terms``, ``coefficient`` and ``evaluate`` return
-    ``Fraction``s, and the hash is that of the frozenset of ``terms()``.
+    ``Fraction``s. A constant compares equal to its int or Fraction value and
+    hashes like it; any other polynomial hashes as the frozenset of ``terms()``.
     """
 
     __slots__ = ("_num", "_den")
@@ -290,6 +291,8 @@ class ParamPoly:
         return self._den == other._den and self._num == other._num
 
     def __hash__(self):
+        if self._num.keys() <= {(0, 0)}:
+            return hash(Fraction(self._num.get((0, 0), 0), self._den))
         return hash(frozenset(self.terms()))
 
     # -- serialization -------------------------------------------------------

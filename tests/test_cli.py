@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gkmloc.cli import _reproduce_checks, run
+from gkmloc import cli
+from gkmloc.cli import _parser, _reproduce_checks, build_parser, run
+from gkmloc.localization import CHERN_MONOMIALS
 
 
 def capture(capsys, argv):
@@ -194,6 +199,129 @@ class TestErrorPaths:
         assert err.value.code == 2
 
 
+class TestSharedParser:
+    def test_run_builds_the_parser_once(self, capsys, monkeypatch):
+        capture(capsys, ["betti", "--a", "2", "--b", "1"])
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("run rebuilt the parser"))
+        code, out = capture(capsys, ["chern", "--a", "2", "--b", "1", "--monomial", "c1^3"])
+        assert (code, out) == (0, '{"value":"64"}\n')
+        assert _parser() is _parser()
+
+    def test_build_parser_returns_a_parser_of_the_callers_own(self, capsys):
+        mine = build_parser()
+        assert mine is not build_parser() and mine is not _parser()
+        mine.add_argument("--must", required=True)
+        mine.prog = "other"
+        code, out = capture(capsys, ["chern", "--a", "2", "--b", "1", "--monomial", "c1^3"])
+        assert (code, out) == (0, '{"value":"64"}\n')
+        with pytest.raises(SystemExit) as err:
+            run(["--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gkmloc.cli as c; print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
+# Options each subcommand accepts; the fuzz below mostly draws these, with
+# values of the right kind, so that many examples get past the parser.
+OWN_OPTIONS = {
+    "graph": ("--name",),
+    "weights": ("--a", "--b", "--point", "--name"),
+    "betti": ("--a", "--b", "--name"),
+    "coprime": ("--a", "--b", "--name"),
+    "spheres": ("--a", "--b", "--name"),
+    "chern": ("--a", "--b", "--monomial", "--name"),
+    "dh-volume": ("--a", "--b", "--name"),
+    "ring": ("--k1", "--k2"),
+    "jupp": ("--a", "--b", "--k1", "--k2", "--name"),
+    "toric-glue": (),
+    "kahler-cone": ("--l1", "--l2", "--n"),
+    "reproduce-all": (),
+}
+ALL_OPTIONS = ("--a", "--b", "--name", "--point", "--monomial", "--k1", "--k2", "--l1", "--l2",
+               "--n", "-h", "--help")
+POINT_IDS = ("x00", "x03", "x11", "x13", "x21", "x40")
+INTS = st.integers(-9, 9).map(str)
+RATIONALS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
+ANY_VALUE = st.one_of(
+    INTS, RATIONALS,
+    st.sampled_from(("1/0", "x", "nan", "", str(10**40), str(-10**40), "x99", "nope", "c2^2",
+                     "tolman", *POINT_IDS, *CHERN_MONOMIALS)))
+VALUE_OF = {"--a": INTS, "--b": INTS, "--k1": INTS, "--k2": INTS, "--n": INTS,
+            "--point": st.sampled_from(POINT_IDS), "--monomial": st.sampled_from(CHERN_MONOMIALS),
+            "--name": st.just("tolman"), "--l1": st.one_of(INTS, RATIONALS),
+            "--l2": st.one_of(INTS, RATIONALS)}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand or junk name, then options in any order, each with a
+    value of its kind, junk or nothing, and sometimes an option of another
+    subcommand or a help flag."""
+    name = draw(st.sampled_from((*OWN_OPTIONS, "", "nope", "Chern", "--")))
+    options = [o for o in draw(st.permutations(OWN_OPTIONS.get(name, ())))
+               if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 3)):
+        options.insert(draw(st.integers(0, len(options))), draw(st.sampled_from(ALL_OPTIONS)))
+    argv = [name]
+    for option in options:
+        argv.append(option)
+        kind = draw(st.integers(0, 9))
+        if kind < 8:
+            argv.append(draw(VALUE_OF.get(option, ANY_VALUE)))
+        elif kind < 9:
+            argv.append(draw(ANY_VALUE))
+    return argv
+
+
+def parse_outcome(parser, argv):
+    """("args", namespace without func) or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code, out.getvalue(), err.getvalue())
+    fields = vars(args)
+    del fields["func"]
+    return ("args", fields)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300)
+    @given(argvs())
+    def test_one_json_line_or_a_usage_exit(self, argv):
+        """run raises nothing but SystemExit; a usage error (exit 2) prints
+        nothing on stdout; a computed result (exit 0 or 1) is one JSON line.
+        The shared parser reads every argv as a freshly built one does, and
+        help (exit 0 from the parser) prints what a fresh parser prints."""
+        shared = parse_outcome(_parser(), argv)
+        assert shared == parse_outcome(build_parser(), argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if shared[0] == "exit":
+            assert ("exit", code, out.getvalue(), err.getvalue()) == shared
+            assert code in (0, 2)
+            if code == 2:
+                assert out.getvalue() == ""
+            else:
+                assert {"-h", "--help"} & set(argv)
+        else:
+            assert code in (0, 1)
+            lines = out.getvalue().split("\n")
+            assert len(lines) == 2 and lines[1] == ""
+            json.loads(lines[0])
+
+
 class TestReproduceAll:
     def test_all_checks_pass(self, capsys):
         code, out = capture(capsys, ["reproduce-all"])
@@ -222,3 +350,10 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == '{"value":"64"}\n'
+
+    def test_module_reproduce_all_matches_in_process(self, capsys):
+        proc = subprocess.run([sys.executable, "-m", "gkmloc", "reproduce-all"],
+                              capture_output=True, text=True)
+        code, out = capture(capsys, ["reproduce-all"])
+        assert code == 0
+        assert (proc.returncode, proc.stdout) == (code, out)

@@ -56,3 +56,20 @@ def test_stdout_and_exit_code_are_unchanged(capsys, case):
     code = run(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_one_process_replays_every_case_in_reverse(capsys):
+    """Calls in one process share the parser and leave no state behind: the
+    cases in reverse order, each after a usage error and a help request."""
+    for case in reversed(CASES):
+        with pytest.raises(SystemExit) as err:
+            run(["chern", "--a", "2", "--b", "1", "--monomial", "c2^2"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as err:
+            run([case["argv"][0], "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: gkmloc {case['argv'][0]} ")
+        code = run(case["argv"])
+        assert capsys.readouterr().out == case["stdout"]
+        assert code == case["exit"]

@@ -132,6 +132,12 @@ class TestParamPoly:
         b = L1 + L2
         assert a == b and hash(a) == hash(b)
 
+    def test_constant_hashes_like_its_value(self):
+        assert hash(ParamPoly.const(3)) == hash(3)
+        assert 3 in {ParamPoly.const(3)}
+        assert len({ParamPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert hash(ParamPoly.zero()) == hash(0)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ParamPoly({(-1, 0): 1})
@@ -187,7 +193,11 @@ class TestCommonDenominator:
             assert type(got) is Fraction and got == c
         assert type(p.coefficient(7, 7)) is Fraction and p.coefficient(7, 7) == 0
         assert type(p.evaluate(2, 3)) is Fraction
-        assert hash(p) == hash(frozenset(p.terms()))
+        assert hash(p) == hash(ParamPoly(dict(p.terms())))
+        if p.degree() <= 0:
+            assert hash(p) == hash(p.coefficient(0, 0))
+        else:
+            assert hash(p) == hash(frozenset(p.terms()))
 
     def test_different_denominators(self):
         p = ParamPoly({(2, 0): "3/4", (1, 1): "-5/6", (0, 0): 2})
@@ -326,6 +336,18 @@ class TestParamPolyNormalForm:
             cases.append((p / k, naive_mul(p, ParamPoly.const(1 / Fraction(k)))))
         for result, expected in cases:
             assert_normal_form(result, expected)
+
+    @settings(max_examples=200)
+    @given(POLYS, SCALARS)
+    def test_equal_values_have_equal_hashes(self, p, c):
+        const = (p - p) + c
+        assert const == c and const == Fraction(c)
+        pairs = [(const, c), (const, Fraction(c)), (p, c), (p, p.coefficient(0, 0)),
+                 (p * 0, 0), (p ** 0, 1), (p, ParamPoly(dict(p.terms())))]
+        for a, b in pairs:
+            if a == b:
+                assert hash(a) == hash(b)
+                assert b in {a} and a in {b}
 
     @settings(max_examples=200)
     @given(POLYS, POINTS, POINTS)
