@@ -359,6 +359,16 @@ def linear_poly(form, den=1) -> ParamPoly:
     return ParamPoly._make({key: n for key, n in num.items() if n}, den)
 
 
+def linear_sign(form, den=1) -> int:
+    """``chamber_sign`` of the form (a, b, c) over den, on its ints: coefficients of one
+    sign decide; mixed signs vanish on the chamber, and only then is the ParamPoly built,
+    for the ChamberSignError naming the wall."""
+    signs = {n > 0 for n in form if n}
+    if len(signs) < 2:
+        return (1 if signs.pop() else -1) if signs else 0
+    return chamber_sign(linear_poly(form, den))
+
+
 def chamber_lattice(values):
     """The ``linear_forms`` a*u + b*v + c*w as ints a*X**4 + b*X + c (X = 2**k), and sign(n).
 

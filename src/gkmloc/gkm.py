@@ -23,7 +23,9 @@ from .exact import (
     ParamPoly,
     ToolkitError,
     _as_int,
-    chamber_sign,
+    linear_forms,
+    linear_poly,
+    linear_sign,
     primitive,
 )
 
@@ -129,9 +131,12 @@ class Edge:
 class GKMGraph:
     """Validated moment graph; points and edges are kept in canonical order.
 
-    Validation computes the area of every edge; the areas are kept, in edge
-    order, in the private attribute ``_areas`` (not a field, so equality,
-    hash and repr see only points and edges).
+    Validation writes every moment coordinate once as an int ``linear_forms``
+    form (a, b, c), the coordinate being (a*u + b*v + c) / ``_den`` with
+    l1 = u, l2 = u + v: ``_forms`` maps each point id, in canonical order, to
+    the forms of its two coordinates. It then computes the area of every edge
+    on these ints; the areas are kept, in edge order, in ``_areas``. None of
+    the three is a field, so equality, hash and repr see only points and edges.
     """
 
     points: tuple
@@ -147,14 +152,17 @@ class GKMGraph:
         ids = [p.id for p in pts]
         if len(set(ids)) != len(ids):
             raise ValueError("fixed point ids must be unique")
-        known = set(ids)
+        forms, den = linear_forms([c for p in pts for c in p.moment_image])
+        forms = {pid: (forms[2 * k], forms[2 * k + 1]) for k, pid in enumerate(ids)}
         areas = []
         for e in edges:
-            if e.tail not in known or e.head not in known:
+            if e.tail not in forms or e.head not in forms:
                 raise MalformedEdgeError(f"edge {e.tail}->{e.head} references unknown point")
             # raises MalformedEdgeError unless head - tail = area * direction
             # with area positive on the whole chamber 0 < l1 < l2
-            areas.append(sphere_area(self, e))
+            areas.append(_area(forms, den, e))
+        object.__setattr__(self, "_forms", forms)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_areas", tuple(areas))
 
     @cached_property
@@ -170,6 +178,11 @@ class GKMGraph:
         # canonical order at each point: ascending lex on the direction vector
         return {pid: tuple(sorted(inc, key=lambda t: t[1])) for pid, inc in out.items()}
 
+    @cached_property
+    def _directions(self):
+        """The outgoing directions alone: {point id: tuple}, both in canonical order."""
+        return {pid: tuple(d for _, d in inc) for pid, inc in self._outgoing.items()}
+
     def point(self, point_id: str) -> FixedPoint:
         try:
             return self._by_id[point_id]
@@ -178,19 +191,30 @@ class GKMGraph:
 
 
 def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
-    """Area polynomial A of the sphere e: head - tail == A * direction, A > 0 on 0 < l1 < l2."""
-    tail = g.point(e.tail).moment_image
-    head = g.point(e.head).moment_image
-    diff = (head[0] - tail[0], head[1] - tail[1])
+    """Area polynomial A of the sphere e between points of g: head - tail == A * direction,
+    A > 0 on 0 < l1 < l2. Decided on the ints of g's moment forms; only A is a ParamPoly."""
+    g.point(e.tail), g.point(e.head)           # NoSuchFixedPoint for an unknown end
+    return _area(g._forms, g._den, e)
+
+
+def _area(forms, den, e: Edge) -> ParamPoly:
+    """sphere_area on the point forms over den: collinearity is an int cross check, and
+    the area's form (the difference over the direction) is signed by ``linear_sign``."""
+    (t0, t1), (h0, h1) = forms[e.tail], forms[e.head]
     x1, x2 = e.direction
-    area = diff[0] / x1 if x1 else diff[1] / x2
-    if diff[0] != area * x1 or diff[1] != area * x2:
+    d0 = (h0[0] - t0[0], h0[1] - t0[1], h0[2] - t0[2])
+    d1 = (h1[0] - t1[0], h1[1] - t1[1], h1[2] - t1[2])
+    if any(p * x2 != q * x1 for p, q in zip(d0, d1)):
         raise MalformedEdgeError(
             f"edge {e.tail}->{e.head}: moment images not collinear with {e.direction}")
+    x, diff = (x1, d0) if x1 else (x2, d1)
+    form = diff if x > 0 else tuple(-c for c in diff)
+    den *= abs(x)
     try:
-        positive = chamber_sign(area) == 1
+        positive = linear_sign(form, den) == 1
     except ChamberSignError as exc:
         raise MalformedEdgeError(f"edge {e.tail}->{e.head}: area {exc}") from None
+    area = linear_poly(form, den)
     if not positive:
         raise MalformedEdgeError(
             f"edge {e.tail}->{e.head}: area {area} not positive on 0 < l1 < l2")
@@ -285,7 +309,10 @@ def restrict_weights(g: GKMGraph, s, point_id: str):
     direction).
     """
     s = as_action(s)
-    return tuple(s.a * d[0] + s.b * d[1] for _, d in outgoing_edges(g, point_id))
+    dirs = g._directions.get(point_id)
+    if dirs is None:
+        g.point(point_id)                       # raises NoSuchFixedPoint
+    return tuple(s.a * x + s.b * y for x, y in dirs)
 
 
 def edge_weight(g: GKMGraph, s, e: Edge) -> int:
@@ -311,7 +338,7 @@ def fixed_point_index(weights) -> int:
 
 def betti_numbers(g: GKMGraph, s):
     """Even Betti numbers (b0, b1, ..., b_{2n}) read off the index histogram."""
-    valences = {len(outgoing_edges(g, p.id)) for p in g.points}
+    valences = {len(dirs) for dirs in g._directions.values()}
     if len(valences) != 1:
         raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
     n = valences.pop()

@@ -17,6 +17,12 @@ polynomial, positive for 0 < l1 < l2. The classifying invariants (tensor,
 c1, p1 and c2 pairings) come from one localization_table pass, which also
 checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
 every degree-4 monomial x*y in xi', eta'.
+
+dh_volume and that pass share one int row per point: -H(p) =
+(x*l1 + y*l2 + z) / h, read from the graph's moment forms over their
+denominator h, so xi'(p) = x/h and eta'(p) = y/h. No ParamPoly arithmetic
+runs; only the volume is made a ParamPoly, once. The ParamPoly momentum is
+built only when FixedPointContribution.hamiltonian is read.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .gkm import (
     DegenerateWeightError,
     as_action,
     hamiltonian,
-    restrict_weights,
+    restrict_weights,  # unused here; benchmarks/ reads it as localization.restrict_weights
 )
 from .projbundle import JuppInvariants, trilinear_from_cubic
 
@@ -81,15 +87,28 @@ _OmegaRow = namedtuple("_OmegaRow", "x y e1 p1 weight_product")
 def localization_table(g: GKMGraph, s):
     """Per-point contributions for a subcircle, in canonical point order."""
     s = as_action(s)
+    a, b = s.a, s.b
     rows = []
-    for p in g.points:
-        ws = restrict_weights(g, s, p.id)
+    for pid, dirs in g._directions.items():
+        ws = tuple(a * x + b * y for x, y in dirs)
         prod = math.prod(ws)
         if prod == 0:
             raise DegenerateWeightError(
-                f"subcircle ({s.a},{s.b}) has a zero weight at {p.id}")
-        rows.append(FixedPointContribution(p.id, ws, prod, g, s))
+                f"subcircle ({a},{b}) has a zero weight at {pid}")
+        rows.append(FixedPointContribution(pid, ws, prod, g, s))
     return tuple(rows)
+
+
+def _momenta(g: GKMGraph, s: CircleAction):
+    """-H(p) = (x*l1 + y*l2 + z) / g._den at each point, as ints (x, y, z) in point order,
+    read off the point forms: -H is -(a*phi1 + b*phi2) and the form (A, B, C) means
+    A*l1 + B*(l2 - l1) + C."""
+    a, b = -s.a, -s.b
+    out = []
+    for (u0, v0, w0), (u1, v1, w1) in g._forms.values():
+        y = a * v0 + b * v1
+        out.append((a * u0 + b * u1 - y, y, a * w0 + b * w1))
+    return out
 
 
 def localize(g: GKMGraph, s, integrand):
@@ -100,17 +119,18 @@ def localize(g: GKMGraph, s, integrand):
     return _row_sum(localization_table(g, s), integrand)
 
 
-def _row_sum(rows, integrand):
-    """Sum integrand(row) / row.weight_product over rows.
+def _row_sum(rows, integrand, scale=1):
+    """Sum integrand(row) / (scale * row.weight_product) over rows, scale >= 1 an int.
 
     The sum runs over the common denominator D = lcm of the weight products:
     each row adds integrand(row) * (D // weight_product), an exact int
-    multiple, and the total is divided by D once at the end.
+    multiple, and the total is divided by scale * D once at the end.
     """
     den = math.lcm(*(row.weight_product for row in rows))
     total = 0
     for row in rows:
         total += integrand(row) * (den // row.weight_product)
+    den *= scale
     return Fraction(total, den) if isinstance(total, int) else total / den
 
 
@@ -143,40 +163,54 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
     """Symplectic volume polynomial integral of w^n over the manifold.
 
     Independent of the subcircle; for the built-in graph it equals
-    2*l1^3 + 3*l1^2*l2 + 3*l1*l2^2.
+    2*l1^3 + 3*l1^2*l2 + 3*l1*l2^2. One int pass: with -H(p) = (x*l1 + y*l2 + z) / h,
+    n(p) the number of weights at p, N the largest n(p) and D the lcm of the weight
+    products, every row adds the multinomial expansion of (x*l1 + y*l2 + z)^n(p) times
+    h^(N - n(p)) * D / e(p), and the sum is one ParamPoly over D * h^N.
     """
-    return localize(g, s, lambda row: (-row.hamiltonian) ** len(row.weights))
+    s = as_action(s)
+    rows = localization_table(g, s)
+    h, top = g._den, max(len(row.weights) for row in rows)
+    den = math.lcm(*(row.weight_product for row in rows))
+    num = {}
+    for row, (x, y, z) in zip(rows, _momenta(g, s)):
+        n = len(row.weights)
+        scale = h ** (top - n) * (den // row.weight_product)
+        for i in range(n + 1):
+            cx = scale * math.comb(n, i) * x ** i
+            for j in range(n - i + 1):
+                term = cx * math.comb(n - i, j) * y ** j * z ** (n - i - j)
+                num[i, j] = num.get((i, j), 0) + term
+    return ParamPoly._make({key: c for key, c in num.items() if c}, den * h ** top)
 
 
 def _omega_integrals(g: GKMGraph, s):
-    """The sums of one table pass, with xi', eta' read as ints over their denominator h.
+    """The sums of one table pass, with xi', eta' read as ints over the graph's denominator h.
 
     Returns t[k] = integral xi'^k eta'^(3-k), c1_xy[k] = integral c1 xi'^k
     eta'^(2-k) and (integral p1 xi', integral p1 eta'), after the certificate
-    integral xi'^k eta'^(2-k) == 0.
+    integral xi'^k eta'^(2-k) == 0. xi'(p) and eta'(p), the l1 and l2
+    coefficients of -H(p), are the x and y of the rows dh_volume expands.
     """
     s = as_action(s)
     rows = localization_table(g, s)
     if any(len(r.weights) != 3 for r in rows) or not all(a.is_homogeneous(1) for a in g._areas):
         raise NotHomogeneousCubicError("volume is not a homogeneous cubic: the graph is "
                                        "not 3-valent or an area is not homogeneous linear")
-    coeffs = [(-ham.coefficient(1, 0), -ham.coefficient(0, 1))
-              for ham in (row.hamiltonian for row in rows)]
-    h = math.lcm(*(c.denominator for pair in coeffs for c in pair))
-    omega = [_OmegaRow(x.numerator * (h // x.denominator), y.numerator * (h // y.denominator),
-                       sum(row.weights), sum(w * w for w in row.weights), row.weight_product)
-             for row, (x, y) in zip(rows, coeffs)]
+    h = g._den
+    omega = [_OmegaRow(x, y, sum(row.weights), sum(w * w for w in row.weights), row.weight_product)
+             for row, (x, y, _) in zip(rows, _momenta(g, s))]
     for k in range(3):
-        if value := _row_sum(omega, lambda r: r.x ** k * r.y ** (2 - k)) / h ** 2:
+        if value := _row_sum(omega, lambda r: r.x ** k * r.y ** (2 - k), h ** 2):
             raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({s.a},{s.b}): "
                                          f"integral xi'^{k} eta'^{2 - k} is {value}, not 0")
-    t = tuple(_row_sum(omega, lambda r: r.x ** k * r.y ** (3 - k)) / h ** 3 for k in range(4))
+    t = tuple(_row_sum(omega, lambda r: r.x ** k * r.y ** (3 - k), h ** 3) for k in range(4))
     if not any(t):
         raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")
     c1_xy = tuple(
-        _row_sum(omega, lambda r: r.e1 * r.x ** k * r.y ** (2 - k)) / h ** 2 for k in range(3))
-    return t, c1_xy, (_row_sum(omega, lambda r: r.p1 * r.x) / h,
-                      _row_sum(omega, lambda r: r.p1 * r.y) / h)
+        _row_sum(omega, lambda r: r.e1 * r.x ** k * r.y ** (2 - k), h ** 2) for k in range(3))
+    return t, c1_xy, (_row_sum(omega, lambda r: r.p1 * r.x, h),
+                      _row_sum(omega, lambda r: r.p1 * r.y, h))
 
 
 def _solve_c1(t, c1_xy):

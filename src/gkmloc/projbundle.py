@@ -188,7 +188,10 @@ def total_chern(bundle: Bundle):
 
 def c1_cubed(bundle: Bundle) -> int:
     """The Chern number c1^3 of P(E), integrated in the ring."""
-    c1, _, _ = total_chern(bundle)
+    return _c1_cubed(bundle, total_chern(bundle)[0])
+
+
+def _c1_cubed(bundle: Bundle, c1) -> int:
     return int(integrate(bundle, cup_power(bundle, c1, 3)))
 
 
@@ -198,7 +201,10 @@ def p1_and_w2(bundle: Bundle):
     p1 = c1^2 - 2*c2 in normal form; w2 is c1 mod 2 in the (eta, xi)
     coordinate order; c1 is even exactly when k1 is odd.
     """
-    c1, c2, _ = total_chern(bundle)
+    return _p1_and_w2(bundle, *total_chern(bundle)[:2])
+
+
+def _p1_and_w2(bundle: Bundle, c1, c2):
     p1 = cup(bundle, c1, c1) - 2 * c2
     w2 = tuple(int(c) % 2 for c in c1.coords)
     return p1, w2, all(v == 0 for v in w2)
@@ -206,7 +212,10 @@ def p1_and_w2(bundle: Bundle):
 
 def c2_pairings(bundle: Bundle):
     """(<c2, eta>, <c2, xi>) computed by ring reduction."""
-    _, c2, _ = total_chern(bundle)
+    return _c2_pairings(bundle, total_chern(bundle)[1])
+
+
+def _c2_pairings(bundle: Bundle, c2):
     return (integrate(bundle, cup(bundle, c2, eta())),
             integrate(bundle, cup(bundle, c2, xi())))
 
@@ -321,13 +330,17 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
     The tensor polarizes the cubic of the four ring moments integral
     xi^k eta^(3-k), as the graph route polarizes its localized moments.
     """
+    p1, w2, _ = p1_and_w2(bundle)
+    return _jupp_invariants(bundle, p1, w2)
+
+
+def _jupp_invariants(bundle: Bundle, p1, w2) -> JuppInvariants:
     basis = (xi(), eta())
     squares = (cup(bundle, basis[0], basis[0]), cup(bundle, basis[1], basis[1]))
     m = [integrate(bundle, cup(bundle, sq, y)) for sq in squares for y in basis]
     tensor = trilinear_from_cubic((m[0], 3 * m[1], 3 * m[2], m[3]))
-    p1, (w2_eta, w2_xi), _ = p1_and_w2(bundle)
     pairings = tuple(int(integrate(bundle, cup(bundle, p1, y))) for y in basis)
-    return JuppInvariants(tensor, (w2_xi, w2_eta), pairings)
+    return JuppInvariants(tensor, (w2[1], w2[0]), pairings)
 
 
 _INDEX_TRIPLES = tuple(product(range(2), repeat=3))

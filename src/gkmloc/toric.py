@@ -20,7 +20,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
-                    chamber_sign, linear_forms, linear_poly, primitive)
+                    chamber_sign, linear_forms, linear_poly, linear_sign, primitive)
 from . import gkm
 
 
@@ -180,7 +180,7 @@ def _edge_direction(forms, den, i: int, j: int):
         raise ParametricCombinatoricsUnstableError(
             f"edge {i}-{j} direction varies with the parameters")
     try:
-        chamber_sign(linear_poly((a, b, c), den))
+        linear_sign((a, b, c), den)
     except ChamberSignError as exc:
         raise ParametricCombinatoricsUnstableError(f"edge {i}-{j} degenerates: {exc}") from None
     return u

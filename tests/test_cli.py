@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmloc import cli
+from gkmloc import cli, projbundle
 from gkmloc.cli import _parser, _reproduce_checks, build_parser, run
 from gkmloc.localization import CHERN_MONOMIALS
 
@@ -92,6 +92,23 @@ class TestSubcommands:
         assert payload["c1_even"] is True
         assert payload["jupp"]["trilinear"] == [[[2, 1], [1, 1]], [[1, 1], [1, 0]]]
         assert payload["jupp"]["p1_pairings"] == [8, 0]
+
+    def test_ring_builds_the_chern_classes_once(self, monkeypatch):
+        # every field of the payload comes from one total_chern and one p1 and w2
+        calls = []
+
+        def counted(name):
+            f = getattr(projbundle, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        for name in ("total_chern", "p1_and_w2", "_p1_and_w2"):
+            monkeypatch.setattr(projbundle, name, counted(name))
+        assert cli._ring_payload(-1, -1)["c1_cubed"] == 64
+        assert sorted(calls) == ["_p1_and_w2", "total_chern"]
 
     def test_jupp_defaults_match(self, capsys):
         code, out = capture(capsys, ["jupp"])

@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gkmloc import exact
 from gkmloc.exact import (
     L1,
     L2,
@@ -17,6 +18,7 @@ from gkmloc.exact import (
     chamber_sign,
     linear_forms,
     linear_poly,
+    linear_sign,
     primitive,
     rat,
     rat_str,
@@ -504,3 +506,37 @@ class TestLinearForms:
             assert verdict(str(err.value)) == verdict(str(exc))
         else:
             assert sign(got) == expected
+
+
+class TestLinearSign:
+    """linear_sign signs a linear form on its ints; chamber_sign of the form's
+    ParamPoly is the oracle, for the sign and for the error text."""
+
+    @settings(max_examples=300)
+    @given(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+           st.integers(1, 12))
+    def test_matches_chamber_sign(self, form, den):
+        try:
+            want = chamber_sign(linear_poly(form, den))
+        except ChamberSignError as exc:
+            with pytest.raises(ChamberSignError) as got:
+                linear_sign(form, den)
+            assert got.value.code == "ChamberSign" and str(got.value) == str(exc)
+        else:
+            assert linear_sign(form, den) == want
+
+    def test_one_sign_builds_no_polynomial(self, monkeypatch):
+        def no_poly(*args):
+            raise AssertionError("ParamPoly built")
+
+        monkeypatch.setattr(exact, "linear_poly", no_poly)
+        assert [linear_sign(f, 3) for f in ((1, 0, 2), (0, -4, -1), (0, 0, 0))] == [1, -1, 0]
+        with pytest.raises(AssertionError, match="ParamPoly built"):
+            linear_sign((1, -1, 0), 3)
+
+    def test_walls(self):
+        # (2*u - v) / 3 = (3*l1 - l2) / 3; u - 2*w = l1 - 2
+        with pytest.raises(ChamberSignError, match=r"^l1 - 1/3\*l2 changes sign .* l2/l1 = 3$"):
+            linear_sign((2, -1, 0), 3)
+        with pytest.raises(ChamberSignError, match=r"at the line l1 - 2 = 0$"):
+            linear_sign((1, 0, -2))

@@ -3,9 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmloc import gkm
-from gkmloc.exact import ParamPoly
+from gkmloc.exact import ChamberSignError, L1, L2, ParamPoly, chamber_sign, primitive
 from gkmloc.gkm import (
     AxisSubcircleError,
     CircleAction,
@@ -51,6 +52,44 @@ def sphere_c1(g, s, e):
             f"subcircle ({s[0]},{s[1]}) fixes the sphere {e.tail}->{e.head} pointwise")
     lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
     return Fraction(sum(restrict_weights(g, s, lo)) - sum(restrict_weights(g, s, hi)), abs(w))
+
+
+def division_area(tail, head, e):
+    """Oracle for sphere_area: the ParamPoly route from the FixedPoints tail and head.
+
+    The moment difference is divided by a nonzero direction component, checked
+    against the whole direction as a polynomial identity, and signed by
+    chamber_sign; each failure raises the library's MalformedEdgeError text.
+    """
+    (t0, t1), (h0, h1) = tail.moment_image, head.moment_image
+    diff = (h0 - t0, h1 - t1)
+    x1, x2 = e.direction
+    area = diff[0] / x1 if x1 else diff[1] / x2
+    if diff[0] != area * x1 or diff[1] != area * x2:
+        raise MalformedEdgeError(
+            f"edge {e.tail}->{e.head}: moment images not collinear with {e.direction}")
+    try:
+        positive = chamber_sign(area) == 1
+    except ChamberSignError as exc:
+        raise MalformedEdgeError(f"edge {e.tail}->{e.head}: area {exc}") from None
+    if not positive:
+        raise MalformedEdgeError(
+            f"edge {e.tail}->{e.head}: area {area} not positive on 0 < l1 < l2")
+    return area
+
+
+def assert_same_area(build, tail, head, e):
+    """build() returns what the library gives for e: the oracle's area, or its error."""
+    try:
+        want = division_area(tail, head, e)
+    except MalformedEdgeError as exc:
+        with pytest.raises(MalformedEdgeError) as got:
+            build()
+        assert got.value.code == "MalformedEdge" and str(got.value) == str(exc)
+        return None
+    got = build()
+    assert got == want and str(got) == str(want)
+    return want
 
 
 def omega_basis_values(g):
@@ -441,8 +480,30 @@ class TestSpheres:
     def test_stored_areas_are_not_fields(self):
         rebuilt = GKMGraph(tuple(reversed(G.points)), tuple(reversed(G.edges)))
         assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
-        assert "_areas" not in repr(G)
+        assert not {"_areas", "_forms", "_den"} & set(repr(G).split("="))
         assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
+
+    def test_stored_point_forms(self):
+        # (a, b, c) / den is a*u + b*v + c with l1 = u, l2 = u + v
+        assert G._den == 1
+        assert list(G._forms) == list(POINT_IDS)
+        assert G._forms["x40"] == ((3, 1, 0), (0, 0, 0))
+        assert G._forms["x13"] == ((1, 0, 0), (2, 1, 0))
+        half = GKMGraph((FixedPoint("p", (L1 / 2, ParamPoly.const(Fraction(1, 3)))),
+                         FixedPoint("q", (L2 / 2, ParamPoly.const(Fraction(1, 3))))),
+                        (Edge("p", "q", (1, 0)),))
+        assert half._den == 6
+        assert half._forms == {"p": ((3, 0, 0), (0, 0, 2)), "q": ((3, 3, 0), (0, 0, 2))}
+        assert half._areas == (ParamPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 2)}),)
+
+    def test_unknown_point_in_an_area_or_weight_query(self):
+        with pytest.raises(NoSuchFixedPointError, match="'x99'"):
+            sphere_area(G, Edge("x00", "x99", (1, 0)))
+        with pytest.raises(NoSuchFixedPointError, match="'x99'"):
+            sphere_area(G, Edge("x99", "x00", (1, 0)))
+        with pytest.raises(NoSuchFixedPointError, match="'x99'"):
+            restrict_weights(G, (2, 1), "x99")
+
 
     def test_c2_pairings_from_cocycles(self):
         vals = omega_basis_values(G)
@@ -456,6 +517,56 @@ class TestSpheres:
         vals.pop(next(iter(vals)))
         with pytest.raises(KeyError):
             pair_with_c2(G, vals)
+
+
+SMALL_LINEAR = st.builds(lambda a, b, c, d: ParamPoly.linear(a, b, c) / d,
+                         st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
+                         st.integers(1, 6))
+DIRECTION = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(
+    lambda d: primitive(d)[0])
+
+
+class TestAreasAgainstTheDivisionRoute:
+    """sphere_area and graph validation work on int point forms; the ParamPoly
+    division route is the oracle, for the area and for every error text."""
+
+    @settings(max_examples=300)
+    @given(SMALL_LINEAR, SMALL_LINEAR, DIRECTION, SMALL_LINEAR, SMALL_LINEAR, st.booleans())
+    def test_one_edge(self, tail0, tail1, d, area, bend, collinear):
+        tail = FixedPoint("p", (tail0, tail1))
+        head = FixedPoint("q", (tail0 + area * d[0],
+                                tail1 + area * d[1] + (0 if collinear else bend)))
+        e = Edge("p", "q", d)
+        want = assert_same_area(lambda: GKMGraph((tail, head), (e,))._areas[0], tail, head, e)
+        if want is not None:
+            # with its ends swapped and the same direction the area is -want: never positive
+            g, back = GKMGraph((tail, head), (e,)), Edge("q", "p", d)
+            assert sphere_area(g, e) == want
+            assert assert_same_area(lambda: sphere_area(g, back), head, tail, back) is None
+
+    @pytest.mark.parametrize("image, direction, message", [
+        ((L1, L1), (1, 0), "edge p->q: moment images not collinear with (1, 0)"),
+        ((L1, L2), (1, 1), "edge p->q: moment images not collinear with (1, 1)"),
+        ((ParamPoly.zero(), ParamPoly.zero()), (0, 1),
+         "edge p->q: area 0 not positive on 0 < l1 < l2"),
+        ((-L1 - L2, 2 * L1 + 2 * L2), (1, -2),
+         "edge p->q: area -1*l1 - 1*l2 not positive on 0 < l1 < l2"),
+        ((3 * L1 - L2, ParamPoly.zero()), (1, 0),
+         "edge p->q: area 3*l1 - 1*l2 changes sign on 0 < l1 < l2 at the wall l2/l1 = 3"),
+        ((ParamPoly.zero(), (2 * L2 - 5 * L1) / 3), (0, -1),
+         "edge p->q: area 5/3*l1 - 2/3*l2 changes sign on 0 < l1 < l2 at the wall l2/l1 = 5/2"),
+        ((L1 - 1, 2 * L1 - 2), (1, 2),
+         "edge p->q: area l1 - 1 changes sign on 0 < l1 < l2 at the line l1 - 1 = 0"),
+    ])
+    def test_malformed_edges(self, image, direction, message):
+        tail = FixedPoint("p", (ParamPoly.zero(), ParamPoly.zero()))
+        head, e = FixedPoint("q", image), Edge("p", "q", direction)
+        with pytest.raises(MalformedEdgeError) as err:
+            GKMGraph((tail, head), (e,))
+        assert err.value.code == "MalformedEdge" and str(err.value) == message
+        with pytest.raises(MalformedEdgeError) as want:
+            division_area(tail, head, e)
+        assert str(want.value) == message
 
 
 class TestCoprimality:

@@ -14,6 +14,7 @@ from gkmloc.gkm import (
     GKMGraph,
     c1_values,
     restrict_weights,
+    sphere_area,
     tolman_graph,
 )
 from gkmloc.localization import (
@@ -34,7 +35,7 @@ from gkmloc.localization import (
     localize,
 )
 from gkmloc.projbundle import tensor_apply
-from test_gkm import omega_basis_values, sphere_c2_pairings
+from test_gkm import assert_same_area, omega_basis_values, sphere_c2_pairings
 
 G = tolman_graph()
 
@@ -133,6 +134,18 @@ class TestOtherValence:
         assert localize(self.CP2, (2, 1), lambda r: r.weight_product) == 3
 
 
+def momentum_volume(g, s):
+    """Oracle for dh_volume: the ParamPoly route, (-H)^n / e(p) summed by localize."""
+    return localize(g, s, lambda row: (-row.hamiltonian) ** len(row.weights))
+
+
+# two spheres at z: valence 2 at z and 1 at p and q
+STAR = GKMGraph(
+    (FixedPoint("p", (L1, ParamPoly.zero())), FixedPoint("q", (ParamPoly.zero(), L1)),
+     FixedPoint("z", (ParamPoly.zero(), ParamPoly.zero()))),
+    (Edge("z", "p", (1, 0)), Edge("z", "q", (0, 1))))
+
+
 def per_row_localize(g, s, integrand):
     """The kernel summed row by row, one Fraction(1, e(p)) per fixed point."""
     total = Fraction(0)
@@ -195,10 +208,7 @@ class TestCommonDenominatorKernel:
     def test_a_product_whose_prime_power_no_other_product_has(self):
         # z is the vertex of two spheres; at s = (2, 2) its weight product is
         # 4 while the other two are -2, so the lcm must cover the last row
-        star = GKMGraph(
-            (FixedPoint("p", (L1, ParamPoly.zero())), FixedPoint("q", (ParamPoly.zero(), L1)),
-             FixedPoint("z", (ParamPoly.zero(), ParamPoly.zero()))),
-            (Edge("z", "p", (1, 0)), Edge("z", "q", (0, 1))))
+        star = STAR
         assert [r.weight_product for r in localization_table(star, (2, 2))] == [-2, -2, 4]
         assert localize(star, (2, 2), lambda r: 1) == Fraction(-3, 4)
         for k in range(3):
@@ -261,8 +271,8 @@ class TestJuppData:
 # on every sphere, and p1 through the c2 cocycle.
 
 def volume_read_off(g, s):
-    """Tensor entries from the coefficients of the volume polynomial."""
-    vol = dh_volume(g, s)
+    """Tensor entries from the coefficients of the volume polynomial (ParamPoly route)."""
+    vol = momentum_volume(g, s)
     if vol.is_zero() or not vol.is_homogeneous(3):
         raise NotHomogeneousCubicError(f"volume {vol} is not a homogeneous cubic")
     by_xi_count = []
@@ -321,6 +331,73 @@ def h_of(g, s):
 RATIONAL_SHIFTS = st.tuples(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
 
 
+def zero_volume_graph():
+    """A fake K4 with integral xi'^3 = -4/7 at (3, 5), seven times, and one with 4:
+    every sum of the one pass vanishes, the volume too."""
+    def k4(tag, corners):
+        points = [FixedPoint(f"{tag}{i}", (L1 * x, L1 * y)) for i, (x, y) in enumerate(corners)]
+        edges = [Edge(f"{tag}{i}", f"{tag}{j}", primitive(
+            (corners[j][0] - corners[i][0], corners[j][1] - corners[i][1]))[0])
+            for i, j in itertools.combinations(range(4), 2)]
+        return points, edges
+
+    parts = [k4(f"a{n}_", ((-2, 0), (-1, -1), (1, 1), (2, 0))) for n in range(7)]
+    parts.append(k4("b", ((-2, -2), (-2, -1), (2, -2), (2, -1))))
+    return GKMGraph(tuple(p for ps, _ in parts for p in ps),
+                    tuple(e for _, es in parts for e in es))
+
+
+ZERO_VOLUME = zero_volume_graph()
+
+
+def moved(base, moves, shift0, shift1, k, r):
+    """base moved by the product of the GL2(Z) moves, shifted and reparametrized."""
+    m = ((1, 0), (0, 1))
+    for (g00, g01), (g10, g11) in moves:
+        (m00, m01), (m10, m11) = m
+        m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
+             (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
+    return reparametrized(moved_graph(base, m, shift0, shift1), k, r)
+
+
+def assert_int_routes_match(g, s):
+    """Every stored area, the reversed spheres and dh_volume against the ParamPoly routes."""
+    for e, area in zip(g.edges, g._areas):
+        tail, head = g.point(e.tail), g.point(e.head)
+        assert assert_same_area(lambda: sphere_area(g, e), tail, head, e) == area
+        back = Edge(e.head, e.tail, e.direction)     # area -A: never positive
+        assert assert_same_area(lambda: sphere_area(g, back), head, tail, back) is None
+    got, want = dh_volume(g, s), momentum_volume(g, s)
+    assert type(got) is ParamPoly and got == want and str(got) == str(want)
+
+
+class TestIntRoutesAgainstParamPolyRoutes:
+    """Graph validation and dh_volume read the int point forms; the ParamPoly
+    division route of sphere_area and the localize route of dh_volume are the
+    oracles, on moved graphs, fake graphs and graphs of mixed valence."""
+
+    @settings(max_examples=150)
+    @given(st.sampled_from(["tolman", "cp2", "star"]),
+           st.lists(st.sampled_from(GENERATORS), max_size=6),
+           RATIONAL_SHIFTS, RATIONAL_SHIFTS, st.integers(0, 3),
+           st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(2, 3)]),
+           st.integers(-7, 7), st.integers(-7, 7))
+    def test_moved_graphs(self, base, moves, shift0, shift1, k, r, a, b):
+        g = moved({"tolman": G, "cp2": TestOtherValence.CP2, "star": STAR}[base],
+                  moves, shift0, shift1, k, r)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        assert_int_routes_match(g, (a, b))
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["k4", "zero"]), st.integers(-7, 7), st.integers(-7, 7))
+    def test_fake_graphs(self, which, a, b):
+        g = TestOnePass.K4 if which == "k4" else ZERO_VOLUME
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        assert_int_routes_match(g, (a, b))
+
+
 class TestOnePassAgainstOldRoutes:
     """The one-pass tensor, c1 and p1 against the three old routes, on
     GL2(Z)-moved graphs with rational shifts (so h > 1 runs), reparametrized
@@ -333,13 +410,7 @@ class TestOnePassAgainstOldRoutes:
            st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
            st.integers(-7, 7), st.integers(-7, 7))
     def test_matches_the_old_routes(self, base, moves, shift0, shift1, k, r, a, b):
-        m = ((1, 0), (0, 1))
-        for (g00, g01), (g10, g11) in moves:
-            (m00, m01), (m10, m11) = m
-            m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
-                 (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
-        g = moved_graph(G if base == "tolman" else TestOtherValence.CP2, m, shift0, shift1)
-        g = reparametrized(g, k, r)
+        g = moved(G if base == "tolman" else TestOtherValence.CP2, moves, shift0, shift1, k, r)
         assume((a, b) != (0, 0))
         assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
         s = (a, b)
@@ -378,13 +449,7 @@ class TestOnePassAgainstOldRoutes:
            st.sampled_from([1, 2, 3, 4, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]),
            st.integers(-7, 7), st.integers(-7, 7))
     def test_c2_pairings_match_the_sphere_sum(self, base, moves, shift0, shift1, k, r, a, b):
-        m = ((1, 0), (0, 1))
-        for (g00, g01), (g10, g11) in moves:
-            (m00, m01), (m10, m11) = m
-            m = ((g00 * m00 + g01 * m10, g00 * m01 + g01 * m11),
-                 (g10 * m00 + g11 * m10, g10 * m01 + g11 * m11))
-        g = moved_graph(G if base == "tolman" else TestOtherValence.CP2, m, shift0, shift1)
-        g = reparametrized(g, k, r)
+        g = moved(G if base == "tolman" else TestOtherValence.CP2, moves, shift0, shift1, k, r)
         assume((a, b) != (0, 0))
         assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
         if base == "cp2":
@@ -438,14 +503,31 @@ class TestOnePass:
                     route(g, (2, 1))
 
     def test_chern_numbers_never_build_the_momentum(self, monkeypatch):
+        # the Chern integrands never read the momentum; graph validation, the volume
+        # and the invariants read it as ints from the point forms, with no ParamPoly
+        # product, and only FixedPointContribution.hamiltonian builds one
         def no_momentum(*args):
             raise AssertionError("hamiltonian called")
 
-        monkeypatch.setattr(localization, "hamiltonian", no_momentum)
-        for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
-            assert abbv_chern_number(G, (2, 1), monomial) == value
-        with pytest.raises(AssertionError, match="hamiltonian called"):
-            dh_volume(G, (2, 1))
+        def no_product(*args):
+            raise AssertionError("ParamPoly product")
+
+        with monkeypatch.context() as m:
+            m.setattr(localization, "hamiltonian", no_momentum)
+            for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
+                assert abbv_chern_number(G, (2, 1), monomial) == value
+        # shifts with denominators 2 and 3: the point forms have denominator 6
+        g = moved_graph(G, ((1, 1), (0, 1)), (Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 1))
+        row = localization_table(g, (3, 1))[0]
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(ParamPoly, name, no_product)
+        rebuilt = GKMGraph(g.points, g.edges)
+        assert rebuilt._den == 6 and rebuilt._areas == g._areas
+        assert dh_volume(rebuilt, (3, 1)) == VOLUME
+        inv = jupp_invariants_from_gkm(rebuilt, (3, 1))
+        assert (inv.trilinear, inv.w2, inv.p1_pairings) == (TENSOR, (0, 0), (8, 0))
+        with pytest.raises(AssertionError, match="ParamPoly product"):
+            row.hamiltonian
 
     def test_non_integral_c1(self):
         # four times the class: c1 = (xi'' + eta'') / 2
@@ -501,20 +583,8 @@ class TestOnePass:
             assert err.value.code == "LocalizationCheck"
 
     def test_zero_volume(self):
-        # a fake K4 with integral xi'^3 = -4/7 at (3, 5), seven times, and one
-        # with 4: every sum of the pass vanishes, the volume too
-        def k4(tag, corners):
-            points = [FixedPoint(f"{tag}{i}", (L1 * x, L1 * y))
-                      for i, (x, y) in enumerate(corners)]
-            edges = [Edge(f"{tag}{i}", f"{tag}{j}", primitive(
-                (corners[j][0] - corners[i][0], corners[j][1] - corners[i][1]))[0])
-                for i, j in itertools.combinations(range(4), 2)]
-            return points, edges
-
-        parts = [k4(f"a{n}_", ((-2, 0), (-1, -1), (1, 1), (2, 0))) for n in range(7)]
-        parts.append(k4("b", ((-2, -2), (-2, -1), (2, -2), (2, -1))))
-        g = GKMGraph(tuple(p for ps, _ in parts for p in ps),
-                     tuple(e for _, es in parts for e in es))
+        g = ZERO_VOLUME
+        assert dh_volume(g, (3, 5)) == momentum_volume(g, (3, 5)) == 0
         with pytest.raises(NotHomogeneousCubicError, match="volume 0 "):
             volume_read_off(g, (3, 5))
         for route in (cubic_form_from_gkm, jupp_invariants_from_gkm):
