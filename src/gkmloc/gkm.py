@@ -178,11 +178,6 @@ class GKMGraph:
         # canonical order at each point: ascending lex on the direction vector
         return {pid: tuple(sorted(inc, key=lambda t: t[1])) for pid, inc in out.items()}
 
-    @cached_property
-    def _directions(self):
-        """The outgoing directions alone: {point id: tuple}, both in canonical order."""
-        return {pid: tuple(d for _, d in inc) for pid, inc in self._outgoing.items()}
-
     def point(self, point_id: str) -> FixedPoint:
         try:
             return self._by_id[point_id]
@@ -309,10 +304,10 @@ def restrict_weights(g: GKMGraph, s, point_id: str):
     direction).
     """
     s = as_action(s)
-    dirs = g._directions.get(point_id)
-    if dirs is None:
+    inc = g._outgoing.get(point_id)
+    if inc is None:
         g.point(point_id)                       # raises NoSuchFixedPoint
-    return tuple(s.a * x + s.b * y for x, y in dirs)
+    return tuple(s.a * x + s.b * y for _, (x, y) in inc)
 
 
 def edge_weight(g: GKMGraph, s, e: Edge) -> int:
@@ -338,7 +333,7 @@ def fixed_point_index(weights) -> int:
 
 def betti_numbers(g: GKMGraph, s):
     """Even Betti numbers (b0, b1, ..., b_{2n}) read off the index histogram."""
-    valences = {len(dirs) for dirs in g._directions.values()}
+    valences = {len(inc) for inc in g._outgoing.values()}
     if len(valences) != 1:
         raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
     n = valences.pop()

@@ -89,8 +89,8 @@ def localization_table(g: GKMGraph, s):
     s = as_action(s)
     a, b = s.a, s.b
     rows = []
-    for pid, dirs in g._directions.items():
-        ws = tuple(a * x + b * y for x, y in dirs)
+    for pid, inc in g._outgoing.items():
+        ws = tuple(a * x + b * y for _, (x, y) in inc)
         prod = math.prod(ws)
         if prod == 0:
             raise DegenerateWeightError(
