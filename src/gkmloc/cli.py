@@ -39,8 +39,8 @@ def _canon(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(_canon(payload), separators=(",", ":")) + "\n")
+def _render(payload) -> str:
+    return json.dumps(_canon(payload), separators=(",", ":")) + "\n"
 
 
 def _graph(name: str) -> gkm.GKMGraph:
@@ -410,13 +410,13 @@ def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
+        # rendered here too: an int past the interpreter's str() digit limit raises ValueError
+        line = _render(payload)
     except ToolkitError as exc:
-        _emit({"error": {"code": exc.code, "message": str(exc)}})
-        return 1
+        line, code = _render({"error": {"code": exc.code, "message": str(exc)}}), 1
     except ValueError as exc:
-        _emit({"error": {"code": "ValueError", "message": str(exc)}})
-        return 1
-    _emit(payload)
+        line, code = _render({"error": {"code": "ValueError", "message": str(exc)}}), 1
+    sys.stdout.write(line)
     return code
 
 

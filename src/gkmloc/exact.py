@@ -38,9 +38,14 @@ class ChamberSignError(ToolkitError):
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction, or 'p/q' string to an exact rational; exponent notation,
+    as in '1e-10000000' (a 10-million-digit denominator), raises BadRationalError."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an exact 'p/q' string")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise BadRationalError(f"exponent notation is not accepted: {value!r}")
     try:
         return Fraction(value)
     except ZeroDivisionError:

@@ -18,28 +18,26 @@ c1, p1 and c2 pairings) come from one localization_table pass, which also
 checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
 every degree-4 monomial x*y in xi', eta'.
 
-dh_volume and that pass share one int row per point: -H(p) =
-(x*l1 + y*l2 + z) / h, read from the graph's moment forms over their
-denominator h, so xi'(p) = x/h and eta'(p) = y/h. No ParamPoly arithmetic
-runs; only the volume is made a ParamPoly, once. The ParamPoly momentum is
-built only when FixedPointContribution.hamiltonian is read.
+localization_table builds every row, each with -H(p) = (x*l1 + y*l2 + z) / h as
+ints read off the graph's moment forms (so xi'(p) = x/h, eta'(p) = y/h), and
+_row_sum is the one sum, of an integrand's components over the lcm of the weight
+products. No ParamPoly arithmetic runs in dh_volume or the pass; H(p) is made a
+ParamPoly only when FixedPointContribution.hamiltonian is read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from .exact import ParamPoly, ToolkitError
+from .exact import ParamPoly, ToolkitError, linear_poly
 from .gkm import (
-    CircleAction,
     GKMGraph,
     DegenerateWeightError,
     as_action,
-    hamiltonian,
     restrict_weights,  # unused here; benchmarks/ reads it as localization.restrict_weights
 )
 from .projbundle import JuppInvariants, trilinear_from_cubic
@@ -67,48 +65,37 @@ class LocalizationCheckError(ToolkitError, ValueError):
 
 @dataclass(frozen=True)
 class FixedPointContribution:
-    """One row of the localization table; the momentum is computed only when read."""
+    """One row of the localization table: the weights at a fixed point, their product e(p)
+    and the momentum as ints (x, y, z, h), -H(p) = (x*l1 + y*l2 + z) / h. The ints are
+    outside equality and repr; hamiltonian makes the ParamPoly H(p) of them when read."""
 
     point: str
     weights: tuple
     weight_product: int
-    _graph: GKMGraph = field(repr=False, compare=False)
-    _action: CircleAction = field(repr=False, compare=False)
+    _momentum: tuple = field(repr=False, compare=False)
 
     @property
     def hamiltonian(self) -> ParamPoly:
-        return hamiltonian(self._graph, self._action, self.point)
-
-
-# Restrictions at one point: h*xi'(p), h*eta'(p), e1, sum of w^2 (p1), e(p).
-_OmegaRow = namedtuple("_OmegaRow", "x y e1 p1 weight_product")
+        x, y, z, h = self._momentum
+        # H = -(x*l1 + y*l2 + z) / h as the form (a, b, c) of a*l1 + b*(l2 - l1) + c
+        return linear_poly((-x - y, -y, -z), h)
 
 
 def localization_table(g: GKMGraph, s):
     """Per-point contributions for a subcircle, in canonical point order."""
     s = as_action(s)
     a, b = s.a, s.b
+    h, forms = g._den, g._forms
     rows = []
     for pid, inc in g._outgoing.items():
         ws = tuple(a * x + b * y for _, (x, y) in inc)
         prod = math.prod(ws)
         if prod == 0:
-            raise DegenerateWeightError(
-                f"subcircle ({a},{b}) has a zero weight at {pid}")
-        rows.append(FixedPointContribution(pid, ws, prod, g, s))
+            raise DegenerateWeightError(f"subcircle ({a},{b}) has a zero weight at {pid}")
+        (u0, v0, w0), (u1, v1, w1) = forms[pid]     # phi_i = (u*l1 + v*(l2 - l1) + w) / h
+        x, y, z = -a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1
+        rows.append(FixedPointContribution(pid, ws, prod, (x, y, z, h)))
     return tuple(rows)
-
-
-def _momenta(g: GKMGraph, s: CircleAction):
-    """-H(p) = (x*l1 + y*l2 + z) / g._den at each point, as ints (x, y, z) in point order,
-    read off the point forms: -H is -(a*phi1 + b*phi2) and the form (A, B, C) means
-    A*l1 + B*(l2 - l1) + C."""
-    a, b = -s.a, -s.b
-    out = []
-    for (u0, v0, w0), (u1, v1, w1) in g._forms.values():
-        y = a * v0 + b * v1
-        out.append((a * u0 + b * u1 - y, y, a * w0 + b * w1))
-    return out
 
 
 def localize(g: GKMGraph, s, integrand):
@@ -116,22 +103,17 @@ def localize(g: GKMGraph, s, integrand):
 
     An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
     """
-    return _row_sum(localization_table(g, s), integrand)
-
-
-def _row_sum(rows, integrand, scale=1):
-    """Sum integrand(row) / (scale * row.weight_product) over rows, scale >= 1 an int.
-
-    The sum runs over the common denominator D = lcm of the weight products:
-    each row adds integrand(row) * (D // weight_product), an exact int
-    multiple, and the total is divided by scale * D once at the end.
-    """
-    den = math.lcm(*(row.weight_product for row in rows))
-    total = 0
-    for row in rows:
-        total += integrand(row) * (den // row.weight_product)
-    den *= scale
+    (total,), den = _row_sum(localization_table(g, s), lambda row: (integrand(row),))
     return Fraction(total, den) if isinstance(total, int) else total / den
+
+
+def _row_sum(rows, integrand):
+    """(numerators, D), D the lcm of the weight products: for integrand(row) a tuple, the sum
+    of its component k over row.weight_product is numerators[k] / D. Each row adds its
+    components times the int D // weight_product; no division runs until the caller's."""
+    den = math.lcm(*(row.weight_product for row in rows))
+    scales = [den // row.weight_product for row in rows]
+    return [sum(map(mul, column, scales)) for column in zip(*map(integrand, rows))], den
 
 
 def _e2(ws):
@@ -164,24 +146,21 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
 
     Independent of the subcircle; for the built-in graph it equals
     2*l1^3 + 3*l1^2*l2 + 3*l1*l2^2. One int pass: with -H(p) = (x*l1 + y*l2 + z) / h,
-    n(p) the number of weights at p, N the largest n(p) and D the lcm of the weight
-    products, every row adds the multinomial expansion of (x*l1 + y*l2 + z)^n(p) times
-    h^(N - n(p)) * D / e(p), and the sum is one ParamPoly over D * h^N.
+    n(p) the number of weights at p and N the largest n(p), every row's components are
+    the coefficients of l1^i l2^j in h^(N - n(p)) * (x*l1 + y*l2 + z)^n(p), and the
+    volume is one ParamPoly over D * h^N, D the lcm of the weight products.
     """
-    s = as_action(s)
     rows = localization_table(g, s)
     h, top = g._den, max(len(row.weights) for row in rows)
-    den = math.lcm(*(row.weight_product for row in rows))
-    num = {}
-    for row, (x, y, z) in zip(rows, _momenta(g, s)):
-        n = len(row.weights)
-        scale = h ** (top - n) * (den // row.weight_product)
-        for i in range(n + 1):
-            cx = scale * math.comb(n, i) * x ** i
-            for j in range(n - i + 1):
-                term = cx * math.comb(n - i, j) * y ** j * z ** (n - i - j)
-                num[i, j] = num.get((i, j), 0) + term
-    return ParamPoly._make({key: c for key, c in num.items() if c}, den * h ** top)
+    keys = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+
+    def expand(row):
+        (x, y, z, _), n = row._momentum, len(row.weights)
+        return [h ** (top - n) * math.comb(n, i) * math.comb(n - i, j) * x**i * y**j * z**(n - i - j)
+                if i + j <= n else 0 for i, j in keys]
+
+    nums, den = _row_sum(rows, expand)
+    return ParamPoly._make({key: c for key, c in zip(keys, nums) if c}, den * h ** top)
 
 
 def _omega_integrals(g: GKMGraph, s):
@@ -190,7 +169,8 @@ def _omega_integrals(g: GKMGraph, s):
     Returns t[k] = integral xi'^k eta'^(3-k), c1_xy[k] = integral c1 xi'^k
     eta'^(2-k) and (integral p1 xi', integral p1 eta'), after the certificate
     integral xi'^k eta'^(2-k) == 0. xi'(p) and eta'(p), the l1 and l2
-    coefficients of -H(p), are the x and y of the rows dh_volume expands.
+    coefficients of -H(p), are the x/h and y/h of the rows' momenta; all twelve
+    sums come from one _row_sum, each scaled to lie over h^3.
     """
     s = as_action(s)
     rows = localization_table(g, s)
@@ -198,19 +178,23 @@ def _omega_integrals(g: GKMGraph, s):
         raise NotHomogeneousCubicError("volume is not a homogeneous cubic: the graph is "
                                        "not 3-valent or an area is not homogeneous linear")
     h = g._den
-    omega = [_OmegaRow(x, y, sum(row.weights), sum(w * w for w in row.weights), row.weight_product)
-             for row, (x, y, _) in zip(rows, _momenta(g, s))]
+
+    def terms(row):
+        x, y = row._momentum[:2]
+        quad = (h * y * y, h * x * y, h * x * x)        # h * xi'^k eta'^(2-k), k = 0, 1, 2
+        e1, p1 = sum(row.weights), h * h * sum(w * w for w in row.weights)
+        return *quad, y**3, x * y * y, x * x * y, x**3, *(e1 * q for q in quad), p1 * x, p1 * y
+
+    nums, den = _row_sum(rows, terms)
+    sums = [Fraction(n, den * h ** 3) for n in nums]
     for k in range(3):
-        if value := _row_sum(omega, lambda r: r.x ** k * r.y ** (2 - k), h ** 2):
+        if value := sums[k]:
             raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({s.a},{s.b}): "
                                          f"integral xi'^{k} eta'^{2 - k} is {value}, not 0")
-    t = tuple(_row_sum(omega, lambda r: r.x ** k * r.y ** (3 - k), h ** 3) for k in range(4))
+    t = tuple(sums[3:7])
     if not any(t):
         raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")
-    c1_xy = tuple(
-        _row_sum(omega, lambda r: r.e1 * r.x ** k * r.y ** (2 - k), h ** 2) for k in range(3))
-    return t, c1_xy, (_row_sum(omega, lambda r: r.p1 * r.x, h),
-                      _row_sum(omega, lambda r: r.p1 * r.y, h))
+    return t, tuple(sums[7:10]), tuple(sums[10:])
 
 
 def _solve_c1(t, c1_xy):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
@@ -63,6 +63,10 @@ class Polytope:
                 raise TypeError("vertices must be triples of ParamPoly")
             if any(c.degree() > 1 for c in v):
                 raise MalformedPolytopeError(f"vertex coordinates must have degree <= 1: {v}")
+
+    @cached_property
+    def _edges(self):
+        return tuple(sorted(hull_combinatorics(self.vertices)[1]))
 
 
 def polytope_to_json(p: Polytope) -> dict:
@@ -160,8 +164,9 @@ def hull_combinatorics(points):
 
 
 def polytope_edges(p: Polytope):
-    """Edges of the hull as sorted index pairs, the same on all of 0 < l1 < l2."""
-    return tuple(sorted(hull_combinatorics(p.vertices)[1]))
+    """Edges of the hull as sorted index pairs, the same on all of 0 < l1 < l2; computed
+    once per polytope, which is frozen."""
+    return p._edges
 
 
 def _edge_direction(forms, den, i: int, j: int):

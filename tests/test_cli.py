@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,6 +206,23 @@ class TestErrorPaths:
         assert json.loads(out)["error"] == {
             "code": "BadRational", "message": "not an exact rational: 'x'"}
 
+    def test_result_past_the_int_digit_limit(self, capsys):
+        # the ring's numbers have more digits than str() may convert: the ValueError
+        # raised while rendering is reported like any other
+        code, out = capture(capsys, ["ring", "--k1", "9" * 4000, "--k2", "0"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["code"] == "ValueError"
+
+    def test_exponent_notation_rejected_at_once(self, capsys):
+        for text in ("1e-5000", "1e-10000000"):
+            start = time.perf_counter()
+            code, out = capture(capsys, ["kahler-cone", "--l1", text, "--l2", "1"])
+            assert time.perf_counter() - start < 1
+            assert code == 1
+            assert json.loads(out)["error"] == {
+                "code": "BadRational", "message": f"exponent notation is not accepted: {text!r}"}
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["chern", "--a", "2", "--b", "1", "--monomial", "c2^2"])
@@ -267,8 +285,8 @@ INTS = st.integers(-9, 9).map(str)
 RATIONALS = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
 ANY_VALUE = st.one_of(
     INTS, RATIONALS,
-    st.sampled_from(("1/0", "x", "nan", "", str(10**40), str(-10**40), "x99", "nope", "c2^2",
-                     "tolman", *POINT_IDS, *CHERN_MONOMIALS)))
+    st.sampled_from(("1/0", "x", "nan", "", str(10**40), str(-10**40), "9" * 4000, "1e-5000",
+                     "x99", "nope", "c2^2", "tolman", *POINT_IDS, *CHERN_MONOMIALS)))
 VALUE_OF = {"--a": INTS, "--b": INTS, "--k1": INTS, "--k2": INTS, "--n": INTS,
             "--point": st.sampled_from(POINT_IDS), "--monomial": st.sampled_from(CHERN_MONOMIALS),
             "--name": st.just("tolman"), "--l1": st.one_of(INTS, RATIONALS),

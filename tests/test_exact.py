@@ -46,7 +46,7 @@ class TestRational:
             rat("1/0")
 
     def test_bad_rationals_are_structured(self):
-        for text in ["1/0", "x", "", "1/2/3"]:
+        for text in ["1/0", "x", "", "1/2/3", "1e-5000", "2.5E3"]:
             with pytest.raises(BadRationalError) as err:
                 rat(text)
             assert isinstance(err.value, ValueError)

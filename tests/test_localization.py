@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from gkmloc.gkm import (
     FixedPoint,
     GKMGraph,
     c1_values,
+    hamiltonian,
     restrict_weights,
     sphere_area,
     tolman_graph,
@@ -20,6 +23,7 @@ from gkmloc.gkm import (
 from gkmloc.localization import (
     _CHERN_INTEGRANDS,
     CHERN_MONOMIALS,
+    FixedPointContribution,
     LocalizationCheckError,
     NonIntegralC1Error,
     NonIntegralP1Error,
@@ -135,8 +139,9 @@ class TestOtherValence:
 
 
 def momentum_volume(g, s):
-    """Oracle for dh_volume: the ParamPoly route, (-H)^n / e(p) summed by localize."""
-    return localize(g, s, lambda row: (-row.hamiltonian) ** len(row.weights))
+    """Oracle for dh_volume: the ParamPoly route, (-H)^n / e(p) summed by localize,
+    with H(p) from gkm.hamiltonian, not from the rows' int momenta."""
+    return localize(g, s, lambda row: (-hamiltonian(g, s, row.point)) ** len(row.weights))
 
 
 # two spheres at z: valence 2 at z and 1 at p and q
@@ -193,8 +198,8 @@ class TestCommonDenominatorKernel:
         s = (a, b)
         integrands = [
             *_CHERN_INTEGRANDS.values(),
-            lambda r: (-r.hamiltonian) ** len(r.weights),
-            *(lambda r, k=k: r.hamiltonian ** k for k in range(3)),
+            lambda r: (-hamiltonian(g, s, r.point)) ** len(r.weights),
+            *(lambda r, k=k: hamiltonian(g, s, r.point) ** k for k in range(3)),
         ]
         for integrand in integrands:
             got, want = localize(g, s, integrand), per_row_localize(g, s, integrand)
@@ -324,8 +329,59 @@ def reparametrized(g, k, r):
 
 def h_of(g, s):
     """Common denominator of the l1, l2 coefficients of H over the fixed points."""
-    return math.lcm(*(c.denominator for r in localization_table(g, s)
-                      for c in (r.hamiltonian.coefficient(1, 0), r.hamiltonian.coefficient(0, 1))))
+    hams = [hamiltonian(g, s, p.id) for p in g.points]
+    return math.lcm(*(c.denominator for ham in hams
+                      for c in (ham.coefficient(1, 0), ham.coefficient(0, 1))))
+
+
+OmegaRow = namedtuple("OmegaRow", "x y e1 p1 weight_product")
+
+
+def one_pass_per_integrand(rows, integrand, scale):
+    """The omega sums' kernel before they shared one call: one pass per integrand,
+    over its own lcm of the weight products, divided by scale times it at the end."""
+    den = math.lcm(*(row.weight_product for row in rows))
+    return Fraction(sum(integrand(row) * (den // row.weight_product) for row in rows), den * scale)
+
+
+def omega_sums_per_integrand(g, s):
+    """Oracle for the one pass: its twelve sums, one pass each, with h*xi'(p) and
+    h*eta'(p) read off gkm.hamiltonian. Returns the certificate sums
+    integral xi'^k eta'^(2-k), then t, c1_xy and the p1 pairings."""
+    h = h_of(g, s)
+    rows = []
+    for r in localization_table(g, s):
+        ham = hamiltonian(g, s, r.point)
+        x, y = (-ham.coefficient(i, j) * h for i, j in ((1, 0), (0, 1)))
+        rows.append(OmegaRow(int(x), int(y), sum(r.weights), sum(w * w for w in r.weights),
+                             r.weight_product))
+    cert = tuple(one_pass_per_integrand(rows, lambda r: r.x ** k * r.y ** (2 - k), h ** 2)
+                 for k in range(3))
+    t = tuple(one_pass_per_integrand(rows, lambda r: r.x ** k * r.y ** (3 - k), h ** 3)
+              for k in range(4))
+    c1_xy = tuple(one_pass_per_integrand(rows, lambda r: r.e1 * r.x ** k * r.y ** (2 - k), h ** 2)
+                  for k in range(3))
+    p1_x = (one_pass_per_integrand(rows, lambda r: r.p1 * r.x, h),
+            one_pass_per_integrand(rows, lambda r: r.p1 * r.y, h))
+    return cert, t, c1_xy, p1_x
+
+
+def assert_omega_sums_match(g, s):
+    """The one pass against omega_sums_per_integrand on a 3-valent graph: the first
+    failing certificate sum is the error's, k and value; else the nine sums returned."""
+    cert, *want = omega_sums_per_integrand(g, s)
+    if failing := [(k, v) for k, v in enumerate(cert) if v]:
+        k, v = failing[0]
+        with pytest.raises(LocalizationCheckError,
+                           match=re.escape(f"integral xi'^{k} eta'^{2 - k} is {v}, not 0")):
+            localization._omega_integrals(g, s)
+    elif not any(want[0]):
+        with pytest.raises(NotHomogeneousCubicError, match="volume is zero"):
+            localization._omega_integrals(g, s)
+    else:
+        got = localization._omega_integrals(g, s)
+        assert got == tuple(want)
+        assert all(type(v) is Fraction for part in got for v in part)
 
 
 RATIONAL_SHIFTS = st.tuples(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
@@ -369,6 +425,8 @@ def assert_int_routes_match(g, s):
         assert assert_same_area(lambda: sphere_area(g, back), head, tail, back) is None
     got, want = dh_volume(g, s), momentum_volume(g, s)
     assert type(got) is ParamPoly and got == want and str(got) == str(want)
+    for row in localization_table(g, s):
+        assert row.hamiltonian == hamiltonian(g, s, row.point)
 
 
 class TestIntRoutesAgainstParamPolyRoutes:
@@ -396,6 +454,7 @@ class TestIntRoutesAgainstParamPolyRoutes:
         assume((a, b) != (0, 0))
         assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
         assert_int_routes_match(g, (a, b))
+        assert_omega_sums_match(g, (a, b))
 
 
 class TestOnePassAgainstOldRoutes:
@@ -419,6 +478,7 @@ class TestOnePassAgainstOldRoutes:
                 with pytest.raises(NotHomogeneousCubicError):
                     route(g, s)
             return
+        assert_omega_sums_match(g, s)
         tensor = cubic_form_from_gkm(g, s)
         want = volume_read_off(g, s)
         assert tensor == want
@@ -503,31 +563,38 @@ class TestOnePass:
                     route(g, (2, 1))
 
     def test_chern_numbers_never_build_the_momentum(self, monkeypatch):
-        # the Chern integrands never read the momentum; graph validation, the volume
-        # and the invariants read it as ints from the point forms, with no ParamPoly
-        # product, and only FixedPointContribution.hamiltonian builds one
-        def no_momentum(*args):
-            raise AssertionError("hamiltonian called")
+        # the Chern numbers, the volume and the invariants never read a row's ParamPoly
+        # momentum; graph validation, the volume and the invariants read it as ints
+        # from the point forms, with no ParamPoly product, and the ParamPoly that
+        # FixedPointContribution.hamiltonian builds from those ints needs none either
+        def no_momentum(row):
+            raise AssertionError("hamiltonian read")
 
         def no_product(*args):
             raise AssertionError("ParamPoly product")
 
-        with monkeypatch.context() as m:
-            m.setattr(localization, "hamiltonian", no_momentum)
-            for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
-                assert abbv_chern_number(G, (2, 1), monomial) == value
         # shifts with denominators 2 and 3: the point forms have denominator 6
         g = moved_graph(G, ((1, 1), (0, 1)), (Fraction(1, 2), 0, 0), (0, Fraction(1, 3), 1))
-        row = localization_table(g, (3, 1))[0]
+        want = {p.id: hamiltonian(g, (3, 1), p.id) for p in g.points}
+        with monkeypatch.context() as m:
+            m.setattr(FixedPointContribution, "hamiltonian", property(no_momentum))
+            with pytest.raises(AssertionError, match="hamiltonian read"):
+                localization_table(g, (3, 1))[0].hamiltonian
+            for monomial, value in zip(CHERN_MONOMIALS, (64, 24, 6)):
+                assert abbv_chern_number(g, (3, 1), monomial) == value
+            assert dh_volume(g, (3, 1)) == VOLUME
+            inv = jupp_invariants_from_gkm(g, (3, 1))
+            assert (inv.trilinear, inv.w2, inv.p1_pairings) == (TENSOR, (0, 0), (8, 0))
         for name in ("__mul__", "__rmul__", "__pow__"):
             monkeypatch.setattr(ParamPoly, name, no_product)
+        with pytest.raises(AssertionError, match="ParamPoly product"):
+            L1 * L2
         rebuilt = GKMGraph(g.points, g.edges)
         assert rebuilt._den == 6 and rebuilt._areas == g._areas
         assert dh_volume(rebuilt, (3, 1)) == VOLUME
         inv = jupp_invariants_from_gkm(rebuilt, (3, 1))
         assert (inv.trilinear, inv.w2, inv.p1_pairings) == (TENSOR, (0, 0), (8, 0))
-        with pytest.raises(AssertionError, match="ParamPoly product"):
-            row.hamiltonian
+        assert {row.point: row.hamiltonian for row in localization_table(rebuilt, (3, 1))} == want
 
     def test_non_integral_c1(self):
         # four times the class: c1 = (xi'' + eta'') / 2
@@ -581,6 +648,9 @@ class TestOnePass:
                                      r"integral xi'\^2 eta'\^0 is -9, not 0") as err:
                 route(self.K4, (2, 1))
             assert err.value.code == "LocalizationCheck"
+        # the one-pass-per-integrand oracle finds the same first failing sum
+        assert omega_sums_per_integrand(self.K4, (2, 1))[0] == (0, 0, -9)
+        assert_omega_sums_match(self.K4, (2, 1))
 
     def test_zero_volume(self):
         g = ZERO_VOLUME
@@ -612,6 +682,7 @@ class TestOnePass:
     def test_c1_outside_the_span(self):
         g = self.cube()
         assert cubic_form_from_gkm(g, (2, 1)) == (((0, 2), (2, 2)), ((2, 2), (2, 0)))
+        assert_omega_sums_match(g, (2, 1))
         for route in (c1_in_omega_basis, jupp_invariants_from_gkm):
             with pytest.raises(LocalizationCheckError,
                                match=r"c1 = 1\*xi' \+ 2\*eta' is not a combination"):
