@@ -104,11 +104,10 @@ def _inv_json(inv):
 
 def _ring_payload(k1: int, k2: int):
     b = projbundle.Bundle(k1, k2)
-    # one total_chern and one p1_and_w2 feed every field
     c1, c2, c3 = projbundle.total_chern(b)
-    p1, w2, c1_even = projbundle._p1_and_w2(b, c1, c2)
-    pair_eta, pair_xi = projbundle._c2_pairings(b, c2)
-    inv = projbundle._jupp_invariants(b, p1, w2)
+    p1, w2, c1_even = projbundle.p1_and_w2(b)
+    pair_eta, pair_xi = projbundle.c2_pairings(b)
+    inv = projbundle.jupp_invariants(b)
     return {
         "k1": k1,
         "k2": k2,
@@ -118,7 +117,7 @@ def _ring_payload(k1: int, k2: int):
         "p1": {"eta^2": p1.coords[0], "eta*xi": p1.coords[1]},
         "w2": list(w2),
         "c1_even": c1_even,
-        "c1_cubed": projbundle._c1_cubed(b, c1),
+        "c1_cubed": projbundle.c1_cubed(b),
         "c2_pairings": {"eta": pair_eta, "xi": pair_xi},
         "cubic_coefficients_xi_eta": list(projbundle.cubic_from_trilinear(inv.trilinear)),
         "jupp": _inv_json(inv),

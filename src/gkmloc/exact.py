@@ -39,19 +39,25 @@ class ChamberSignError(ToolkitError):
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational; exponent notation,
-    as in '1e-10000000' (a 10-million-digit denominator), raises BadRationalError."""
+    as in '1e-10000000' (a 10-million-digit denominator), raises BadRationalError.
+    The error message quotes a long input by a prefix and its length."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass an exact 'p/q' string")
     if isinstance(value, str) and ("e" in value or "E" in value):
-        raise BadRationalError(f"exponent notation is not accepted: {value!r}")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError:
-        raise BadRationalError(f"zero denominator in {value!r}") from None
-    except ValueError:
-        raise BadRationalError(f"not an exact rational: {value!r}") from None
+        problem = "exponent notation is not accepted: "
+    else:
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            problem = "zero denominator in "
+        except ValueError:
+            problem = "not an exact rational: "
+    text = repr(value)
+    if len(text) > 80:
+        text = f"{text[:80]}... ({len(str(value))} characters)"
+    raise BadRationalError(problem + text)
 
 
 def rat_str(value) -> str:

@@ -17,6 +17,7 @@ Degree-2k elements are stored as coordinate vectors in that basis, ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby, product
 
 from .exact import Rational, ToolkitError, _as_int, rat
@@ -57,6 +58,17 @@ class Bundle:
     def __post_init__(self):
         if type(self.k1) is not int or type(self.k2) is not int:
             raise TypeError("bundle Chern numbers must be ints")
+
+    @cached_property
+    def _classes(self):
+        """((c1, c2, c3), (p1, w2, c1 even)) of P(E); not a field, and never stale."""
+        k1 = self.k1
+        c1 = RingElement(2, (3 + k1, 2))
+        c2 = RingElement(4, (3 * (1 + k1), 6))
+        c3 = RingElement(6, (6,))
+        p1 = cup(self, c1, c1) - 2 * c2
+        w2 = tuple(int(c) % 2 for c in c1.coords)
+        return (c1, c2, c3), (p1, w2, all(v == 0 for v in w2))
 
 
 @dataclass(frozen=True)
@@ -174,48 +186,32 @@ def cup_power(bundle: Bundle, x: RingElement, n: int) -> RingElement:
 # ---------------------------------------------------------------------------
 
 def total_chern(bundle: Bundle):
-    """(c1, c2, c3) of the tangent bundle of P(E).
+    """(c1, c2, c3) of the tangent bundle of P(E), computed once per Bundle.
 
     From c(T P(E)) = p^* c(T CP^2) * c(p^* E tensor O(1)); the degree-4 part
     of the second factor is the ring relation, so it drops out.
     """
-    k1 = bundle.k1
-    c1 = RingElement(2, (3 + k1, 2))
-    c2 = RingElement(4, (3 * (1 + k1), 6))
-    c3 = RingElement(6, (6,))
-    return c1, c2, c3
+    return bundle._classes[0]
 
 
 def c1_cubed(bundle: Bundle) -> int:
     """The Chern number c1^3 of P(E), integrated in the ring."""
-    return _c1_cubed(bundle, total_chern(bundle)[0])
-
-
-def _c1_cubed(bundle: Bundle, c1) -> int:
-    return int(integrate(bundle, cup_power(bundle, c1, 3)))
+    return int(integrate(bundle, cup_power(bundle, total_chern(bundle)[0], 3)))
 
 
 def p1_and_w2(bundle: Bundle):
     """First Pontryagin class, second Stiefel-Whitney vector, and parity of c1.
 
     p1 = c1^2 - 2*c2 in normal form; w2 is c1 mod 2 in the (eta, xi)
-    coordinate order; c1 is even exactly when k1 is odd.
+    coordinate order; c1 is even exactly when k1 is odd. Computed once per
+    Bundle, with its Chern classes.
     """
-    return _p1_and_w2(bundle, *total_chern(bundle)[:2])
-
-
-def _p1_and_w2(bundle: Bundle, c1, c2):
-    p1 = cup(bundle, c1, c1) - 2 * c2
-    w2 = tuple(int(c) % 2 for c in c1.coords)
-    return p1, w2, all(v == 0 for v in w2)
+    return bundle._classes[1]
 
 
 def c2_pairings(bundle: Bundle):
     """(<c2, eta>, <c2, xi>) computed by ring reduction."""
-    return _c2_pairings(bundle, total_chern(bundle)[1])
-
-
-def _c2_pairings(bundle: Bundle, c2):
+    c2 = total_chern(bundle)[1]
     return (integrate(bundle, cup(bundle, c2, eta())),
             integrate(bundle, cup(bundle, c2, xi())))
 
@@ -331,10 +327,6 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
     xi^k eta^(3-k), as the graph route polarizes its localized moments.
     """
     p1, w2, _ = p1_and_w2(bundle)
-    return _jupp_invariants(bundle, p1, w2)
-
-
-def _jupp_invariants(bundle: Bundle, p1, w2) -> JuppInvariants:
     basis = (xi(), eta())
     squares = (cup(bundle, basis[0], basis[0]), cup(bundle, basis[1], basis[1]))
     m = [integrate(bundle, cup(bundle, sq, y)) for sq in squares for y in basis]

@@ -94,22 +94,30 @@ class TestSubcommands:
         assert payload["jupp"]["trilinear"] == [[[2, 1], [1, 1]], [[1, 1], [1, 0]]]
         assert payload["jupp"]["p1_pairings"] == [8, 0]
 
-    def test_ring_builds_the_chern_classes_once(self, monkeypatch):
-        # every field of the payload comes from one total_chern and one p1 and w2
-        calls = []
+    def test_ring_payload_matches_fresh_public_calls(self):
+        # each field from its public function on a fresh Bundle, so no call shares
+        # the classes another call derived
+        def public_payload(k1, k2):
+            c1, c2, c3 = projbundle.total_chern(projbundle.Bundle(k1, k2))
+            p1, w2, c1_even = projbundle.p1_and_w2(projbundle.Bundle(k1, k2))
+            pair_eta, pair_xi = projbundle.c2_pairings(projbundle.Bundle(k1, k2))
+            inv = projbundle.jupp_invariants(projbundle.Bundle(k1, k2))
+            return {
+                "k1": k1, "k2": k2,
+                "c1": {"eta": c1.coords[0], "xi": c1.coords[1]},
+                "c2": {"eta^2": c2.coords[0], "eta*xi": c2.coords[1]},
+                "c3": {"eta^2*xi": c3.coords[0]},
+                "p1": {"eta^2": p1.coords[0], "eta*xi": p1.coords[1]},
+                "w2": list(w2), "c1_even": c1_even,
+                "c1_cubed": projbundle.c1_cubed(projbundle.Bundle(k1, k2)),
+                "c2_pairings": {"eta": pair_eta, "xi": pair_xi},
+                "cubic_coefficients_xi_eta": list(projbundle.cubic_from_trilinear(inv.trilinear)),
+                "jupp": cli._inv_json(inv),
+            }
 
-        def counted(name):
-            f = getattr(projbundle, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return f(*args)
-            return wrapper
-
-        for name in ("total_chern", "p1_and_w2", "_p1_and_w2"):
-            monkeypatch.setattr(projbundle, name, counted(name))
-        assert cli._ring_payload(-1, -1)["c1_cubed"] == 64
-        assert sorted(calls) == ["_p1_and_w2", "total_chern"]
+        for k1 in range(-6, 7):
+            for k2 in range(-6, 7):
+                assert cli._ring_payload(k1, k2) == public_payload(k1, k2)
 
     def test_jupp_defaults_match(self, capsys):
         code, out = capture(capsys, ["jupp"])
@@ -213,6 +221,17 @@ class TestErrorPaths:
         assert code == 1
         assert out.count("\n") == 1
         assert json.loads(out)["error"]["code"] == "ValueError"
+
+    @pytest.mark.parametrize("text", ["0." + "0" * 100000 + "1", "1e" + "9" * 100000],
+                             ids=["long-decimal", "long-exponent"])
+    def test_long_rational_is_quoted_by_a_prefix(self, capsys, text):
+        code, out = capture(capsys, ["kahler-cone", "--l1", text, "--l2", "1"])
+        assert code == 1
+        assert out.count("\n") == 1 and len(out) < 300
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadRational"
+        assert repr(text)[:40] in error["message"]
+        assert error["message"].endswith(f"... ({len(text)} characters)")
 
     def test_exponent_notation_rejected_at_once(self, capsys):
         for text in ("1e-5000", "1e-10000000"):

@@ -202,6 +202,19 @@ class TestCharacteristicClasses:
             with pytest.raises(TypeError):
                 Bundle(k1, k2)
 
+    def test_classes_are_derived_once_per_bundle(self):
+        b = Bundle(-1, -1)
+        assert total_chern(b) is total_chern(b)
+        assert p1_and_w2(b) is p1_and_w2(b)
+
+    def test_derived_classes_leave_equality_hash_and_repr(self):
+        b = Bundle(-1, -1)
+        total_chern(b)
+        p1_and_w2(b)
+        assert b == Bundle(-1, -1)
+        assert hash(b) == hash(Bundle(-1, -1))
+        assert repr(b) == "Bundle(k1=-1, k2=-1)"
+
     def test_c1_cubed_matches_ring_route(self):
         for k1, k2 in product(range(-3, 4), repeat=2):
             value = c1_cubed(Bundle(k1, k2))
