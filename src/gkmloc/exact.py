@@ -349,17 +349,21 @@ def _mul_numerators(a, b):
     return {key: n for key, n in out.items() if n}
 
 
+_LINEAR_KEYS = frozenset({(1, 0), (0, 1), (0, 0)})
+
+
 def linear_forms(values):
     """Int forms (a, b, c), one den >= 1: value == (a*u + b*v + c*w) / den, where l1 = u,
     l2 = u + v, w = 1 (the chamber is u, v > 0). Values: rationals, degree <= 1 ParamPolys."""
     polys = [p if isinstance(p, ParamPoly) else ParamPoly.const(p) for p in values]
-    if bad := [p for p in polys if not p._num.keys() <= {(1, 0), (0, 1), (0, 0)}]:
+    if bad := [p for p in polys if not p._num.keys() <= _LINEAR_KEYS]:
         raise ValueError(f"{bad[0]} has degree > 1, not a linear form")
     den = math.lcm(*(p._den for p in polys))
     forms = []
     for p in polys:
-        m, c2 = den // p._den, p._num.get((0, 1), 0)
-        forms.append(((p._num.get((1, 0), 0) + c2) * m, c2 * m, p._num.get((0, 0), 0) * m))
+        num, m = p._num, den // p._den
+        c2 = num.get((0, 1), 0)
+        forms.append(((num.get((1, 0), 0) + c2) * m, c2 * m, num.get((0, 0), 0) * m))
     return forms, den
 
 

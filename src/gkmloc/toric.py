@@ -1,10 +1,12 @@
 """Delzant 3-polytopes with parameterized vertices, and moment-map gluing.
 
 Vertices are triples of linear polynomials in (l1, l2), written as int linear
-forms in (u, v, w) = (l1, l2 - l1, 1). Hull orientations (cubic forms), collinear
-orders (quadratic), edge areas and cut sides (linear) are signed by ``exact``'s
-kernel on the whole chamber 0 < l1 < l2, never at sample values; a sign that is
-not constant there is reported as unstable, naming the wall.
+forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
+construction, and the hull converts its own input. Hull orientations (cubic
+forms, each of the C(n, 4) determinants signed once), collinear orders
+(quadratic), edge areas and cut sides (linear) are signed by ``exact``'s kernel
+on the whole chamber 0 < l1 < l2, never at sample values; a sign that is not
+constant there is reported as unstable, naming the wall.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
@@ -14,8 +16,8 @@ data of the built-in six-point GKM graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 
@@ -50,19 +52,29 @@ L_TILDE = ((1, 0, 0), (0, 1, 0))
 
 @dataclass(frozen=True)
 class Polytope:
-    """Vertex list; each vertex is a triple of degree <= 1 ParamPoly."""
+    """Vertex list; each vertex is a triple of degree <= 1 ParamPoly.
+
+    Construction writes the coordinates once as int ``linear_forms``, kept in
+    vertex order in ``_forms`` (three per vertex) over ``_den``. Neither is a
+    field, so equality, hash and repr see only vertices and name.
+    """
 
     vertices: tuple
     name: str = ""
 
     def __post_init__(self):
-        verts = tuple(tuple(c for c in v) for v in self.vertices)
+        verts = tuple(map(tuple, self.vertices))
         object.__setattr__(self, "vertices", verts)
-        for v in verts:
-            if len(v) != 3 or not all(isinstance(c, ParamPoly) for c in v):
-                raise TypeError("vertices must be triples of ParamPoly")
-            if any(c.degree() > 1 for c in v):
-                raise MalformedPolytopeError(f"vertex coordinates must have degree <= 1: {v}")
+        coords = [c for v in verts for c in v]
+        if any(len(v) != 3 for v in verts) or not all(isinstance(c, ParamPoly) for c in coords):
+            raise TypeError("vertices must be triples of ParamPoly")
+        try:
+            forms, den = linear_forms(coords)
+        except ValueError:
+            v = next(v for v in verts if any(c.degree() > 1 for c in v))
+            raise MalformedPolytopeError(f"vertex coordinates must have degree <= 1: {v}") from None
+        object.__setattr__(self, "_forms", tuple(forms))
+        object.__setattr__(self, "_den", den)
 
     @cached_property
     def _edges(self):
@@ -117,21 +129,30 @@ def _sub3(u, v):
 def hull_combinatorics(points):
     """Facets and edges of the convex hull of 3D points, on the whole chamber.
 
-    Brute force over point triples: every plane through three points that
-    supports the whole set is a facet (recorded as the frozenset of incident
-    indices, so coplanar quadrilateral facets come out whole); edges are
-    pairs of points shared by two facets. Intended for small inputs.
+    Every plane through three non-collinear points that supports the whole set
+    is a facet (recorded as the frozenset of incident indices, so coplanar
+    quadrilateral facets come out whole); edges are pairs of points shared by
+    two facets. Intended for small inputs.
+
+    The side of point m against the plane of i < j < k is the sign of the
+    orientation determinant of (i, j, k, m). Each of the C(n, 4) determinants
+    is computed and signed once, on its first use: triples go in lexicographic
+    order and m ascending, so that is at its three smallest points, with m the
+    largest. The sign then goes, with the parity of each reordering, to the
+    three later triples of the four points.
 
     Coordinates are rationals (floats raise ``TypeError``) or degree <= 1
-    ParamPolys, run as ints by ``exact.chamber_lattice``: each side test is
+    ParamPolys, run as ints by ``exact.chamber_lattice``: each determinant is
     then a cubic form and each collinear comparison a quadratic one, signed
     on all of 0 < l1 < l2 or raising ParametricCombinatoricsUnstableError.
     """
     flat, sign = chamber_lattice([c for p in points for c in p])
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
-    facets = set()
+    every = (1 << n) - 1
+    planes = set()
     full_dim = False
+    sides = {}      # triple -> points above its plane | points below it << n, as bit sets
     try:
         for i in range(n):
             rel = [_sub3(q, pts[i]) for q in pts]
@@ -139,11 +160,24 @@ def hull_combinatorics(points):
                 a, b, c = _cross(rel[j], rel[k])
                 if not (a or b or c):
                     continue
-                sides = [sign(a * x + b * y + c * z) for x, y, z in rel]
-                if 1 in sides and -1 in sides:
+                triple = 1 << i | 1 << j | 1 << k
+                for m in range(k + 1, n):
+                    x, y, z = rel[m]
+                    s = sign(a * x + b * y + c * z)
+                    if not s:
+                        continue
+                    # the side of the r-th smallest of i < j < k < m against the other
+                    # three, in ascending order, takes 3 - r swaps from this determinant
+                    four = triple | 1 << m
+                    for point, side in ((i, -s), (j, s), (k, -s), (m, s)):
+                        rest = four ^ 1 << point
+                        sides[rest] = sides.get(rest, 0) | 1 << (point if side > 0 else point + n)
+                split = sides.get(triple, 0)
+                if split & every and split >> n:
                     full_dim = True
                     continue
-                facets.add(frozenset(m for m in range(n) if sides[m] == 0))
+                planes.add(every & ~(split | split >> n))
+        facets = {frozenset(m for m in range(n) if f >> m & 1) for f in planes}
         if not full_dim and len(facets) <= 1:
             raise NotFullDimensionalError("points do not affinely span 3-space")
         edges = set()
@@ -178,16 +212,22 @@ def _edge_direction(forms, den, i: int, j: int):
     """
     diff = [(y[0] - x[0], y[1] - x[1], y[2] - x[2])
             for x, y in zip(forms[3 * i:3 * i + 3], forms[3 * j:3 * j + 3])]
-    u, _ = primitive(next((col for col in zip(*diff) if any(col)), (0, 0, 0)))
+    for col in zip(*diff):
+        if g := math.gcd(*col):
+            break
+    else:
+        primitive((0, 0, 0))    # raises ZeroVectorError: v_j - v_i is 0
+    u = (col[0] // g, col[1] // g, col[2] // g)
     k = 0 if u[0] else 1 if u[1] else 2
     a, b, c = (x // u[k] for x in diff[k])
-    if any(row != (a * t, b * t, c * t) for row, t in zip(diff, u)):
+    if diff != [(a * t, b * t, c * t) for t in u]:
         raise ParametricCombinatoricsUnstableError(
             f"edge {i}-{j} direction varies with the parameters")
-    try:
-        linear_sign((a, b, c), den)
-    except ChamberSignError as exc:
-        raise ParametricCombinatoricsUnstableError(f"edge {i}-{j} degenerates: {exc}") from None
+    if a < 0 or b < 0 or c < 0:
+        try:
+            linear_sign((a, b, c), den)
+        except ChamberSignError as exc:
+            raise ParametricCombinatoricsUnstableError(f"edge {i}-{j} degenerates: {exc}") from None
     return u
 
 
@@ -199,29 +239,30 @@ def vertex_weights(p: Polytope, index: int, edges=None):
     """
     if edges is None:
         edges = polytope_edges(p)
-    return _vertex_directions(*linear_forms([c for v in p.vertices for c in v]), index, edges, {})
+    neighbors = [j for i, j in edges if i == index] + [i for i, j in edges if j == index]
+    return _vertex_directions(p, index, sorted(neighbors), {})
 
 
-def _vertex_directions(forms, den, index: int, edges, known):
-    """vertex_weights on the ``linear_forms`` of the coordinates, reusing ``known``.
+def _vertex_directions(p: Polytope, index: int, neighbors, known):
+    """vertex_weights on the polytope's stored forms, given the sorted neighbors of
+    the vertex, reusing ``known``.
 
     ``known`` maps (i, j) to the direction from v_i to v_j. An edge known from
     its other end is reused as -u: the area is the same from both ends and fixes
     the sign of u, so _edge_direction would return exactly that, or fail.
     """
-    if not 0 <= index < len(forms) // 3:
+    if not 0 <= index < len(p.vertices):
         raise IndexError(f"no vertex {index}")
-    neighbors = [j for i, j in edges if i == index] + [i for i, j in edges if j == index]
     if len(neighbors) != 3:
         raise NotDelzantVertexError(
             f"vertex {index} has {len(neighbors)} edges, expected 3")
     dirs = []
-    for j in sorted(neighbors):
+    for j in neighbors:
         back = known.get((j, index))
         if back is None:
-            u = known[(index, j)] = _edge_direction(forms, den, index, j)
+            u = known[(index, j)] = _edge_direction(p._forms, p._den, index, j)
         else:
-            u = tuple(-c for c in back)
+            u = (-back[0], -back[1], -back[2])
         dirs.append(u)
     dirs = tuple(dirs)
     det = _dot3(dirs[0], _cross(dirs[1], dirs[2]))
@@ -252,16 +293,19 @@ def project_fixed_data(p: Polytope, matrix):
     rows = tuple(tuple(_as_int(c) for c in row) for row in matrix)
     if len(rows) != 2 or any(len(r) != 3 for r in rows):
         raise ValueError("projection must be a 2x3 integer matrix")
-    edges = polytope_edges(p)
-    forms, den = linear_forms([c for v in p.vertices for c in v])
+    neighbors = [[] for _ in p.vertices]
+    for i, j in polytope_edges(p):
+        neighbors[i].append(j)
+        neighbors[j].append(i)
+    forms, den = p._forms, p._den
 
     def project_vec(v):
         return _dot3(rows[0], v), _dot3(rows[1], v)
 
     data = []
     known = {}
-    for idx in range(len(p.vertices)):
-        dirs = _vertex_directions(forms, den, idx, edges, known)
+    for idx, adjacent in enumerate(neighbors):
+        dirs = _vertex_directions(p, idx, sorted(adjacent), known)
         # the projected u, v, w coefficient columns are the forms of the image
         columns = zip(*forms[3 * idx:3 * idx + 3])
         image = tuple(linear_poly(form, den) for form in zip(*map(project_vec, columns)))
@@ -280,18 +324,29 @@ class GlueReport:
     problems: tuple
 
 
+_CUT = linear_poly((2, 1, 0), 2)    # (l1 + l2)/2 = (2u + v)/2
+
+
 def default_cut() -> ParamPoly:
-    return ParamPoly.linear(Fraction(1, 2), Fraction(1, 2))
+    return _CUT
 
 
-def _side_of_cut(image, cut):
-    """-1 below, +1 above, on the whole chamber; on-cut or unstable raises."""
+def _side_of_cut(image):
+    """-1 below, +1 above, on the whole chamber; on-cut or unstable raises.
+
+    A linear level is compared with the cut on the ints of its form."""
+    level = image[1]
     try:
-        side = chamber_sign(image[1] - cut)
+        try:
+            (form, cut), den = linear_forms([level, _CUT])
+        except ValueError:      # degree > 1
+            side = chamber_sign(level - _CUT)
+        else:
+            side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
     except ChamberSignError as exc:
         raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
     if side == 0:
-        raise VertexOnCutError(f"vertex image {image[1]} lies on the cut level")
+        raise VertexOnCutError(f"vertex image {level} lies on the cut level")
     return side
 
 
@@ -305,13 +360,12 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     projected weight multiset must equal the multiset of outgoing primitive
     directions at that point.
     """
-    cut = default_cut()
     reference = gkm.tolman_graph()
 
     kept = []
     for side_name, data, want in (("tilde", tilde_data, -1), ("hat", hat_data, 1)):
         for vd in data:
-            if _side_of_cut(vd.image, cut) == want:
+            if _side_of_cut(vd.image) == want:
                 kept.append((side_name, vd))
 
     problems = []

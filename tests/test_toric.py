@@ -1,12 +1,15 @@
+import dataclasses
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmloc.exact import ChamberSignError, L1, L2, ParamPoly, chamber_sign, primitive
+from gkmloc import toric
+from gkmloc.exact import (ChamberSignError, L1, L2, ParamPoly, chamber_lattice, chamber_sign,
+                          linear_forms, primitive)
 from gkmloc.toric import (
     L_HAT,
     L_TILDE,
@@ -52,6 +55,26 @@ TILDE_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 4),
                (3, 4), (3, 5), (4, 5))
 
 
+# the apex crosses the face x + y + z = 2*l1 at the wall l2/l1 = 4
+APEX = Polytope((
+    (const(0), const(0), const(0)),
+    (2 * L1, const(0), const(0)),
+    (const(0), 2 * L1, const(0)),
+    (const(0), const(0), 2 * L1),
+    (L1, L1, 4 * L1 - L2),
+))
+# vertex 4, (l1, 0, 0), lies between vertices 0 and 1 on the edge line
+SIMPLEX = Polytope((
+    (const(0), const(0), const(0)),
+    (L2, const(0), const(0)),
+    (const(0), L1, const(0)),
+    (const(0), const(0), L1),
+    (L1, const(0), const(0)),
+))
+# (l2 - 2*l1, 0, 0) passes the origin at the wall l2/l1 = 2
+CROSSING = Polytope(SIMPLEX.vertices[:4] + ((L2 - 2 * L1, const(0), const(0)),))
+
+
 def reference_hull(points):
     """The triple search run directly on Fraction coordinates.
 
@@ -94,6 +117,58 @@ def reference_hull(points):
             line = sub(pts[common[-1]], base)
             common.sort(key=lambda m: dot(sub(pts[m], base), line))
         edges.add((common[0], common[-1]))
+    return frozenset(facets), frozenset(edges)
+
+
+def triple_loop_hull(points):
+    """The hull search that signs every side of every triple.
+
+    Oracle for TestOrientationTable: for each triple i < j < k it signs the
+    determinant of (i, j, k, m) for every m, three of them identically 0, so
+    each orientation determinant is signed up to four times. The library signs
+    each once and must find the same facets and edges and raise the same
+    errors, with the same text.
+    """
+    flat, sign = chamber_lattice([c for p in points for c in p])
+    pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
+    n = len(pts)
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    facets = set()
+    full_dim = False
+    try:
+        for i in range(n):
+            rel = [sub(q, pts[i]) for q in pts]
+            for j, k in combinations(range(i + 1, n), 2):
+                (x1, y1, z1), (x2, y2, z2) = rel[j], rel[k]
+                normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+                if not any(normal):
+                    continue
+                sides = [sign(dot(normal, r)) for r in rel]
+                if 1 in sides and -1 in sides:
+                    full_dim = True
+                    continue
+                facets.add(frozenset(m for m in range(n) if sides[m] == 0))
+        if not full_dim and len(facets) <= 1:
+            raise NotFullDimensionalError("points do not affinely span 3-space")
+        edges = set()
+        for f1, f2 in combinations(facets, 2):
+            common = sorted(f1 & f2)
+            if len(common) < 2:
+                continue
+            if len(common) > 2:
+                base = pts[common[0]]
+                line = sub(pts[common[-1]], base)
+                key = {m: dot(sub(pts[m], base), line) for m in common}
+                common.sort(key=cmp_to_key(lambda a, b: sign(key[a] - key[b])))
+            edges.add((common[0], common[-1]))
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(f"hull combinatorics change: {exc}") from None
     return frozenset(facets), frozenset(edges)
 
 
@@ -221,6 +296,28 @@ class TestBuiltinPolytopes:
         with pytest.raises(MalformedPolytopeError, match="degree <= 1"):
             Polytope(((lin(1, 0), lin(0, 1), L1 * L2),))
 
+    def test_stored_forms_are_not_fields(self):
+        forms, den = linear_forms([c for v in TILDE.vertices for c in v])
+        assert TILDE._forms == tuple(forms) and TILDE._den == den == 1
+        # (a, b, c) / den is a*u + b*v + c with l1 = u, l2 = u + v: vertex 4 is (l1, l2, l1)
+        assert TILDE._forms[12:15] == ((1, 0, 0), (1, 1, 0), (1, 0, 0))
+        thirds = Polytope(((L1 / 3, L2 / 2, const(Fraction(1, 6))),))
+        assert thirds._den == 6 and thirds._forms == ((2, 0, 0), (3, 3, 0), (0, 0, 1))
+        rebuilt = Polytope(list(map(list, TILDE.vertices)), TILDE.name)
+        assert rebuilt == TILDE and hash(rebuilt) == hash(TILDE) and repr(rebuilt) == repr(TILDE)
+        assert not any(name in repr(TILDE) for name in ("_forms", "_den"))
+        assert [f.name for f in dataclasses.fields(TILDE)] == ["vertices", "name"]
+
+    def test_construction_errors_keep_their_text(self):
+        square = (lin(1, 0), lin(0, 1), L1 * L2)
+        with pytest.raises(MalformedPolytopeError) as err:
+            Polytope(((const(0), const(0), const(0)), square, (L2 ** 2, const(0), const(0))))
+        assert str(err.value) == f"vertex coordinates must have degree <= 1: {square}"
+        for bad in (((lin(1, 0), lin(0, 1), 3),), ((lin(1, 0), lin(0, 1)),)):
+            with pytest.raises(TypeError) as err:
+                Polytope(bad)
+            assert str(err.value) == "vertices must be triples of ParamPoly"
+
     def test_malformed_json(self):
         good = polytope_to_json(TILDE)
         bad = (
@@ -285,38 +382,21 @@ class TestDelzantChecks:
         # the apex is beyond the face x + y + z = 2*l1 for l2 < 4*l1 and below
         # z = 0 for l2 > 4*l1: the samples (1, 2) and (1, 3) agreed on edge
         # (3, 4), which (0, 4) replaces at (1, 5)
-        two = 2 * L1
-        apex = Polytope((
-            (const(0), const(0), const(0)),
-            (two, const(0), const(0)),
-            (const(0), two, const(0)),
-            (const(0), const(0), two),
-            (L1, L1, 4 * L1 - L2),
-        ))
-        sides = [hull_combinatorics([tuple(c.evaluate(*at) for c in v) for v in apex.vertices])[1]
+        sides = [hull_combinatorics([tuple(c.evaluate(*at) for c in v) for v in APEX.vertices])[1]
                  for at in ((1, 2), (1, 3), (1, 5))]
         assert sides[0] == sides[1] and (3, 4) in sides[0]
         assert (3, 4) not in sides[2] and (0, 4) in sides[2]
         with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 4$"):
-            polytope_edges(apex)
+            polytope_edges(APEX)
 
     def test_three_collinear_vertices_on_an_edge_line(self):
         # (l1, 0, 0) lies between (0, 0, 0) and (l2, 0, 0) on the whole chamber;
         # the endpoint order compares l1^2 with l1*l2
-        simplex = Polytope((
-            (const(0), const(0), const(0)),
-            (L2, const(0), const(0)),
-            (const(0), L1, const(0)),
-            (const(0), const(0), L1),
-            (L1, const(0), const(0)),
-        ))
-        facets, _ = hull_combinatorics(simplex.vertices)
+        facets, _ = hull_combinatorics(SIMPLEX.vertices)
         assert {0, 1, 4} <= max(facets, key=len)
-        assert polytope_edges(simplex) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        # (l2 - 2*l1, 0, 0) passes the origin at l2 = 2*l1
-        crossing = Polytope(simplex.vertices[:4] + ((L2 - 2 * L1, const(0), const(0)),))
+        assert polytope_edges(SIMPLEX) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
         with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 2$"):
-            polytope_edges(crossing)
+            polytope_edges(CROSSING)
 
 
 def reference_edge_direction(p, i, j):
@@ -443,6 +523,61 @@ class TestCertifiedOnTheChamber:
         self.assert_certified(moved(builtin_polytopes()[name], m))
 
 
+# half of them constant, so that some hulls are stable on the whole chamber
+LINEAR_COORDS = st.one_of(st.integers(-2, 2).map(ParamPoly.const), st.builds(
+    ParamPoly.linear, st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
+
+
+def hull_or_error(hull, points):
+    try:
+        return hull(points)
+    except (NotFullDimensionalError, ParametricCombinatoricsUnstableError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOrientationTable:
+    """The hull signs each orientation determinant once and agrees with the
+    triple loop on facets, edges and the type and text of every error."""
+
+    @staticmethod
+    def assert_as_triple_loop(points):
+        assert hull_or_error(hull_combinatorics, points) == hull_or_error(triple_loop_hull, points)
+
+    @settings(max_examples=150)
+    @given(point_sets())
+    def test_rational_point_sets(self, points):
+        self.assert_as_triple_loop(points)
+
+    @settings(max_examples=150)
+    @given(st.lists(st.tuples(LINEAR_COORDS, LINEAR_COORDS, LINEAR_COORDS),
+                    min_size=4, max_size=7))
+    def test_parametric_point_sets(self, points):
+        # mostly unstable: the first determinant that changes sign names the wall
+        self.assert_as_triple_loop(points)
+
+    def test_walls_and_moved_builtins(self):
+        for p in (APEX, SIMPLEX, CROSSING):
+            self.assert_as_triple_loop(p.vertices)
+        for poly in (HAT, TILDE):
+            for m in GL3_MOVES:
+                self.assert_as_triple_loop(moved(poly, m).vertices)
+
+    def test_each_determinant_signed_once(self, monkeypatch):
+        signed = []
+
+        def counted(values):
+            ints, sign = chamber_lattice(values)
+            return ints, lambda n: signed.append(n) or sign(n)
+
+        monkeypatch.setattr(toric, "chamber_lattice", counted)
+        for poly in (HAT, TILDE):
+            for m in GL3_MOVES:
+                signed.clear()
+                hull_combinatorics(moved(poly, m).vertices)
+                # no three vertices are collinear: C(6, 4) determinants, no order test
+                assert len(signed) == math.comb(6, 4)
+
+
 class TestNoSamplePoints:
     def test_glue_never_evaluates(self, monkeypatch):
         """The toric pipeline decides everything on the chamber: no value of a
@@ -457,6 +592,30 @@ class TestNoSamplePoints:
                 project_fixed_data(moved(HAT, m_hat), matmul(L_HAT, inverse3(m_hat))),
                 project_fixed_data(moved(TILDE, m_tilde), matmul(L_TILDE, inverse3(m_tilde))))
             assert report.ok and report.matched == builtin_glue_report().matched
+
+
+class TestNoProducts:
+    def test_toric_path_builds_no_parampoly_product(self, monkeypatch):
+        """Construction, hull, projection and glue run on int forms: with
+        ParamPoly products disabled, every GL3(Z)-moved pair still glues."""
+        def no_product(*args):
+            raise AssertionError("ParamPoly product")
+
+        pairs = [(moved(HAT, m_hat).vertices, moved(TILDE, m_tilde).vertices,
+                  matmul(L_HAT, inverse3(m_hat)), matmul(L_TILDE, inverse3(m_tilde)))
+                 for m_hat, m_tilde in zip(GL3_MOVES, GL3_MOVES[::-1])]
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            monkeypatch.setattr(ParamPoly, name, no_product)
+        with pytest.raises(AssertionError, match="ParamPoly product"):
+            L1 * L2
+        with pytest.raises(AssertionError, match="ParamPoly product"):
+            2 * L1
+        for hat, tilde, to_hat, to_tilde in pairs:
+            hat, tilde = Polytope(hat), Polytope(tilde)
+            assert len(polytope_edges(hat)) == len(polytope_edges(tilde)) == 9
+            report = glue_check(project_fixed_data(hat, to_hat),
+                                project_fixed_data(tilde, to_tilde))
+            assert report.ok and report.matched == ("x00", "x03", "x11", "x13", "x21", "x40")
 
 
 class TestProjection:
@@ -531,6 +690,7 @@ class TestGlue:
 
     def test_default_cut_level(self):
         assert default_cut() == ParamPoly.linear(Fraction(1, 2), Fraction(1, 2))
+        assert default_cut() is default_cut()
 
     def test_moved_vertex_breaks_the_match(self):
         hat_data = project_fixed_data(HAT, L_HAT)
@@ -564,8 +724,12 @@ class TestGlue:
         tilde_data = project_fixed_data(TILDE, L_TILDE)
         # above the cut at (1, 2), below it at (1, 3)
         wobble = VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ())
-        with pytest.raises(ParametricCombinatoricsUnstableError):
+        with pytest.raises(ParametricCombinatoricsUnstableError) as got:
             glue_check(hat_data, tilde_data + (wobble,))
+        # signed on the ints of the level's form, named as the ParamPoly route names it
+        with pytest.raises(ChamberSignError) as want:
+            chamber_sign(wobble.image[1] - default_cut())
+        assert str(got.value) == f"cut side changes: {want.value}"
         # above the cut on the whole chamber but for the wall l2/l1 = 5, where
         # it touches it: no sample pair sees that
         touch = VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ())
