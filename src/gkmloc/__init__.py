@@ -30,7 +30,6 @@ from .gkm import (
     fixed_point_index,
     graph_from_json,
     graph_to_json,
-    hamiltonian,
     is_coprime_action,
     isotropy_spheres,
     outgoing_edges,

@@ -20,27 +20,17 @@ from . import gkm, kahlercone, localization, projbundle, toric
 from .exact import ParamPoly, ToolkitError, rat, rat_str
 
 
-def _canon(value):
-    """Render a value with exact JSON-safe primitives."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return value
+def _exact(value):
+    """json's hook for the exact values: a Fraction as "p/q", a ParamPoly as its term list."""
     if isinstance(value, Fraction):
         return rat_str(value)
     if isinstance(value, ParamPoly):
         return value.to_json()
-    if isinstance(value, str):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _canon(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canon(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _render(payload) -> str:
-    return json.dumps(_canon(payload), separators=(",", ":")) + "\n"
+    return json.dumps(payload, default=_exact, separators=(",", ":")) + "\n"
 
 
 def _graph(name: str) -> gkm.GKMGraph:

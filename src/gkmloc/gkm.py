@@ -134,9 +134,9 @@ class GKMGraph:
     Validation writes every moment coordinate once as an int ``linear_forms``
     form (a, b, c), the coordinate being (a*u + b*v + c) / ``_den`` with
     l1 = u, l2 = u + v: ``_forms`` maps each point id, in canonical order, to
-    the forms of its two coordinates. It then computes the area of every edge
-    on these ints; the areas are kept, in edge order, in ``_areas``. None of
-    the three is a field, so equality, hash and repr see only points and edges.
+    the forms of its two coordinates. It then checks every edge's area on
+    these ints. Neither is a field, so equality, hash and repr see only points
+    and edges; ``sphere_area`` builds an area when it is asked for.
     """
 
     points: tuple
@@ -154,16 +154,14 @@ class GKMGraph:
             raise ValueError("fixed point ids must be unique")
         forms, den = linear_forms([c for p in pts for c in p.moment_image])
         forms = {pid: (forms[2 * k], forms[2 * k + 1]) for k, pid in enumerate(ids)}
-        areas = []
         for e in edges:
             if e.tail not in forms or e.head not in forms:
                 raise MalformedEdgeError(f"edge {e.tail}->{e.head} references unknown point")
             # raises MalformedEdgeError unless head - tail = area * direction
             # with area positive on the whole chamber 0 < l1 < l2
-            areas.append(_area(forms, den, e))
+            _area(forms, den, e)
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_areas", tuple(areas))
 
     @cached_property
     def _by_id(self):
@@ -189,12 +187,12 @@ def sphere_area(g: GKMGraph, e: Edge) -> ParamPoly:
     """Area polynomial A of the sphere e between points of g: head - tail == A * direction,
     A > 0 on 0 < l1 < l2. Decided on the ints of g's moment forms; only A is a ParamPoly."""
     g.point(e.tail), g.point(e.head)           # NoSuchFixedPoint for an unknown end
-    return _area(g._forms, g._den, e)
+    return linear_poly(*_area(g._forms, g._den, e))
 
 
-def _area(forms, den, e: Edge) -> ParamPoly:
-    """sphere_area on the point forms over den: collinearity is an int cross check, and
-    the area's form (the difference over the direction) is signed by ``linear_sign``."""
+def _area(forms, den, e: Edge):
+    """(form, den) of e's area from the point forms over den: collinearity is an int cross
+    check and ``linear_sign`` signs the form; a ParamPoly is built only for an error's text."""
     (t0, t1), (h0, h1) = forms[e.tail], forms[e.head]
     x1, x2 = e.direction
     d0 = (h0[0] - t0[0], h0[1] - t0[1], h0[2] - t0[2])
@@ -209,11 +207,10 @@ def _area(forms, den, e: Edge) -> ParamPoly:
         positive = linear_sign(form, den) == 1
     except ChamberSignError as exc:
         raise MalformedEdgeError(f"edge {e.tail}->{e.head}: area {exc}") from None
-    area = linear_poly(form, den)
     if not positive:
         raise MalformedEdgeError(
-            f"edge {e.tail}->{e.head}: area {area} not positive on 0 < l1 < l2")
-    return area
+            f"edge {e.tail}->{e.head}: area {linear_poly(form, den)} not positive on 0 < l1 < l2")
+    return form, den
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +311,6 @@ def edge_weight(g: GKMGraph, s, e: Edge) -> int:
     """Weight of s on the sphere e, measured along the tail-to-head direction."""
     s = as_action(s)
     return s.a * e.direction[0] + s.b * e.direction[1]
-
-
-def hamiltonian(g: GKMGraph, s, point_id: str) -> ParamPoly:
-    """Value of the momentum a*phi1 + b*phi2 at a fixed point."""
-    s = as_action(s)
-    img = g.point(point_id).moment_image
-    return img[0] * s.a + img[1] * s.b
 
 
 def fixed_point_index(weights) -> int:

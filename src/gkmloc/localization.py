@@ -174,10 +174,11 @@ def _omega_integrals(g: GKMGraph, s):
     """
     s = as_action(s)
     rows = localization_table(g, s)
-    if any(len(r.weights) != 3 for r in rows) or not all(a.is_homogeneous(1) for a in g._areas):
+    h, forms = g._den, g._forms
+    if any(len(r.weights) != 3 for r in rows) or any(     # an area has a constant term
+            t[2] != q[2] for e in g.edges for t, q in zip(forms[e.tail], forms[e.head])):
         raise NotHomogeneousCubicError("volume is not a homogeneous cubic: the graph is "
                                        "not 3-valent or an area is not homogeneous linear")
-    h = g._den
 
     def terms(row):
         x, y = row._momentum[:2]

@@ -251,8 +251,8 @@ def _vertex_directions(p: Polytope, index: int, neighbors, known):
     its other end is reused as -u: the area is the same from both ends and fixes
     the sign of u, so _edge_direction would return exactly that, or fail.
     """
-    if not 0 <= index < len(p.vertices):
-        raise IndexError(f"no vertex {index}")
+    if bad := [k for k in (index, *neighbors) if not 0 <= k < len(p.vertices)]:
+        raise IndexError(f"no vertex {bad[0]}")
     if len(neighbors) != 3:
         raise NotDelzantVertexError(
             f"vertex {index} has {len(neighbors)} edges, expected 3")

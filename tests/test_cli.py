@@ -4,12 +4,14 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmloc import cli, projbundle
-from gkmloc.cli import _parser, _reproduce_checks, build_parser, run
+from gkmloc.cli import _parser, _render, _reproduce_checks, build_parser, run
+from gkmloc.exact import ParamPoly, rat_str
 from gkmloc.localization import CHERN_MONOMIALS
 
 
@@ -17,6 +19,73 @@ def capture(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _not_exact(text):
+    raise AssertionError(f"{text} on stdout: every number the CLI prints is an int")
+
+
+def loads_exact(line):
+    """json.loads that fails on a float, NaN or Infinity."""
+    return json.loads(line, parse_float=_not_exact, parse_constant=_not_exact)
+
+
+def canon(value):
+    """Oracle for cli._render: the recursive walk that copied a payload into exact
+    JSON-safe primitives before the renderer handed it to json's encoder."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, ParamPoly):
+        return value.to_json()
+    if isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return {str(k): canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canon(v) for v in value]
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+TEXT = st.one_of(st.text(max_size=8),
+                 st.sampled_from(('"', "\\", '\\"', "é", "l2/l1 ≠ 3", "\x00", "\U0001d53b")))
+FRACTIONS = st.one_of(st.builds(Fraction, st.integers(-10**50, 10**50), st.integers(1, 10**6)),
+                      st.integers(-9, 9).map(Fraction))
+PARAMPOLYS = st.one_of(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    st.one_of(st.integers(-9, 9), FRACTIONS), max_size=4).map(ParamPoly),
+    FRACTIONS.map(ParamPoly.const))
+PAYLOADS = st.recursive(
+    st.one_of(st.integers(), st.integers(-10**50, 10**50), st.booleans(), st.none(), TEXT,
+              FRACTIONS, PARAMPOLYS),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=12)
+
+
+class TestRenderer:
+    @settings(max_examples=300)
+    @given(PAYLOADS)
+    def test_matches_the_recursive_walk(self, payload):
+        line = _render(payload)
+        assert line == json.dumps(canon(payload), separators=(",", ":")) + "\n"
+        loads_exact(line)
+
+    @pytest.mark.parametrize("leaf, name", [({1}, "set"), (object(), "object")])
+    def test_other_types_are_refused(self, leaf, name):
+        for route in (_render, canon):
+            with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+                route({"ok": [1, leaf]})
+
+    def test_a_float_would_be_caught_on_stdout(self):
+        # json encodes a float itself; no handler makes one, and loads_exact refuses it
+        for number in (0.5, float("nan")):
+            with pytest.raises(AssertionError, match="every number the CLI prints is an int"):
+                loads_exact(_render({"value": number}))
 
 
 class TestSubcommands:
@@ -373,14 +442,14 @@ class TestArgvFuzz:
             assert code in (0, 1)
             lines = out.getvalue().split("\n")
             assert len(lines) == 2 and lines[1] == ""
-            json.loads(lines[0])
+            loads_exact(lines[0])
 
 
 class TestReproduceAll:
     def test_all_checks_pass(self, capsys):
         code, out = capture(capsys, ["reproduce-all"])
         assert code == 0
-        payload = json.loads(out)
+        payload = loads_exact(out)
         results = payload["results"]
         assert results["failed"] == 0
         assert results["passed"] == results["total"] == len(payload["checks"])
@@ -394,6 +463,9 @@ class TestReproduceAll:
         _, third = capture(capsys, ["ring", "--k1", "2", "--k2", "-3"])
         _, fourth = capture(capsys, ["ring", "--k1", "2", "--k2", "-3"])
         assert third == fourth
+        for out in (first, third):
+            assert out.count("\n") == 1
+            loads_exact(out)
 
 
 class TestConsoleEntry:

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from gkmloc.cli import run
+from test_cli import loads_exact
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
@@ -54,8 +55,11 @@ def test_golden_file_covers_every_argv():
 @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
 def test_stdout_and_exit_code_are_unchanged(capsys, case):
     code = run(case["argv"])
-    assert capsys.readouterr().out == case["stdout"]
+    out = capsys.readouterr().out
+    assert out == case["stdout"]
     assert code == case["exit"]
+    for line in out.splitlines():
+        loads_exact(line)
 
 
 def test_one_process_replays_every_case_in_reverse(capsys):

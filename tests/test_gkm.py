@@ -29,7 +29,6 @@ from gkmloc.gkm import (
     fixed_point_index,
     graph_from_json,
     graph_to_json,
-    hamiltonian,
     is_coprime_action,
     isotropy_spheres,
     outgoing_edges,
@@ -38,6 +37,7 @@ from gkmloc.gkm import (
     tolman_coprime_criterion,
     tolman_graph,
 )
+from gkmloc.localization import localization_table
 
 
 def lin(c1, c2):
@@ -52,6 +52,14 @@ def sphere_c1(g, s, e):
             f"subcircle ({s[0]},{s[1]}) fixes the sphere {e.tail}->{e.head} pointwise")
     lo, hi = (e.tail, e.head) if w > 0 else (e.head, e.tail)
     return Fraction(sum(restrict_weights(g, s, lo)) - sum(restrict_weights(g, s, hi)), abs(w))
+
+
+def hamiltonian(g, s, point_id):
+    """Oracle for FixedPointContribution.hamiltonian: the momentum a*phi1 + b*phi2 at a
+    fixed point, by ParamPoly arithmetic on its moment image."""
+    s = as_action(s)
+    img = g.point(point_id).moment_image
+    return img[0] * s.a + img[1] * s.b
 
 
 def division_area(tail, head, e):
@@ -361,8 +369,9 @@ class TestWeights:
         assert edge_weight(G, (1, 3), e) == -1
 
     def test_hamiltonian_values(self):
-        assert hamiltonian(G, (2, 1), "x13") == ParamPoly({(1, 0): 3, (0, 1): 1})
-        assert hamiltonian(G, (2, 1), "x00") == ParamPoly.zero()
+        rows = {row.point: row.hamiltonian for row in localization_table(G, (2, 1))}
+        assert rows["x13"] == ParamPoly({(1, 0): 3, (0, 1): 1})
+        assert rows["x00"] == ParamPoly.zero()
 
 
 class TestMorseData:
@@ -480,7 +489,7 @@ class TestSpheres:
     def test_stored_areas_are_not_fields(self):
         rebuilt = GKMGraph(tuple(reversed(G.points)), tuple(reversed(G.edges)))
         assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
-        assert not any(name in repr(G) for name in ("_areas", "_forms", "_den"))
+        assert not any(name in repr(G) for name in ("_forms", "_den"))
         assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
 
     def test_stored_point_forms(self):
@@ -496,7 +505,38 @@ class TestSpheres:
                         (Edge("p", "q", (1, 0)),))
         assert half._den == 6
         assert half._forms == {"p": ((3, 0, 0), (0, 0, 2)), "q": ((3, 3, 0), (0, 0, 2))}
-        assert half._areas == (ParamPoly({(1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 2)}),)
+        assert sphere_area(half, half.edges[0]) == ParamPoly({(1, 0): Fraction(-1, 2),
+                                                              (0, 1): Fraction(1, 2)})
+
+    def test_validation_builds_no_parampoly(self, monkeypatch):
+        # G moved by the shear (x, y) -> (x + y, y) and shifted by (l1/2, l2/3 + 1):
+        # the point forms have denominator 6
+        t0, t1 = L1 / 2, L2 / 3 + 1
+        points = tuple(FixedPoint(p.id, (x + y + t0, y + t1))
+                       for p in G.points for x, y in (p.moment_image,))
+        edges = tuple(Edge(e.tail, e.head, (d0 + d1, d1))
+                      for e in G.edges for d0, d1 in (e.direction,))
+        tail, head = points[0], points[1]           # x00 and x03, head - tail = (l1 + l2) * (1, 1)
+        backwards = Edge(tail.id, head.id, (-1, -1))
+
+        def no_parampoly(*args):
+            raise AssertionError("ParamPoly built")
+
+        with monkeypatch.context() as m:
+            m.setattr(ParamPoly, "_make", no_parampoly)
+            m.setattr(ParamPoly, "__init__", no_parampoly)
+            g = GKMGraph(points, edges)
+            # positive controls: a sum, a constructor, an area asked for and an error's text
+            for build in (lambda: L1 + L2, lambda: ParamPoly({(1, 0): 1}),
+                          lambda: sphere_area(g, g.edges[0]),
+                          lambda: GKMGraph((tail, head), (backwards,))):
+                with pytest.raises(AssertionError, match="ParamPoly built"):
+                    build()
+        assert g._den == 6 and [p.id for p in g.points] == list(POINT_IDS)
+        for e in g.edges:
+            assert sphere_area(g, e) == division_area(g.point(e.tail), g.point(e.head), e)
+        with pytest.raises(MalformedEdgeError, match="not positive"):
+            GKMGraph((tail, head), (backwards,))
 
     def test_unknown_point_in_an_area_or_weight_query(self):
         with pytest.raises(NoSuchFixedPointError, match="'x99'"):
@@ -539,7 +579,7 @@ class TestAreasAgainstTheDivisionRoute:
         head = FixedPoint("q", (tail0 + area * d[0],
                                 tail1 + area * d[1] + (0 if collinear else bend)))
         e = Edge("p", "q", d)
-        want = assert_same_area(lambda: GKMGraph((tail, head), (e,))._areas[0], tail, head, e)
+        want = assert_same_area(lambda: sphere_area(GKMGraph((tail, head), (e,)), e), tail, head, e)
         if want is not None:
             # with its ends swapped and the same direction the area is -want: never positive
             g, back = GKMGraph((tail, head), (e,)), Edge("q", "p", d)

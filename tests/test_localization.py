@@ -15,7 +15,6 @@ from gkmloc.gkm import (
     FixedPoint,
     GKMGraph,
     c1_values,
-    hamiltonian,
     restrict_weights,
     sphere_area,
     tolman_graph,
@@ -39,7 +38,7 @@ from gkmloc.localization import (
     localize,
 )
 from gkmloc.projbundle import tensor_apply
-from test_gkm import assert_same_area, omega_basis_values, sphere_c2_pairings
+from test_gkm import assert_same_area, hamiltonian, omega_basis_values, sphere_c2_pairings
 
 G = tolman_graph()
 
@@ -140,7 +139,7 @@ class TestOtherValence:
 
 def momentum_volume(g, s):
     """Oracle for dh_volume: the ParamPoly route, (-H)^n / e(p) summed by localize,
-    with H(p) from gkm.hamiltonian, not from the rows' int momenta."""
+    with H(p) from the test_gkm.hamiltonian oracle, not from the rows' int momenta."""
     return localize(g, s, lambda row: (-hamiltonian(g, s, row.point)) ** len(row.weights))
 
 
@@ -346,7 +345,7 @@ def one_pass_per_integrand(rows, integrand, scale):
 
 def omega_sums_per_integrand(g, s):
     """Oracle for the one pass: its twelve sums, one pass each, with h*xi'(p) and
-    h*eta'(p) read off gkm.hamiltonian. Returns the certificate sums
+    h*eta'(p) read off the hamiltonian oracle. Returns the certificate sums
     integral xi'^k eta'^(2-k), then t, c1_xy and the p1 pairings."""
     h = h_of(g, s)
     rows = []
@@ -417,10 +416,10 @@ def moved(base, moves, shift0, shift1, k, r):
 
 
 def assert_int_routes_match(g, s):
-    """Every stored area, the reversed spheres and dh_volume against the ParamPoly routes."""
-    for e, area in zip(g.edges, g._areas):
+    """Every area, the reversed spheres and dh_volume against the ParamPoly routes."""
+    for e in g.edges:
         tail, head = g.point(e.tail), g.point(e.head)
-        assert assert_same_area(lambda: sphere_area(g, e), tail, head, e) == area
+        assert assert_same_area(lambda: sphere_area(g, e), tail, head, e) is not None
         back = Edge(e.head, e.tail, e.direction)     # area -A: never positive
         assert assert_same_area(lambda: sphere_area(g, back), head, tail, back) is None
     got, want = dh_volume(g, s), momentum_volume(g, s)
@@ -552,6 +551,21 @@ class TestOnePass:
         inv = jupp_invariants_from_gkm(G, (2, 1))
         assert all(type(v) is int for v in inv.w2 + inv.p1_pairings)
 
+    def test_an_area_with_a_constant_term(self):
+        # each coordinate p(l1 + 1, l2 + 1): 3-valent, every area still positive, and
+        # eight of them gain a constant term (the pass reads it off the point forms)
+        def sub(c):
+            return ParamPoly.linear(c.coefficient(1, 0), c.coefficient(0, 1),
+                                    c.coefficient(0, 0) + c.coefficient(1, 0) + c.coefficient(0, 1))
+        g = GKMGraph(tuple(FixedPoint(p.id, tuple(map(sub, p.moment_image))) for p in G.points),
+                     G.edges)
+        assert sum(not sphere_area(g, e).is_homogeneous(1) for e in g.edges) == 8
+        assert all(sphere_area(G, e).is_homogeneous(1) for e in G.edges)
+        for route in (cubic_form_from_gkm, c1_in_omega_basis, jupp_invariants_from_gkm):
+            with pytest.raises(NotHomogeneousCubicError,
+                               match="not 3-valent or an area is not homogeneous linear$"):
+                route(g, (2, 1))
+
     def test_not_three_valent(self):
         sphere = GKMGraph(
             (FixedPoint("p", (ParamPoly.zero(), ParamPoly.zero())),
@@ -590,7 +604,8 @@ class TestOnePass:
         with pytest.raises(AssertionError, match="ParamPoly product"):
             L1 * L2
         rebuilt = GKMGraph(g.points, g.edges)
-        assert rebuilt._den == 6 and rebuilt._areas == g._areas
+        assert rebuilt._den == 6
+        assert all(sphere_area(rebuilt, e) == sphere_area(g, e) for e in g.edges)
         assert dh_volume(rebuilt, (3, 1)) == VOLUME
         inv = jupp_invariants_from_gkm(rebuilt, (3, 1))
         assert (inv.trilinear, inv.w2, inv.p1_pairings) == (TENSOR, (0, 0), (8, 0))

@@ -365,6 +365,13 @@ class TestDelzantChecks:
         with pytest.raises(IndexError):
             vertex_weights(HAT, 17)
 
+    @pytest.mark.parametrize("neighbor", [17, 6, -1])
+    def test_unknown_neighbor_index(self, neighbor):
+        # checked before any direction: an empty slice of forms would read as the zero vector
+        with pytest.raises(IndexError) as err:
+            vertex_weights(HAT, 0, edges=((0, 1), (0, 2), (0, neighbor)))
+        assert str(err.value) == f"no vertex {neighbor}"
+
     def test_parameter_dependent_combinatorics_detected(self):
         # fifth point sits inside the simplex at (1, 2) and outside at (1, 3)
         t = lin(Fraction(-7, 4), 1)
