@@ -158,6 +158,9 @@ class ParamPoly:
     @classmethod
     def linear(cls, c1, c2, const=0) -> "ParamPoly":
         """c1*l1 + c2*l2 + const."""
+        if type(c1) is int and type(c2) is int and type(const) is int:
+            num = {(1, 0): c1, (0, 1): c2, (0, 0): const}
+            return cls._make({key: n for key, n in num.items() if n}, 1)
         return cls({(1, 0): rat(c1), (0, 1): rat(c2), (0, 0): rat(const)})
 
     # -- inspection --------------------------------------------------------
@@ -199,9 +202,10 @@ class ParamPoly:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, ParamPoly):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self._den, other._den
         if d1 == d2:
             num, m2 = dict(self._num), 1
@@ -236,6 +240,16 @@ class ParamPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            # gcd(_den, *_num) == 1, so gcd(_den, other) is all that normal form divides out
+            if not other:
+                return ParamPoly._make({}, 1)
+            g = math.gcd(self._den, other)
+            k = other // g
+            out = object.__new__(ParamPoly)
+            out._num = {key: n * k for key, n in self._num.items()}
+            out._den = self._den // g
+            return out
         if isinstance(other, str):
             other = rat(other)
         if isinstance(other, (int, Fraction)):

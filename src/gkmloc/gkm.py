@@ -326,7 +326,7 @@ def betti_numbers(g: GKMGraph, s):
     valences = {len(inc) for inc in g._outgoing.values()}
     if len(valences) != 1:
         raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
-    n = valences.pop()
+    n, s = valences.pop(), as_action(s)
     betti = [0] * (2 * n + 1)
     for p in g.points:
         betti[fixed_point_index(restrict_weights(g, s, p.id))] += 1

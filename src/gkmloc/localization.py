@@ -14,15 +14,20 @@ class l1*xi' + l2*eta' to -H(p), H = a*phi1 + b*phi2 the momentum. For n = 3:
 
 The (-1)^n factor is baked in, so dh_volume returns the honest volume
 polynomial, positive for 0 < l1 < l2. The classifying invariants (tensor,
-c1, p1 and c2 pairings) come from one localization_table pass, which also
+c1, p1 and c2 pairings) come from one pass over the rows, which also
 checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
 every degree-4 monomial x*y in xi', eta'.
 
-localization_table builds every row, each with -H(p) = (x*l1 + y*l2 + z) / h as
-ints read off the graph's moment forms (so xi'(p) = x/h, eta'(p) = y/h), and
-_row_sum is the one sum, of an integrand's components over the lcm of the weight
-products. No ParamPoly arithmetic runs in dh_volume or the pass; H(p) is made a
-ParamPoly only when FixedPointContribution.hamiltonian is read.
+One private builder, _rows, reads each row off the graph as a tuple (point, weights,
+e(p), momentum), the momentum being the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h
+from the graph's moment forms (so xi'(p) = x/h, eta'(p) = y/h). _row_sum is the one sum,
+of an integrand's components over the lcm of the weight products. The Chern numbers,
+dh_volume and the omega pass read the tuples and stay on ints until the returned value:
+the omega pass hands its twelve sums on as int numerators over one denominator, c1 is
+solved by Cramer's rule on them and every integrality test is a divisibility test.
+Fractions are made only for a returned value or an error's text, and ParamPolys only
+for dh_volume's result and FixedPointContribution.hamiltonian, which localization_table
+and localize hand out by wrapping the same tuples.
 """
 
 from __future__ import annotations
@@ -81,21 +86,27 @@ class FixedPointContribution:
         return linear_poly((-x - y, -y, -z), h)
 
 
-def localization_table(g: GKMGraph, s):
-    """Per-point contributions for a subcircle, in canonical point order."""
+def _rows(g: GKMGraph, s):
+    """localization_table as tuples (point, weights, weight product, momentum), with the
+    momentum the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h."""
     s = as_action(s)
     a, b = s.a, s.b
     h, forms = g._den, g._forms
     rows = []
     for pid, inc in g._outgoing.items():
-        ws = tuple(a * x + b * y for _, (x, y) in inc)
+        ws = tuple([a * x + b * y for _, (x, y) in inc])
         prod = math.prod(ws)
         if prod == 0:
             raise DegenerateWeightError(f"subcircle ({a},{b}) has a zero weight at {pid}")
         (u0, v0, w0), (u1, v1, w1) = forms[pid]     # phi_i = (u*l1 + v*(l2 - l1) + w) / h
-        x, y, z = -a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1
-        rows.append(FixedPointContribution(pid, ws, prod, (x, y, z, h)))
-    return tuple(rows)
+        momentum = (-a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1, h)
+        rows.append((pid, ws, prod, momentum))
+    return rows
+
+
+def localization_table(g: GKMGraph, s):
+    """Per-point contributions for a subcircle, in canonical point order."""
+    return tuple(FixedPointContribution(*row) for row in _rows(g, s))
 
 
 def localize(g: GKMGraph, s, integrand):
@@ -103,16 +114,16 @@ def localize(g: GKMGraph, s, integrand):
 
     An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
     """
-    (total,), den = _row_sum(localization_table(g, s), lambda row: (integrand(row),))
+    (total,), den = _row_sum(_rows(g, s), lambda row: (integrand(FixedPointContribution(*row)),))
     return Fraction(total, den) if isinstance(total, int) else total / den
 
 
 def _row_sum(rows, integrand):
     """(numerators, D), D the lcm of the weight products: for integrand(row) a tuple, the sum
-    of its component k over row.weight_product is numerators[k] / D. Each row adds its
-    components times the int D // weight_product; no division runs until the caller's."""
-    den = math.lcm(*(row.weight_product for row in rows))
-    scales = [den // row.weight_product for row in rows]
+    of its component k over the row's weight product is numerators[k] / D. Each row adds its
+    components times the int D // weight product; no division runs until the caller's."""
+    den = math.lcm(*(row[2] for row in rows))
+    scales = [den // row[2] for row in rows]
     return [sum(map(mul, column, scales)) for column in zip(*map(integrand, rows))], den
 
 
@@ -121,10 +132,10 @@ def _e2(ws):
     return (sum(ws) ** 2 - sum(w * w for w in ws)) // 2
 
 
-_CHERN_INTEGRANDS = {
-    "c1^3": lambda row: sum(row.weights) ** 3,
-    "c1c2": lambda row: sum(row.weights) * _e2(row.weights),
-    "c3": lambda row: row.weight_product,
+_CHERN_INTEGRANDS = {      # on the rows of _rows: row[1] the weights, row[2] their product
+    "c1^3": lambda row: sum(row[1]) ** 3,
+    "c1c2": lambda row: sum(row[1]) * _e2(row[1]),
+    "c3": lambda row: row[2],
 }
 
 CHERN_MONOMIALS = tuple(_CHERN_INTEGRANDS)
@@ -138,7 +149,9 @@ def abbv_chern_number(g: GKMGraph, s, monomial: str) -> Fraction:
     """
     if monomial not in _CHERN_INTEGRANDS:
         raise ValueError(f"unsupported monomial {monomial!r}; use one of {CHERN_MONOMIALS}")
-    return localize(g, s, _CHERN_INTEGRANDS[monomial])
+    integrand = _CHERN_INTEGRANDS[monomial]
+    (total,), den = _row_sum(_rows(g, s), lambda row: (integrand(row),))
+    return Fraction(total, den)
 
 
 def dh_volume(g: GKMGraph, s) -> ParamPoly:
@@ -150,12 +163,12 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
     the coefficients of l1^i l2^j in h^(N - n(p)) * (x*l1 + y*l2 + z)^n(p), and the
     volume is one ParamPoly over D * h^N, D the lcm of the weight products.
     """
-    rows = localization_table(g, s)
-    h, top = g._den, max(len(row.weights) for row in rows)
+    rows = _rows(g, s)
+    h, top = g._den, max(len(row[1]) for row in rows)
     keys = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
 
     def expand(row):
-        (x, y, z, _), n = row._momentum, len(row.weights)
+        (x, y, z, _), n = row[3], len(row[1])
         return [h ** (top - n) * math.comb(n, i) * math.comb(n - i, j) * x**i * y**j * z**(n - i - j)
                 if i + j <= n else 0 for i, j in keys]
 
@@ -164,57 +177,69 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
 
 
 def _omega_integrals(g: GKMGraph, s):
-    """The sums of one table pass, with xi', eta' read as ints over the graph's denominator h.
+    """The sums of one _rows pass, with xi', eta' read as ints over the graph's denominator h.
 
-    Returns t[k] = integral xi'^k eta'^(3-k), c1_xy[k] = integral c1 xi'^k
-    eta'^(2-k) and (integral p1 xi', integral p1 eta'), after the certificate
-    integral xi'^k eta'^(2-k) == 0. xi'(p) and eta'(p), the l1 and l2
-    coefficients of -H(p), are the x/h and y/h of the rows' momenta; all twelve
-    sums come from one _row_sum, each scaled to lie over h^3.
+    Returns (nums, D): twelve int numerators over one D, the lcm of the weight products
+    times h^3. nums[k] is integral xi'^k eta'^(2-k) (the certificate, checked to vanish),
+    nums[3 + k] is t[k] = integral xi'^k eta'^(3-k), nums[7 + k] is c1_xy[k] = integral
+    c1 xi'^k eta'^(2-k) and nums[10:] are integral p1 xi' and integral p1 eta'. xi'(p) and
+    eta'(p), the l1 and l2 coefficients of -H(p), are the x/h and y/h of the rows' momenta.
     """
     s = as_action(s)
-    rows = localization_table(g, s)
+    rows = _rows(g, s)
     h, forms = g._den, g._forms
-    if any(len(r.weights) != 3 for r in rows) or any(     # an area has a constant term
+    if any(len(row[1]) != 3 for row in rows) or any(     # an area has a constant term
             t[2] != q[2] for e in g.edges for t, q in zip(forms[e.tail], forms[e.head])):
         raise NotHomogeneousCubicError("volume is not a homogeneous cubic: the graph is "
                                        "not 3-valent or an area is not homogeneous linear")
 
     def terms(row):
-        x, y = row._momentum[:2]
+        x, y = row[3][:2]
         quad = (h * y * y, h * x * y, h * x * x)        # h * xi'^k eta'^(2-k), k = 0, 1, 2
-        e1, p1 = sum(row.weights), h * h * sum(w * w for w in row.weights)
+        e1, p1 = sum(row[1]), h * h * sum(w * w for w in row[1])
         return *quad, y**3, x * y * y, x * x * y, x**3, *(e1 * q for q in quad), p1 * x, p1 * y
 
     nums, den = _row_sum(rows, terms)
-    sums = [Fraction(n, den * h ** 3) for n in nums]
+    den *= h ** 3
     for k in range(3):
-        if value := sums[k]:
+        if nums[k]:
+            value = Fraction(nums[k], den)
             raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({s.a},{s.b}): "
                                          f"integral xi'^{k} eta'^{2 - k} is {value}, not 0")
-    t = tuple(sums[3:7])
-    if not any(t):
+    if not any(nums[3:7]):
         raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")
-    return t, tuple(sums[7:10]), tuple(sums[10:])
+    return nums, den
 
 
-def _solve_c1(t, c1_xy):
-    """c1 = alpha*xi' + beta*eta' from integral c1*x*y = T(c1, x, y), which for
-    x*y = xi'^k eta'^(2-k) reads alpha*t[k+1] + beta*t[k] = c1_xy[k]."""
-    eqs = [(t[k + 1], t[k], c1_xy[k], k) for k in (2, 1, 0)]
+def _solve_c1(nums, den):
+    """c1 = alpha*xi' + beta*eta' as (an, bn, det), alpha = an/det and beta = bn/det, from
+    integral c1*x*y = T(c1, x, y), which for x*y = xi'^k eta'^(2-k) reads alpha*t[k+1] +
+    beta*t[k] = c1_xy[k]. Cramer's rule runs on the numerators of _omega_integrals, whose
+    one denominator cancels; each equation is checked as an*t[k+1] + bn*t[k] == c1_xy[k]*det."""
+    t = nums[3:7]
+    eqs = [(t[k + 1], t[k], nums[7 + k], k) for k in (2, 1, 0)]
     for (x1, y1, r1, _), (x2, y2, r2, _) in combinations(eqs, 2):
         if det := x1 * y2 - x2 * y1:
             break
     else:
         raise NonSpanningBasisError("the (xi', eta') values do not span the dual plane: "
-                                    f"integral xi'^k eta'^(3-k) = {', '.join(map(str, t))}")
-    alpha, beta = (r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det
+                                    "integral xi'^k eta'^(3-k) = "
+                                    + ", ".join(str(Fraction(n, den)) for n in t))
+    an, bn = r1 * y2 - r2 * y1, x1 * r2 - x2 * r1
     for x, y, r, k in eqs:
-        if alpha * x + beta * y != r:
+        if (lhs := an * x + bn * y) != r * det:
             raise LocalizationCheckError(
-                f"c1 = {alpha}*xi' + {beta}*eta' is not a combination of xi', eta': "
-                f"integral c1 xi'^{k} eta'^{2 - k} is {r}, not {alpha * x + beta * y}")
-    return alpha, beta
+                f"c1 = {Fraction(an, det)}*xi' + {Fraction(bn, det)}*eta' is not a combination of "
+                f"xi', eta': integral c1 xi'^{k} eta'^{2 - k} is {Fraction(r, den)}, "
+                f"not {Fraction(lhs, det * den)}")
+    return an, bn, det
+
+
+def _tensor(nums, den):
+    """The cubic form's tensor from the sums of _omega_integrals."""
+    t0, t1, t2, t3 = nums[3:7]
+    return trilinear_from_cubic((Fraction(t3, den), Fraction(3 * t2, den),
+                                 Fraction(3 * t1, den), Fraction(t0, den)))
 
 
 def cubic_form_from_gkm(g: GKMGraph, s):
@@ -223,37 +248,40 @@ def cubic_form_from_gkm(g: GKMGraph, s):
     The entry with k indices 0 (xi') and 3 - k indices 1 (eta') is the
     localized integral xi'^k eta'^(3-k).
     """
-    t = _omega_integrals(g, s)[0]
-    return trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0]))
+    return _tensor(*_omega_integrals(g, s))
 
 
 def c1_in_omega_basis(g: GKMGraph, s):
     """Coordinates (alpha, beta), as Fractions, with c1 = alpha*xi' + beta*eta'."""
-    return _solve_c1(*_omega_integrals(g, s)[:2])
+    an, bn, det = _solve_c1(*_omega_integrals(g, s))
+    return Fraction(an, det), Fraction(bn, det)
 
 
 def c2_pairings_from_gkm(g: GKMGraph, s):
     """(<c2, xi'>, <c2, eta'>), as Fractions, from p1 = c1^2 - 2*c2 on the one pass:
     <c2, x> = (T(c1, c1, x) - <p1, x>) / 2 with T the tensor and c1 = alpha*xi' + beta*eta'.
     """
-    t, c1_xy, p1_x = _omega_integrals(g, s)
-    alpha, beta = _solve_c1(t, c1_xy)
-    # T(c1, c1, x) for x = xi' (k = 1) and x = eta' (k = 0)
-    return tuple((alpha ** 2 * t[k + 2] + 2 * alpha * beta * t[k + 1] + beta ** 2 * t[k] - p1) / 2
-                 for k, p1 in zip((1, 0), p1_x))
+    nums, den = _omega_integrals(g, s)
+    an, bn, det = _solve_c1(nums, den)
+    t, sq = nums[3:7], det * det
+    # T(c1, c1, x) for x = xi' (k = 1) and x = eta' (k = 0), over det^2 * den
+    return tuple(Fraction(an * an * t[k + 2] + 2 * an * bn * t[k + 1] + bn * bn * t[k] - p1 * sq,
+                          2 * sq * den)
+                 for k, p1 in zip((1, 0), nums[10:]))
 
 
 def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
     """Classifying invariants on the basis (xi', eta'), from one localization pass:
     the trilinear tensor, w2 = c1 mod 2 and <p1, xi'>, <p1, eta'> (all must be integral).
     """
-    t, c1_xy, p1_x = _omega_integrals(g, s)
-    alpha, beta = _solve_c1(t, c1_xy)
-    if alpha.denominator != 1 or beta.denominator != 1:
-        raise NonIntegralC1Error(
-            f"c1 = {alpha}*xi' + {beta}*eta' is not an integral combination of xi', eta'")
-    if any(q.denominator != 1 for q in p1_x):
-        raise NonIntegralP1Error(f"<p1, xi'> = {p1_x[0]}, <p1, eta'> = {p1_x[1]}: not integers")
-    tensor = trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0]))
-    return JuppInvariants(tensor, (alpha.numerator % 2, beta.numerator % 2),
-                          (p1_x[0].numerator, p1_x[1].numerator))
+    nums, den = _omega_integrals(g, s)
+    an, bn, det = _solve_c1(nums, den)
+    if an % det or bn % det:
+        raise NonIntegralC1Error(f"c1 = {Fraction(an, det)}*xi' + {Fraction(bn, det)}*eta' "
+                                 "is not an integral combination of xi', eta'")
+    p1x, p1y = nums[10:]
+    if p1x % den or p1y % den:
+        raise NonIntegralP1Error(f"<p1, xi'> = {Fraction(p1x, den)}, "
+                                 f"<p1, eta'> = {Fraction(p1y, den)}: not integers")
+    return JuppInvariants(_tensor(nums, den), (an // det % 2, bn // det % 2),
+                          (p1x // den, p1y // den))

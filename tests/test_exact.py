@@ -360,6 +360,76 @@ class TestParamPolyNormalForm:
             assert got == naive_evaluate(p, x, y)
 
 
+@st.composite
+def int_scalars(draw, den):
+    """Int scalars for a polynomial over den: 0, +-1, large ints, multiples and divisors of den."""
+    divisors = [d for d in range(1, den + 1) if den % d == 0]
+    return draw(st.one_of(
+        st.sampled_from([0, 1, -1]),
+        st.integers(-10**40, 10**40),
+        st.integers(-50, 50).map(lambda m: m * den),
+        st.sampled_from(divisors).flatmap(lambda d: st.sampled_from([d, -d]))))
+
+
+def storage(p):
+    return p._num, p._den
+
+
+class TestIntFastPaths:
+    """A product with an int, a sum of two ParamPolys and ParamPoly.linear on ints skip
+    the general coercion; each gives the _num and _den of the general route."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_int_products(self, data):
+        p = data.draw(st.one_of(POLYS, POLYS.map(lambda q: q / 6)))
+        k = data.draw(int_scalars(p._den))
+        want = p * Fraction(k)              # a Fraction scalar takes the general route
+        for got in (p * k, k * p):
+            assert storage(got) == storage(want)
+            assert all(type(n) is int for n in got._num.values())
+            assert_normal_form(got, naive_mul(p, ParamPoly.const(k)))
+
+    @settings(max_examples=100)
+    @given(POLYS, st.booleans())
+    def test_bools_keep_the_general_route(self, p, b):
+        want = p * Fraction(int(b))
+        for got in (p * b, b * p):
+            assert storage(got) == storage(want)
+            assert all(type(n) is int for n in got._num.values())
+        assert storage(ParamPoly.linear(b, not b, b)) == storage(
+            ParamPoly.linear(Fraction(int(b)), Fraction(int(not b)), Fraction(int(b))))
+
+    @settings(max_examples=200)
+    @given(POLYS, POLYS, RATIONALS, st.integers(-5, 5),
+           st.sampled_from(("free", "equal", "zero", "constant")))
+    def test_sums_of_two_polys(self, p, q, c, m, shape):
+        if shape == "equal":
+            q = p + m                       # an int constant keeps the denominator
+            assert q._den == p._den
+        elif shape == "zero":
+            q = -p
+        elif shape == "constant":
+            q = c - p
+        want = naive_add(p, q)              # through the public constructor
+        for got in (p + q, q + p):
+            assert storage(got) == storage(want)
+            assert_normal_form(got, want)
+        if shape == "zero":
+            assert storage(p + q) == ({}, 1)
+        elif shape == "constant":
+            assert storage(p + q) == storage(ParamPoly.const(c))
+
+    @settings(max_examples=200)
+    @given(*[st.one_of(st.just(0), st.integers(-10**30, 10**30))] * 3)
+    def test_linear_on_ints(self, a, b, c):
+        want = ParamPoly.linear(Fraction(a), Fraction(b), Fraction(c))
+        for got in (ParamPoly.linear(a, b, c), ParamPoly.linear(a, b, const=c)):
+            assert storage(got) == storage(want) and list(got._num) == list(want._num)
+            assert all(type(n) is int for n in got._num.values())
+        assert storage(ParamPoly.linear(a, b)) == storage(ParamPoly.linear(Fraction(a), b))
+
+
 class TestChamberSign:
     """chamber_sign decides the sign on all of 0 < l1 < l2, not at samples."""
 

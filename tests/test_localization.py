@@ -8,19 +8,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gkmloc import localization
-from gkmloc.exact import L1, L2, ParamPoly, primitive
+from gkmloc.exact import L1, L2, ParamPoly, ToolkitError, primitive
 from gkmloc.gkm import (
     DegenerateWeightError,
     Edge,
     FixedPoint,
     GKMGraph,
+    MalformedEdgeError,
     c1_values,
     restrict_weights,
     sphere_area,
     tolman_graph,
 )
 from gkmloc.localization import (
-    _CHERN_INTEGRANDS,
     CHERN_MONOMIALS,
     FixedPointContribution,
     LocalizationCheckError,
@@ -37,7 +37,7 @@ from gkmloc.localization import (
     localization_table,
     localize,
 )
-from gkmloc.projbundle import tensor_apply
+from gkmloc.projbundle import tensor_apply, trilinear_from_cubic
 from test_gkm import assert_same_area, hamiltonian, omega_basis_values, sphere_c2_pairings
 
 G = tolman_graph()
@@ -150,6 +150,14 @@ STAR = GKMGraph(
     (Edge("z", "p", (1, 0)), Edge("z", "q", (0, 1))))
 
 
+# The Chern integrands on localization_table's rows, with e2 written out pairwise.
+CHERN_INTEGRANDS = {
+    "c1^3": lambda r: sum(r.weights) ** 3,
+    "c1c2": lambda r: sum(r.weights) * sum(v * w for v, w in itertools.combinations(r.weights, 2)),
+    "c3": lambda r: r.weight_product,
+}
+
+
 def per_row_localize(g, s, integrand):
     """The kernel summed row by row, one Fraction(1, e(p)) per fixed point."""
     total = Fraction(0)
@@ -196,7 +204,7 @@ class TestCommonDenominatorKernel:
         assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
         s = (a, b)
         integrands = [
-            *_CHERN_INTEGRANDS.values(),
+            *CHERN_INTEGRANDS.values(),
             lambda r: (-hamiltonian(g, s, r.point)) ** len(r.weights),
             *(lambda r, k=k: hamiltonian(g, s, r.point) ** k for k in range(3)),
         ]
@@ -206,7 +214,7 @@ class TestCommonDenominatorKernel:
         for monomial in CHERN_MONOMIALS:
             got = abbv_chern_number(g, s, monomial)
             assert type(got) is Fraction
-            assert got == per_row_localize(g, s, _CHERN_INTEGRANDS[monomial])
+            assert got == per_row_localize(g, s, CHERN_INTEGRANDS[monomial])
         assert dh_volume(g, s) == (VOLUME if base == "tolman" else L1 * L1)
 
     def test_a_product_whose_prime_power_no_other_product_has(self):
@@ -367,7 +375,8 @@ def omega_sums_per_integrand(g, s):
 
 def assert_omega_sums_match(g, s):
     """The one pass against omega_sums_per_integrand on a 3-valent graph: the first
-    failing certificate sum is the error's, k and value; else the nine sums returned."""
+    failing certificate sum is the error's, k and value; else the twelve int numerators
+    returned, each over the one returned denominator, are the oracle's Fractions."""
     cert, *want = omega_sums_per_integrand(g, s)
     if failing := [(k, v) for k, v in enumerate(cert) if v]:
         k, v = failing[0]
@@ -378,9 +387,11 @@ def assert_omega_sums_match(g, s):
         with pytest.raises(NotHomogeneousCubicError, match="volume is zero"):
             localization._omega_integrals(g, s)
     else:
-        got = localization._omega_integrals(g, s)
-        assert got == tuple(want)
-        assert all(type(v) is Fraction for part in got for v in part)
+        nums, den = localization._omega_integrals(g, s)
+        assert len(nums) == 12 and all(type(n) is int for n in (*nums, den)) and den > 0
+        got = [Fraction(n, den) for n in nums]
+        assert got[:3] == [0, 0, 0]
+        assert (tuple(got[3:7]), tuple(got[7:10]), tuple(got[10:])) == tuple(want)
 
 
 RATIONAL_SHIFTS = st.tuples(SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
@@ -545,11 +556,15 @@ class TestOnePassAgainstOldRoutes:
 
 class TestOnePass:
     def test_return_types(self):
-        tensor = cubic_form_from_gkm(G, (2, 1))
-        assert all(type(v) is int for plane in tensor for row in plane for v in row)
-        assert all(type(v) is Fraction for v in c1_in_omega_basis(G, (2, 1)))
-        inv = jupp_invariants_from_gkm(G, (2, 1))
-        assert all(type(v) is int for v in inv.w2 + inv.p1_pairings)
+        for s in ((2, 1), (3, 5), (-7, 3)):
+            tensor = cubic_form_from_gkm(G, s)
+            assert all(type(v) is int for plane in tensor for row in plane for v in row)
+            c1, c2 = c1_in_omega_basis(G, s), c2_pairings_from_gkm(G, s)
+            assert c1 == (2, 2) and c2 == (6, 6)
+            assert all(type(v) is Fraction for v in c1 + c2)
+            inv = jupp_invariants_from_gkm(G, s)
+            assert all(type(v) is int for plane in inv.trilinear for row in plane for v in row)
+            assert all(type(v) is int for v in inv.w2 + inv.p1_pairings)
 
     def test_an_area_with_a_constant_term(self):
         # each coordinate p(l1 + 1, l2 + 1): 3-valent, every area still positive, and
@@ -704,3 +719,180 @@ class TestOnePass:
                 route(g, (2, 1))
         with pytest.raises(ValueError, match="not a combination"):
             sphere_search_c1(g, (2, 1))
+
+
+def fraction_solve_c1(t, c1_xy):
+    """The c1 solve on the Fraction sums, as it ran before the int pass, with its texts."""
+    eqs = [(t[k + 1], t[k], c1_xy[k], k) for k in (2, 1, 0)]
+    for (x1, y1, r1, _), (x2, y2, r2, _) in itertools.combinations(eqs, 2):
+        if det := x1 * y2 - x2 * y1:
+            break
+    else:
+        raise NonSpanningBasisError("the (xi', eta') values do not span the dual plane: "
+                                    f"integral xi'^k eta'^(3-k) = {', '.join(map(str, t))}")
+    alpha, beta = (r1 * y2 - r2 * y1) / det, (x1 * r2 - x2 * r1) / det
+    for x, y, r, k in eqs:
+        if alpha * x + beta * y != r:
+            raise LocalizationCheckError(
+                f"c1 = {alpha}*xi' + {beta}*eta' is not a combination of xi', eta': "
+                f"integral c1 xi'^{k} eta'^{2 - k} is {r}, not {alpha * x + beta * y}")
+    return alpha, beta
+
+
+def fraction_routes(g, s):
+    """c1, the c2 pairings and the Jupp invariants on the Fraction sums of
+    omega_sums_per_integrand, as the pass computed them before it ran on ints;
+    each value is a result or the ToolkitError the route raises."""
+    cert, t, c1_xy, p1_x = omega_sums_per_integrand(g, s)
+    try:
+        if failing := [(k, v) for k, v in enumerate(cert) if v]:
+            (k, v), (a, b) = failing[0], s
+            raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({a},{b}): "
+                                         f"integral xi'^{k} eta'^{2 - k} is {v}, not 0")
+        if not any(t):
+            raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")
+        alpha, beta = fraction_solve_c1(t, c1_xy)
+    except ToolkitError as exc:
+        return exc, exc, exc
+    c2 = tuple((alpha ** 2 * t[k + 2] + 2 * alpha * beta * t[k + 1] + beta ** 2 * t[k] - p1) / 2
+               for k, p1 in zip((1, 0), p1_x))
+    if alpha.denominator != 1 or beta.denominator != 1:
+        jupp = NonIntegralC1Error(
+            f"c1 = {alpha}*xi' + {beta}*eta' is not an integral combination of xi', eta'")
+    elif any(q.denominator != 1 for q in p1_x):
+        jupp = NonIntegralP1Error(f"<p1, xi'> = {p1_x[0]}, <p1, eta'> = {p1_x[1]}: not integers")
+    else:
+        jupp = (trilinear_from_cubic((t[3], 3 * t[2], 3 * t[1], t[0])),
+                (alpha.numerator % 2, beta.numerator % 2), (p1_x[0].numerator, p1_x[1].numerator))
+    return (alpha, beta), c2, jupp
+
+
+def assert_int_pass_matches(g, s):
+    """c1_in_omega_basis, c2_pairings_from_gkm and jupp_invariants_from_gkm against
+    fraction_routes: equal values, Fractions for c1 and c2, ints in JuppInvariants, and
+    the same error class and text."""
+    assert_omega_sums_match(g, s)
+    routes = (c1_in_omega_basis, c2_pairings_from_gkm, jupp_invariants_from_gkm)
+    for route, want in zip(routes, fraction_routes(g, s)):
+        if isinstance(want, ToolkitError):
+            with pytest.raises(type(want)) as err:
+                route(g, s)
+            assert type(err.value) is type(want) and str(err.value) == str(want)
+            continue
+        got = route(g, s)
+        if route is jupp_invariants_from_gkm:
+            got = (got.trilinear, got.w2, got.p1_pairings)
+            assert all(type(v) is int for v in got[1] + got[2])
+            flat = [v for part in (got[0], want[0]) for plane in part for row in plane for v in row]
+            assert [type(v) for v in flat[:8]] == [type(v) for v in flat[8:]]
+        else:
+            assert all(type(v) is Fraction for v in got)
+        assert got == want
+
+
+def substituted(g, first, second):
+    """g with every moment coordinate p(l1, l2) written as p(L1, L2), where
+    L1 = first[0]*l1 + first[1]*l2 and L2 = second[0]*l1 + second[1]*l2."""
+    (a1, b1), (a2, b2) = first, second
+
+    def sub(p):
+        c1, c2 = p.coefficient(1, 0), p.coefficient(0, 1)
+        return ParamPoly.linear(c1 * a1 + c2 * a2, c1 * b1 + c2 * b2, p.coefficient(0, 0))
+    return GKMGraph(tuple(FixedPoint(p.id, tuple(map(sub, p.moment_image))) for p in g.points),
+                    g.edges)
+
+
+def non_spanning_graph():
+    """Every coordinate p(l1, l2 + 2*l1) with its l2 term dropped: every area a multiple of l1."""
+    g = reparametrized(G, 2, 1)
+    return GKMGraph(tuple(FixedPoint(p.id, tuple(
+        ParamPoly.linear(c.coefficient(1, 0), 0, c.coefficient(0, 0)) for c in p.moment_image))
+        for p in g.points), g.edges)
+
+
+# The texts the Fraction pass gave on graphs that fail a check: (graph, subcircle, error,
+# text, whether c1_in_omega_basis and c2_pairings_from_gkm raise it too).
+PINNED_ERRORS = (
+    ("k4", (2, 1), LocalizationCheckError,
+     "ABBV certificate fails at subcircle (2,1): integral xi'^2 eta'^0 is -9, not 0", True),
+    ("k4", (7, 2), LocalizationCheckError,
+     "ABBV certificate fails at subcircle (7,2): integral xi'^2 eta'^0 is -27/25, not 0", True),
+    ("zero", (3, 5), NotHomogeneousCubicError, "volume is zero, not a homogeneous cubic", True),
+    ("zero", (7, 2), NonSpanningBasisError, "the (xi', eta') values do not span the dual plane: "
+     "integral xi'^k eta'^(3-k) = 0, 0, 0, 4814/115", True),
+    ("non-spanning", (3, 5), NonSpanningBasisError, "the (xi', eta') values do not span the "
+     "dual plane: integral xi'^k eta'^(3-k) = 0, 0, 0, 20", True),
+    ("cube", (7, 2), LocalizationCheckError, "c1 = 1*xi' + 2*eta' is not a combination of "
+     "xi', eta': integral c1 xi'^0 eta'^2 is 4, not 2", True),
+    ("quarter", (3, 5), NonIntegralC1Error,
+     "c1 = 1/2*xi' + 1/2*eta' is not an integral combination of xi', eta'", False),
+    ("third", (7, 2), NonIntegralP1Error, "<p1, xi'> = 8/3, <p1, eta'> = 0: not integers", False),
+    ("l2 times 3", (2, 1), NonIntegralC1Error,
+     "c1 = 2*xi' + 2/3*eta' is not an integral combination of xi', eta'", False),
+    ("swapped third", (3, 5), NonIntegralP1Error,
+     "<p1, xi'> = 0, <p1, eta'> = 8/3: not integers", False),
+)
+
+
+class TestIntPass:
+    """The omega pass and the c1 solve run on int numerators over one denominator;
+    the Fraction sums of omega_sums_per_integrand and the Fraction solve are the oracle."""
+
+    GRAPHS = {
+        "k4": lambda: TestOnePass.K4, "zero": lambda: ZERO_VOLUME, "cube": TestOnePass.cube,
+        "quarter": lambda: reparametrized(G, 0, 4),
+        "third": lambda: reparametrized(G, 0, Fraction(1, 3)),
+        "non-spanning": non_spanning_graph, "l2 times 3": lambda: substituted(G, (1, 0), (0, 3)),
+        # p(l2/3, l1/3 + l2): eta'' = (xi' + 3*eta')/3 and <p1, eta''> = 8/3
+        "swapped third": lambda: substituted(G, (0, Fraction(1, 3)), (Fraction(1, 3), 1)),
+    }
+
+    COEFFICIENTS = st.sampled_from(
+        [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 3), Fraction(4, 3)])
+
+    @settings(max_examples=150)
+    @given(st.lists(st.sampled_from(GENERATORS), max_size=6),
+           RATIONAL_SHIFTS, RATIONAL_SHIFTS, st.integers(2, 6),
+           st.tuples(*[COEFFICIENTS] * 4), st.integers(-7, 7), st.integers(-7, 7))
+    def test_moved_graphs_with_rational_shifts(self, moves, shift0, shift1, d, sub, a, b):
+        # p(L1, L2) for a substitution that keeps every area positive changes the basis
+        # (xi', eta') and makes c1 or p1 fractional on many; a last shift by l1/d keeps
+        # the areas and gives the pass an h > 1 in most examples
+        assume(sub[0] * sub[3] != sub[1] * sub[2])
+        try:
+            g = substituted(moved(G, moves, shift0, shift1, 0, 1), sub[:2], sub[2:])
+        except MalformedEdgeError:
+            assume(False)
+        g = GKMGraph(tuple(FixedPoint(p.id, (p.moment_image[0] + L1 / d, p.moment_image[1]))
+                           for p in g.points), g.edges)
+        assume(g._den > 1)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        assert_int_pass_matches(g, (a, b))
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_failing_graphs_match_the_oracle(self, name):
+        g = self.GRAPHS[name]()
+        for s in ((2, 1), (3, 5), (7, 2)):
+            assert_int_pass_matches(g, s)
+
+    @pytest.mark.parametrize("name, s, error, text, before_integrality", PINNED_ERRORS,
+                             ids=[f"{row[0]}-{row[1]}" for row in PINNED_ERRORS])
+    def test_pinned_error_texts(self, name, s, error, text, before_integrality):
+        g = self.GRAPHS[name]()
+        routes = [jupp_invariants_from_gkm]
+        if before_integrality:
+            routes += [c1_in_omega_basis, c2_pairings_from_gkm]
+        for route in routes:
+            with pytest.raises(error) as err:
+                route(g, s)
+            assert str(err.value) == text
+
+    def test_l2_times_3_values(self):
+        # the same manifold with the class l1*xi + 3*l2*eta: nothing checks that (xi', eta') is
+        # a Z-basis, and only NonIntegralC1 catches it, with c1 = 2*xi' + 2/3*eta'
+        g = substituted(G, (1, 0), (0, 3))
+        c1, c2 = c1_in_omega_basis(g, (2, 1)), c2_pairings_from_gkm(g, (2, 1))
+        assert c1 == (2, Fraction(2, 3)) and c2 == (6, 18)
+        assert all(type(v) is Fraction for v in c1 + c2)
+        assert cubic_form_from_gkm(g, (2, 1)) == (((2, 3), (3, 9)), ((3, 9), (9, 0)))
