@@ -110,8 +110,8 @@ class ParamPoly:
     The public constructors coerce outside input through ``rat``. The
     arithmetic works on the ints and brings each result to normal form with
     one gcd in ``_make``. ``terms``, ``coefficient`` and ``evaluate`` return
-    ``Fraction``s. A constant compares equal to its int or Fraction value and
-    hashes like it; any other polynomial hashes as the frozenset of ``terms()``.
+    ``Fraction``s. A constant compares equal to its int or Fraction value (not
+    to a string) and hashes like it; others hash as the frozenset of ``terms()``.
     """
 
     __slots__ = ("_num", "_den")
@@ -134,12 +134,13 @@ class ParamPoly:
     def _make(cls, num, den) -> "ParamPoly":
         """Normal form of the nonzero int numerators ``num`` over ``den >= 1``.
 
-        Divides out gcd(den, *numerators); takes ownership of ``num``.
+        Divides out gcd(den, *numerators), which is 1 when den is; takes ownership of ``num``.
         """
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            num = {key: n // g for key, n in num.items()}
-            den //= g
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {key: n // g for key, n in num.items()}
+                den //= g
         self = object.__new__(cls)
         self._num = num
         self._den = den
@@ -244,7 +245,7 @@ class ParamPoly:
             # gcd(_den, *_num) == 1, so gcd(_den, other) is all that normal form divides out
             if not other:
                 return ParamPoly._make({}, 1)
-            g = math.gcd(self._den, other)
+            g = math.gcd(self._den, other) if self._den != 1 else 1
             k = other // g
             out = object.__new__(ParamPoly)
             out._num = {key: n * k for key, n in self._num.items()}
@@ -310,6 +311,8 @@ class ParamPoly:
         return Fraction(num, den * self._den)
 
     def __eq__(self, other):
+        if isinstance(other, str):
+            return NotImplemented       # "1/2" hashes apart from 1/2, so it is not equal to it
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -392,9 +395,11 @@ def linear_sign(form, den=1) -> int:
     """``chamber_sign`` of the form (a, b, c) over den, on its ints: coefficients of one
     sign decide; mixed signs vanish on the chamber, and only then is the ParamPoly built,
     for the ChamberSignError naming the wall."""
-    signs = {n > 0 for n in form if n}
-    if len(signs) < 2:
-        return (1 if signs.pop() else -1) if signs else 0
+    a, b, c = form
+    if a >= 0 and b >= 0 and c >= 0:
+        return 1 if a or b or c else 0
+    if a <= 0 and b <= 0 and c <= 0:
+        return -1
     return chamber_sign(linear_poly(form, den))
 
 

@@ -22,6 +22,7 @@ from .exact import (
     ChamberSignError,
     ParamPoly,
     ToolkitError,
+    _LINEAR_KEYS,
     _as_int,
     linear_forms,
     linear_poly,
@@ -102,9 +103,8 @@ class FixedPoint:
         object.__setattr__(self, "moment_image", img)
         if len(img) != 2 or not all(isinstance(c, ParamPoly) for c in img):
             raise TypeError("moment_image must be a pair of ParamPoly")
-        for c in img:
-            if c.degree() > 1:
-                raise ValueError(f"moment image of {self.id} is not linear")
+        if not (img[0]._num.keys() <= _LINEAR_KEYS and img[1]._num.keys() <= _LINEAR_KEYS):
+            raise ValueError(f"moment image of {self.id} is not linear")
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,16 @@ class Edge:
     direction: tuple
 
     def __post_init__(self):
-        d = tuple(_as_int(c) for c in self.direction)
+        d = tuple(map(_as_int, self.direction))
         object.__setattr__(self, "direction", d)
         if len(d) != 2:
             raise MalformedEdgeError("edge direction must be a 2-vector")
         if self.tail == self.head:
             raise MalformedEdgeError("edge endpoints must differ")
-        u, g = primitive(d)
+        g = math.gcd(*d)
         if g != 1:
+            if not g:
+                primitive(d)    # raises ZeroVectorError
             raise MalformedEdgeError(f"direction {d} is not primitive")
 
 

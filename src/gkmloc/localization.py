@@ -166,11 +166,19 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
     rows = _rows(g, s)
     h, top = g._den, max(len(row[1]) for row in rows)
     keys = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
+    # per valence n: h^(top - n) times the multinomial n! / (i! j! (n - i - j)!), 0 past n
+    coefficients = {n: [h ** (top - n) * math.comb(n, i) * math.comb(n - i, j) if i + j <= n else 0
+                        for i, j in keys] for n in {len(row[1]) for row in rows}}
 
     def expand(row):
         (x, y, z, _), n = row[3], len(row[1])
-        return [h ** (top - n) * math.comb(n, i) * math.comb(n - i, j) * x**i * y**j * z**(n - i - j)
-                if i + j <= n else 0 for i, j in keys]
+        xs, ys, zs = [1], [1], [1]      # the powers 0 to n of x, y and z
+        for _ in range(n):
+            xs.append(xs[-1] * x)
+            ys.append(ys[-1] * y)
+            zs.append(zs[-1] * z)
+        return [c and c * xs[i] * ys[j] * zs[n - i - j]
+                for c, (i, j) in zip(coefficients[n], keys)]
 
     nums, den = _row_sum(rows, expand)
     return ParamPoly._make({key: c for key, c in zip(keys, nums) if c}, den * h ** top)

@@ -2,7 +2,9 @@
 
 Vertices are triples of linear polynomials in (l1, l2), written as int linear
 forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
-construction, and the hull converts its own input. Hull orientations (cubic
+construction, the hull converts its own input, and the glue makes one
+conversion of every image with the cut, deciding cut sides and its matches with
+the built-in graph on those ints. Hull orientations (cubic
 forms, each of the C(n, 4) determinants signed once), collinear orders
 (quadratic), edge areas and cut sides (linear) are signed by ``exact``'s kernel
 on the whole chamber 0 < l1 < l2, never at sample values; a sign that is not
@@ -150,33 +152,44 @@ def hull_combinatorics(points):
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
     every = (1 << n) - 1
+    above = [1 << m for m in range(n)]
+    below = [1 << m + n for m in range(n)]
     planes = set()
     full_dim = False
     sides = {}      # triple -> points above its plane | points below it << n, as bit sets
     try:
         for i in range(n):
-            rel = [_sub3(q, pts[i]) for q in pts]
-            for j, k in combinations(range(i + 1, n), 2):
-                a, b, c = _cross(rel[j], rel[k])
-                if not (a or b or c):
-                    continue
-                triple = 1 << i | 1 << j | 1 << k
-                for m in range(k + 1, n):
-                    x, y, z = rel[m]
-                    s = sign(a * x + b * y + c * z)
-                    if not s:
+            xi, yi, zi = pts[i]
+            rel = [(x - xi, y - yi, z - zi) for x, y, z in pts]
+            for j in range(i + 1, n):
+                xj, yj, zj = rel[j]
+                for k in range(j + 1, n):
+                    xk, yk, zk = rel[k]
+                    a, b, c = yj * zk - zj * yk, zj * xk - xj * zk, xj * yk - yj * xk
+                    if not (a or b or c):
                         continue
-                    # the side of the r-th smallest of i < j < k < m against the other
-                    # three, in ascending order, takes 3 - r swaps from this determinant
-                    four = triple | 1 << m
-                    for point, side in ((i, -s), (j, s), (k, -s), (m, s)):
-                        rest = four ^ 1 << point
-                        sides[rest] = sides.get(rest, 0) | 1 << (point if side > 0 else point + n)
-                split = sides.get(triple, 0)
-                if split & every and split >> n:
-                    full_dim = True
-                    continue
-                planes.add(every & ~(split | split >> n))
+                    triple = above[i] | above[j] | above[k]
+                    split = sides.get(triple, 0)    # no later determinant adds to it
+                    for m in range(k + 1, n):
+                        x, y, z = rel[m]
+                        s = sign(a * x + b * y + c * z)
+                        if not s:
+                            continue
+                        # the side of the r-th smallest of i < j < k < m against the other
+                        # three, in ascending order, takes 3 - r swaps from this determinant
+                        up, down = (above, below) if s > 0 else (below, above)
+                        four = triple | above[m]
+                        rest = four ^ above[i]
+                        sides[rest] = sides.get(rest, 0) | down[i]
+                        rest = four ^ above[j]
+                        sides[rest] = sides.get(rest, 0) | up[j]
+                        rest = four ^ above[k]
+                        sides[rest] = sides.get(rest, 0) | down[k]
+                        split |= up[m]
+                    if split & every and split >> n:
+                        full_dim = True
+                        continue
+                    planes.add(every & ~(split | split >> n))
         facets = {frozenset(m for m in range(n) if f >> m & 1) for f in planes}
         if not full_dim and len(facets) <= 1:
             raise NotFullDimensionalError("points do not affinely span 3-space")
@@ -297,19 +310,20 @@ def project_fixed_data(p: Polytope, matrix):
     for i, j in polytope_edges(p):
         neighbors[i].append(j)
         neighbors[j].append(i)
+    (r0, r1, r2), (s0, s1, s2) = rows
     forms, den = p._forms, p._den
-
-    def project_vec(v):
-        return _dot3(rows[0], v), _dot3(rows[1], v)
-
     data = []
     known = {}
     for idx, adjacent in enumerate(neighbors):
         dirs = _vertex_directions(p, idx, sorted(adjacent), known)
-        # the projected u, v, w coefficient columns are the forms of the image
-        columns = zip(*forms[3 * idx:3 * idx + 3])
-        image = tuple(linear_poly(form, den) for form in zip(*map(project_vec, columns)))
-        data.append(VertexData(idx, image, tuple(project_vec(u) for u in dirs)))
+        # the image's forms: the rows applied to the u, v and w columns of the vertex's forms
+        (xu, xv, xw), (yu, yv, yw), (zu, zv, zw) = forms[3 * idx:3 * idx + 3]
+        image = (linear_poly((r0 * xu + r1 * yu + r2 * zu, r0 * xv + r1 * yv + r2 * zv,
+                              r0 * xw + r1 * yw + r2 * zw), den),
+                 linear_poly((s0 * xu + s1 * yu + s2 * zu, s0 * xv + s1 * yv + s2 * zv,
+                              s0 * xw + s1 * yw + s2 * zw), den))
+        weights = tuple((r0 * a + r1 * b + r2 * c, s0 * a + s1 * b + s2 * c) for a, b, c in dirs)
+        data.append(VertexData(idx, image, weights))
     return tuple(data)
 
 
@@ -331,25 +345,6 @@ def default_cut() -> ParamPoly:
     return _CUT
 
 
-def _side_of_cut(image):
-    """-1 below, +1 above, on the whole chamber; on-cut or unstable raises.
-
-    A linear level is compared with the cut on the ints of its form."""
-    level = image[1]
-    try:
-        try:
-            (form, cut), den = linear_forms([level, _CUT])
-        except ValueError:      # degree > 1
-            side = chamber_sign(level - _CUT)
-        else:
-            side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
-    except ChamberSignError as exc:
-        raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
-    if side == 0:
-        raise VertexOnCutError(f"vertex image {level} lies on the cut level")
-    return side
-
-
 def glue_check(hat_data, tilde_data) -> GlueReport:
     """Check that the two projected halves glue to the built-in fixed-point data.
 
@@ -359,14 +354,44 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     exactly one surviving vertex with the same moment image, and the
     projected weight multiset must equal the multiset of outgoing primitive
     directions at that point.
+
+    Cut sides and matches are decided on the int forms of the images, written
+    over one den with the cut; an image of degree > 1, which only a hand-built
+    VertexData has, is signed as a ParamPoly and matches no point.
     """
     reference = gkm.tolman_graph()
+    rows = [(name, vd, want) for name, data, want in
+            (("tilde", tilde_data, -1), ("hat", hat_data, 1)) for vd in data]
+    images = [vd.image for _, vd, _ in rows]
+    linear = [k for k, image in enumerate(images) if len(image) == 2]
+    try:
+        flat, den = linear_forms([c for k in linear for c in images[k]] + [_CUT])
+    except ValueError:      # a coordinate of degree > 1: convert the other images
+        linear = [k for k in linear if all(
+            not isinstance(c, ParamPoly) or c.degree() <= 1 for c in images[k])]
+        flat, den = linear_forms([c for k in linear for c in images[k]] + [_CUT])
+    forms, cut = [None] * len(images), flat[-1]
+    for n, k in enumerate(linear):
+        forms[k] = flat[2 * n:2 * n + 2]
+    common = math.lcm(den, reference._den)
+    scale, ref_scale = common // den, common // reference._den
 
     kept = []
-    for side_name, data, want in (("tilde", tilde_data, -1), ("hat", hat_data, 1)):
-        for vd in data:
-            if _side_of_cut(vd.image) == want:
-                kept.append((side_name, vd))
+    by_key = {}     # the survivors with each image, in kept order
+    for (side_name, vd, want), f in zip(rows, forms):
+        level = vd.image[1]
+        try:
+            side = chamber_sign(level - _CUT) if f is None else linear_sign(
+                (f[1][0] - cut[0], f[1][1] - cut[1], f[1][2] - cut[2]), den)
+        except ChamberSignError as exc:
+            raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
+        if side == 0:
+            raise VertexOnCutError(f"vertex image {level} lies on the cut level")
+        if side == want:
+            kept.append((side_name, vd))
+            if f is not None:
+                key = tuple(c * scale for form in f for c in form)
+                by_key.setdefault(key, []).append((side_name, vd))
 
     problems = []
     matched = []
@@ -374,10 +399,8 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     used = set()
     for p in reference.points:
         want_dirs = tuple(sorted(d for _, d in gkm.outgoing_edges(reference, p.id)))
-        hits = [
-            (side, vd) for side, vd in kept
-            if vd.image == p.moment_image and (side, vd.index) not in used
-        ]
+        key = tuple(c * ref_scale for form in reference._forms[p.id] for c in form)
+        hits = [(side, vd) for side, vd in by_key.get(key, ()) if (side, vd.index) not in used]
         if not hits:
             problems.append(f"no surviving vertex maps to {p.id}")
             continue

@@ -140,6 +140,27 @@ class TestParamPoly:
         assert len({ParamPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
         assert hash(ParamPoly.zero()) == hash(0)
 
+    def test_a_string_is_not_equal(self):
+        # equality used to coerce the string through rat, which raised on "x00"
+        assert (L1 == "x00") is False and (L1 != "x00") is True
+        assert ("x00" == L1) is False
+        assert L1 in ["x00", L1] and L1 not in ["x00", "l1"]
+
+    def test_a_string_constant_is_not_equal_to_its_value(self):
+        # "1/2" hashes apart from 1/2, so a ParamPoly equal to both broke the hash contract
+        half = ParamPoly.const(Fraction(1, 2))
+        assert (half == "1/2") is False and ("1/2" == half) is False
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({half, "1/2"}) == 2 and "1/2" not in {half}
+
+    def test_arithmetic_still_coerces_strings(self):
+        half = ParamPoly.const(Fraction(1, 2))
+        assert L1 + "1/2" == "1/2" + L1 == L1 + half
+        assert "1/2" - L1 == half - L1 and L1 - "1/2" == L1 - half
+        assert L1 * "2" == "2" * L1 == 2 * L1 and L1 / "2" == L1 / 2
+        with pytest.raises(BadRationalError):
+            L1 + "x00"
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             ParamPoly({(-1, 0): 1})
@@ -430,6 +451,41 @@ class TestIntFastPaths:
         assert storage(ParamPoly.linear(a, b)) == storage(ParamPoly.linear(Fraction(a), b))
 
 
+INT_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30)), max_size=6
+).map(ParamPoly)
+
+
+class TestDenominatorOne:
+    """Over the denominator 1, _make skips its gcd and so does the int product; sums,
+    products and _make give the _num and _den of the public constructor."""
+
+    @settings(max_examples=200)
+    @given(INT_POLYS, INT_POLYS, st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)))
+    def test_match_the_public_constructor(self, p, q, k):
+        assert p._den == q._den == 1
+        cases = [
+            (ParamPoly._make(dict(p._num), 1), ParamPoly(dict(p.terms()))),
+            (p + q, naive_add(p, q)),
+            (p - q, naive_add(p, naive_mul(q, ParamPoly.const(-1)))),
+            (p + k, naive_add(p, ParamPoly.const(k))),
+            (p * k, naive_mul(p, ParamPoly.const(k))),
+            (k * p, naive_mul(p, ParamPoly.const(k))),
+            (p * q, naive_mul(p, q)),
+            (linear_poly((k, 1 - k, -k)), ParamPoly({(1, 0): 2 * k - 1, (0, 1): 1 - k, (0, 0): -k})),
+        ]
+        for got, want in cases:
+            assert storage(got) == storage(want)
+            assert all(type(n) is int for n in got._num.values())
+            assert_normal_form(got, want)
+
+    def test_make_still_reduces_other_denominators(self):
+        assert storage(ParamPoly._make({(1, 0): 4, (0, 0): 6}, 8)) == ({(1, 0): 2, (0, 0): 3}, 4)
+        assert storage(ParamPoly._make({}, 5)) == ({}, 1)
+        assert storage(ParamPoly._make({}, 1)) == ({}, 1)
+
+
 class TestChamberSign:
     """chamber_sign decides the sign on all of 0 < l1 < l2, not at samples."""
 
@@ -583,7 +639,7 @@ class TestLinearSign:
     ParamPoly is the oracle, for the sign and for the error text."""
 
     @settings(max_examples=300)
-    @given(st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)),
+    @given(st.tuples(*[st.one_of(st.just(0), st.integers(-5, 5), st.integers(-10**20, 10**20))] * 3),
            st.integers(1, 12))
     def test_matches_chamber_sign(self, form, den):
         try:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmloc import gkm
-from gkmloc.exact import ChamberSignError, L1, L2, ParamPoly, chamber_sign, primitive
+from gkmloc.exact import (ChamberSignError, L1, L2, ParamPoly, ZeroVectorError, chamber_sign,
+                          primitive)
 from gkmloc.gkm import (
     AxisSubcircleError,
     CircleAction,
@@ -238,6 +239,27 @@ class TestGraphValidation:
     def test_non_primitive_direction_rejected(self):
         with pytest.raises(MalformedEdgeError):
             Edge("p", "q", (2, 2))
+
+    def test_construction_errors_keep_their_text(self):
+        # each coordinate and direction is checked once; the texts are those of the
+        # degree and primitive() checks they replace
+        cases = (
+            (lambda: Edge("p", "q", (0, 0)), ZeroVectorError, "the zero vector has no primitive form"),
+            (lambda: Edge("p", "q", (-4, 6)), MalformedEdgeError, "direction (-4, 6) is not primitive"),
+            (lambda: Edge("p", "q", (1, 0, 0)), MalformedEdgeError, "edge direction must be a 2-vector"),
+            (lambda: Edge("p", "p", (0, 0)), MalformedEdgeError, "edge endpoints must differ"),
+            (lambda: FixedPoint("p", (L1 * L2, L1)), ValueError, "moment image of p is not linear"),
+            (lambda: FixedPoint("q", (L1, L2 ** 2 - L2 ** 2 + L1 ** 3)), ValueError,
+             "moment image of q is not linear"),
+        )
+        for build, error, text in cases:
+            with pytest.raises(error) as got:
+                build()
+            assert type(got.value) is error and str(got.value) == text
+        for image in ((ParamPoly(), ParamPoly.const(Fraction(1, 3))), (L1 / 2 - 1, L2)):
+            assert FixedPoint("p", image).moment_image == image
+        assert Edge("p", "q", (-1, 0)).direction == (-1, 0)
+        assert Edge("p", "q", (Fraction(3), 2)).direction == (3, 2)
 
     def test_non_integral_direction_rejected(self):
         # int() would truncate (1.5, 0) to (1, 0)

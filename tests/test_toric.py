@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from gkmloc import toric
 from gkmloc.exact import (ChamberSignError, L1, L2, ParamPoly, chamber_lattice, chamber_sign,
-                          linear_forms, primitive)
+                          linear_forms, linear_sign, primitive)
+from gkmloc.gkm import outgoing_edges, tolman_graph
 from gkmloc.toric import (
     L_HAT,
     L_TILDE,
@@ -684,6 +685,123 @@ class TestProjection:
         vd = data[5]
         assert vd.image == (lin(1, 0), lin(1, 1))
         assert sorted(vd.weights) == [(-1, 0), (0, -1), (1, -1)]
+
+
+def reference_side_of_cut(image):
+    """The per-vertex cut side: one linear_forms call on the level and the cut,
+    and the ParamPoly route for a level of degree > 1."""
+    level = image[1]
+    try:
+        try:
+            (form, cut), den = linear_forms([level, default_cut()])
+        except ValueError:      # degree > 1
+            side = chamber_sign(level - default_cut())
+        else:
+            side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
+    except ChamberSignError as exc:
+        raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
+    if side == 0:
+        raise VertexOnCutError(f"vertex image {level} lies on the cut level")
+    return side
+
+
+def reference_glue_check(hat_data, tilde_data):
+    """glue_check with each cut side decided on its own and images matched to the
+    built-in graph's points by ParamPoly tuple equality, one point at a time."""
+    reference = tolman_graph()
+    kept = [(side_name, vd) for side_name, data, want in
+            (("tilde", tilde_data, -1), ("hat", hat_data, 1))
+            for vd in data if reference_side_of_cut(vd.image) == want]
+    problems, matched, tilde_ids, hat_ids, used = [], [], [], [], set()
+    for p in reference.points:
+        want_dirs = tuple(sorted(d for _, d in outgoing_edges(reference, p.id)))
+        hits = [(side, vd) for side, vd in kept
+                if vd.image == p.moment_image and (side, vd.index) not in used]
+        if not hits:
+            problems.append(f"no surviving vertex maps to {p.id}")
+            continue
+        side, vd = hits[0]
+        used.add((side, vd.index))
+        got_dirs = tuple(sorted(vd.weights))
+        if got_dirs != want_dirs:
+            problems.append(f"weights at {p.id} differ: {got_dirs} vs {want_dirs}")
+            continue
+        matched.append(p.id)
+        (tilde_ids if side == "tilde" else hat_ids).append(p.id)
+    problems += [f"extra {side} vertex {vd.index} survives the cut unmatched"
+                 for side, vd in kept if (side, vd.index) not in used]
+    return toric.GlueReport(not problems, tuple(tilde_ids), tuple(hat_ids), tuple(matched),
+                            tuple(problems))
+
+
+def glue_or_error(check, hat_data, tilde_data):
+    try:
+        return check(hat_data, tilde_data)
+    except (VertexOnCutError, ParametricCombinatoricsUnstableError) as exc:
+        return type(exc), str(exc)
+
+
+HAT_DATA = project_fixed_data(HAT, L_HAT)
+TILDE_DATA = project_fixed_data(TILDE, L_TILDE)
+# the hand-built cases of TestGlue and three more, each as (hat data, tilde data)
+HAND_BUILT = {
+    "moved vertex": (HAT_DATA, TILDE_DATA[:3] + (
+        VertexData(3, (lin(2, 0), lin(1, 0)), TILDE_DATA[3].weights),) + TILDE_DATA[4:]),
+    "wrong weights": (HAT_DATA, TILDE_DATA[:3] + (
+        VertexData(3, TILDE_DATA[3].image, ((5, 5),) + TILDE_DATA[3].weights[1:]),)
+        + TILDE_DATA[4:]),
+    "on cut": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), default_cut()), ()),)),
+    "wobble": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ()),)),
+    "touch": (HAT_DATA, TILDE_DATA + (
+        VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ()),)),
+    "quadratic first coordinate": (HAT_DATA + (VertexData(9, (L1 * L2, L2), ((1, 0),)),),
+                                   TILDE_DATA),
+    # a second image of x11, and an image over 3 that puts all forms over 6
+    "second x11, thirds": (HAT_DATA, TILDE_DATA + (
+        VertexData(7, TILDE_DATA[3].image, TILDE_DATA[3].weights),
+        VertexData(8, (L1 / 3, L1 / 3 - 1), ()))),
+    "not a pair": (HAT_DATA + (VertexData(9, (lin(0, 0), L2, L1), ()),), TILDE_DATA),
+}
+# images for the hypothesis test: linear, over denominators 1 to 3, near the cut and
+# the built-in points, and now and then quadratic
+IMAGE_COORDS = st.one_of(
+    st.builds(lambda a, b, c, d: ParamPoly.linear(a, b, c) / d, st.integers(-2, 3),
+              st.integers(-2, 3), st.integers(-1, 1), st.integers(1, 3)),
+    st.sampled_from([c for p in tolman_graph().points for c in p.moment_image] + [default_cut()]),
+    st.builds(lambda a, b: a * L1 * L2 + b * L1 ** 2, st.integers(-1, 1), st.integers(-1, 1)))
+
+
+class TestGlueAgainstTheOldRoute:
+    """glue_check gives the old route's GlueReport, or its error type and text."""
+
+    def test_moved_pairs(self):
+        for m_hat in GL3_MOVES:
+            for m_tilde in GL3_MOVES:
+                hat = project_fixed_data(moved(HAT, m_hat), matmul(L_HAT, inverse3(m_hat)))
+                tilde = project_fixed_data(moved(TILDE, m_tilde), matmul(L_TILDE, inverse3(m_tilde)))
+                assert glue_check(hat, tilde) == reference_glue_check(hat, tilde)
+                assert glue_check(tilde, hat) == reference_glue_check(tilde, hat)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    def test_hand_built(self, case):
+        hat, tilde = HAND_BUILT[case]
+        got = glue_or_error(glue_check, hat, tilde)
+        assert got == glue_or_error(reference_glue_check, hat, tilde)
+        assert got != glue_check(HAT_DATA, TILDE_DATA)
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_replaced_images(self, data):
+        halves = [list(HAT_DATA), list(TILDE_DATA)]
+        for _ in range(data.draw(st.integers(1, 4))):
+            half = halves[data.draw(st.integers(0, 1))]
+            k = data.draw(st.integers(0, len(half) - 1))
+            image = (data.draw(IMAGE_COORDS), data.draw(IMAGE_COORDS))
+            index = data.draw(st.sampled_from([half[k].index, 0, 7]))
+            half[k] = VertexData(index, image, half[k].weights)
+        hat, tilde = map(tuple, halves)
+        assert glue_or_error(glue_check, hat, tilde) == \
+            glue_or_error(reference_glue_check, hat, tilde)
 
 
 class TestGlue:
