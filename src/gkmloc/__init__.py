@@ -84,8 +84,6 @@ from .toric import (
     builtin_polytopes,
     glue_check,
     polytope_edges,
-    polytope_from_json,
-    polytope_to_json,
     project_fixed_data,
     vertex_weights,
 )

@@ -72,8 +72,7 @@ def _cmd_spheres(g, s, args):
 
 
 def _cmd_chern(g, s, args):
-    value = localization.abbv_chern_number(g, s, args.monomial)
-    return {"value": rat_str(value)}, 0
+    return {"value": localization.abbv_chern_number(g, s, args.monomial)}, 0
 
 
 def _cmd_dh_volume(g, s, args):

@@ -431,6 +431,10 @@ def isotropy_spheres(g: GKMGraph, s):
     s = as_action(s)
     ok, witness = is_coprime_action(g, s)
     if not ok:
-        raise NotCoprimeError(f"subcircle ({s.a},{s.b}) is not coprime: {witness}")
+        ws = witness.weights
+        why = f"{witness.reason.replace('_', ' ')} {ws[0]}"
+        if witness.reason == "common_factor":
+            why = f"weights {ws[0]} and {ws[1]} have the common factor {math.gcd(*ws)}"
+        raise NotCoprimeError(f"subcircle ({s.a},{s.b}) is not coprime at {witness.point}: {why}")
     return tuple((e, abs(edge_weight(g, s, e))) for e in g.edges)
 

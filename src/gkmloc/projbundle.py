@@ -39,7 +39,6 @@ class NotUnimodularError(ToolkitError):
     code = "NotUnimodular"
 
 
-_BASIS_SIZE = {0: 1, 2: 2, 4: 2, 6: 1}
 _BASIS_NAMES = {
     0: ("1",),
     2: ("eta", "xi"),
@@ -79,12 +78,11 @@ class RingElement:
     coords: tuple
 
     def __post_init__(self):
-        if self.degree not in _BASIS_SIZE:
+        if self.degree not in _BASIS_NAMES:
             raise DegreeOverflowError(f"no classes of degree {self.degree}")
         coords = tuple(rat(c) for c in self.coords)
-        if len(coords) != _BASIS_SIZE[self.degree]:
-            raise ValueError(
-                f"degree {self.degree} needs {_BASIS_SIZE[self.degree]} coordinates")
+        if len(coords) != (size := len(_BASIS_NAMES[self.degree])):
+            raise ValueError(f"degree {self.degree} needs {size} coordinates")
         object.__setattr__(self, "coords", coords)
 
     def __add__(self, other):

@@ -4,11 +4,12 @@ Vertices are triples of linear polynomials in (l1, l2), written as int linear
 forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
 construction, the hull converts its own input, and the glue makes one
 conversion of every image with the cut, deciding cut sides and its matches with
-the built-in graph on those ints. Hull orientations (cubic
-forms, each of the C(n, 4) determinants signed once), collinear orders
-(quadratic), edge areas and cut sides (linear) are signed by ``exact``'s kernel
-on the whole chamber 0 < l1 < l2, never at sample values; a sign that is not
-constant there is reported as unstable, naming the wall.
+the built-in graph on those ints. Each image must be a pair of linear
+coordinates, and each surviving vertex is matched at most once. Hull
+orientations (cubic forms, each of the C(n, 4) determinants signed once),
+collinear orders (quadratic), edge areas and cut sides (linear) are signed by
+``exact``'s kernel on the whole chamber 0 < l1 < l2, never at sample values; a
+sign that is not constant there is reported as unstable, naming the wall.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
@@ -24,7 +25,7 @@ from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
-                    chamber_sign, linear_forms, linear_poly, linear_sign, primitive)
+                    linear_forms, linear_poly, linear_sign, primitive)
 from . import gkm
 
 
@@ -81,21 +82,6 @@ class Polytope:
     @cached_property
     def _edges(self):
         return tuple(sorted(hull_combinatorics(self.vertices)[1]))
-
-
-def polytope_to_json(p: Polytope) -> dict:
-    return {
-        "name": p.name,
-        "vertices": [[c.to_json() for c in v] for v in p.vertices],
-    }
-
-
-def polytope_from_json(data: dict) -> Polytope:
-    try:
-        verts = tuple(tuple(ParamPoly.from_json(c) for c in v) for v in data["vertices"])
-        return Polytope(verts, data.get("name", ""))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise MalformedPolytopeError(f"malformed polytope: {type(exc).__name__}: {exc}") from None
 
 
 def builtin_polytopes():
@@ -345,6 +331,13 @@ def default_cut() -> ParamPoly:
     return _CUT
 
 
+def _linear_pair(image) -> bool:
+    try:
+        return len(image) == 2 and bool(linear_forms(image))
+    except ValueError:
+        return False
+
+
 def glue_check(hat_data, tilde_data) -> GlueReport:
     """Check that the two projected halves glue to the built-in fixed-point data.
 
@@ -353,59 +346,59 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     the union against the built-in graph: every fixed point must be hit by
     exactly one surviving vertex with the same moment image, and the
     projected weight multiset must equal the multiset of outgoing primitive
-    directions at that point.
+    directions at that point. Each survivor, told apart by its position in
+    the input, is matched at most once; one left over is reported as extra.
 
+    Every image must be a pair of degree <= 1 coordinates, as
+    ``project_fixed_data`` makes them; any other raises MalformedPolytopeError.
     Cut sides and matches are decided on the int forms of the images, written
-    over one den with the cut; an image of degree > 1, which only a hand-built
-    VertexData has, is signed as a ParamPoly and matches no point.
+    over one den with the cut.
     """
     reference = gkm.tolman_graph()
     rows = [(name, vd, want) for name, data, want in
             (("tilde", tilde_data, -1), ("hat", hat_data, 1)) for vd in data]
-    images = [vd.image for _, vd, _ in rows]
-    linear = [k for k, image in enumerate(images) if len(image) == 2]
     try:
-        flat, den = linear_forms([c for k in linear for c in images[k]] + [_CUT])
-    except ValueError:      # a coordinate of degree > 1: convert the other images
-        linear = [k for k in linear if all(
-            not isinstance(c, ParamPoly) or c.degree() <= 1 for c in images[k])]
-        flat, den = linear_forms([c for k in linear for c in images[k]] + [_CUT])
-    forms, cut = [None] * len(images), flat[-1]
-    for n, k in enumerate(linear):
-        forms[k] = flat[2 * n:2 * n + 2]
+        if any(len(vd.image) != 2 for _, vd, _ in rows):
+            raise ValueError("not a pair")
+        flat, den = linear_forms([c for _, vd, _ in rows for c in vd.image] + [_CUT])
+    except ValueError:
+        side, vd = next((side, vd) for side, vd, _ in rows if not _linear_pair(vd.image))
+        raise MalformedPolytopeError(
+            f"{side} vertex {vd.index}: image ({', '.join(map(str, vd.image))}) is not a pair"
+            " of degree <= 1 coordinates") from None
+    cut = flat[-1]
     common = math.lcm(den, reference._den)
     scale, ref_scale = common // den, common // reference._den
 
     kept = []
-    by_key = {}     # the survivors with each image, in kept order
-    for (side_name, vd, want), f in zip(rows, forms):
-        level = vd.image[1]
+    # each image key -> the position in kept of its first survivor; the built-in
+    # points have distinct images, so a later survivor with the same key is extra
+    by_key = {}
+    for k, (side_name, vd, want) in enumerate(rows):
+        x, y = flat[2 * k], flat[2 * k + 1]
         try:
-            side = chamber_sign(level - _CUT) if f is None else linear_sign(
-                (f[1][0] - cut[0], f[1][1] - cut[1], f[1][2] - cut[2]), den)
+            side = linear_sign((y[0] - cut[0], y[1] - cut[1], y[2] - cut[2]), den)
         except ChamberSignError as exc:
             raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
         if side == 0:
-            raise VertexOnCutError(f"vertex image {level} lies on the cut level")
+            raise VertexOnCutError(f"vertex image {vd.image[1]} lies on the cut level")
         if side == want:
+            by_key.setdefault(tuple(c * scale for c in x + y), len(kept))
             kept.append((side_name, vd))
-            if f is not None:
-                key = tuple(c * scale for form in f for c in form)
-                by_key.setdefault(key, []).append((side_name, vd))
 
     problems = []
     matched = []
     tilde_ids, hat_ids = [], []
-    used = set()
+    used = set()    # the positions in kept that matched a point
     for p in reference.points:
-        want_dirs = tuple(sorted(d for _, d in gkm.outgoing_edges(reference, p.id)))
+        want_dirs = tuple(d for _, d in reference._outgoing[p.id])
         key = tuple(c * ref_scale for form in reference._forms[p.id] for c in form)
-        hits = [(side, vd) for side, vd in by_key.get(key, ()) if (side, vd.index) not in used]
-        if not hits:
+        hit = by_key.get(key)
+        if hit is None:
             problems.append(f"no surviving vertex maps to {p.id}")
             continue
-        side, vd = hits[0]
-        used.add((side, vd.index))
+        used.add(hit)
+        side, vd = kept[hit]
         got_dirs = tuple(sorted(vd.weights))
         if got_dirs != want_dirs:
             problems.append(
@@ -413,10 +406,8 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
             continue
         matched.append(p.id)
         (tilde_ids if side == "tilde" else hat_ids).append(p.id)
-    for side, vd in kept:
-        if (side, vd.index) not in used:
-            problems.append(
-                f"extra {side} vertex {vd.index} survives the cut unmatched")
+    problems += [f"extra {side} vertex {vd.index} survives the cut unmatched"
+                 for n, (side, vd) in enumerate(kept) if n not in used]
 
     return GlueReport(
         ok=not problems,

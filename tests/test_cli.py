@@ -265,7 +265,8 @@ class TestErrorPaths:
     def test_non_coprime_spheres(self, capsys):
         code, out = capture(capsys, ["spheres", "--a", "2", "--b", "1"])
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "NotCoprime"
+        assert json.loads(out)["error"] == {
+            "code": "NotCoprime", "message": "subcircle (2,1) is not coprime at x00: unit weight 1"}
 
     def test_axis_subcircle(self, capsys):
         code, out = capture(capsys, ["coprime", "--a", "0", "--b", "5"])

@@ -36,6 +36,12 @@ ARGVS = [
     ["jupp"],
     *(["jupp", "--a", str(a), "--b", str(b), "--k1", str(k1), "--k2", str(k2)]
       for a, b, k1, k2 in ((1, 3, -1, -1), (7, 2, -1, 0), (-5, 3, 0, 1), (3, -2, 2, -3))),
+    *(["weights", "--a", str(a), "--b", str(b), "--point", point]
+      for a, b in SUBCIRCLES for point in ("x00", "x40")),
+    *(["betti", "--a", str(a), "--b", str(b)] for a, b in SUBCIRCLES),
+    # (2, 1) and (1, 3) are not coprime and print a witness; spheres needs a coprime one
+    *(["coprime", "--a", str(a), "--b", str(b)] for a, b in SUBCIRCLES),
+    ["spheres", "--a", "7", "--b", "2"],
     *(["dh-volume", "--a", str(a), "--b", str(b)] for a, b in SUBCIRCLES),
     *(["chern", "--a", str(a), "--b", str(b), "--monomial", m]
       for a, b in SUBCIRCLES for m in ("c1^3", "c1c2", "c3")),

@@ -701,3 +701,14 @@ class TestIsotropySpheres:
     def test_non_coprime_subcircle_rejected(self):
         with pytest.raises(NotCoprimeError):
             isotropy_spheres(G, (2, 1))
+
+    @pytest.mark.parametrize("s, reason, text", [
+        ((3, -3), "zero_weight", "zero weight 0"),
+        ((2, 1), "unit_weight", "unit weight 1"),
+        ((4, 2), "common_factor", "weights 2 and 4 have the common factor 2"),
+    ])
+    def test_not_coprime_text_names_the_witness(self, s, reason, text):
+        assert is_coprime_action(G, s)[1].reason == reason
+        with pytest.raises(NotCoprimeError) as err:
+            isotropy_spheres(G, s)
+        assert str(err.value) == f"subcircle ({s[0]},{s[1]}) is not coprime at x00: {text}"

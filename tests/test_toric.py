@@ -27,8 +27,6 @@ from gkmloc.toric import (
     glue_check,
     hull_combinatorics,
     polytope_edges,
-    polytope_from_json,
-    polytope_to_json,
     project_fixed_data,
     vertex_weights,
 )
@@ -288,9 +286,6 @@ class TestBuiltinPolytopes:
             for idx in range(6):
                 assert len(vertex_weights(poly, idx, edges)) == 3
 
-    def test_json_round_trip(self):
-        assert polytope_from_json(polytope_to_json(TILDE)) == TILDE
-
     def test_vertex_validation(self):
         with pytest.raises(TypeError):
             Polytope(((lin(1, 0), lin(0, 1)),))
@@ -318,23 +313,6 @@ class TestBuiltinPolytopes:
             with pytest.raises(TypeError) as err:
                 Polytope(bad)
             assert str(err.value) == "vertices must be triples of ParamPoly"
-
-    def test_malformed_json(self):
-        good = polytope_to_json(TILDE)
-        bad = (
-            {"name": "no vertices"},
-            {"vertices": [good["vertices"][0][:2]]},
-            {"vertices": [[[{"i": 1, "j": 0, "c": "1/0"}], [], []]]},
-            {"vertices": [[[{"i": 1, "j": "x", "c": "1"}], [], []]]},
-            {"vertices": [[[{"i": 1, "c": "1"}], [], []]]},
-            {"vertices": [[[{"i": 2, "j": 0, "c": "1"}], [], []]]},
-            {"vertices": [[7, [], []]]},
-            ["not", "a", "dict"],
-        )
-        for data in bad:
-            with pytest.raises(MalformedPolytopeError) as err:
-                polytope_from_json(data)
-            assert err.value.code == "MalformedPolytope" and isinstance(err.value, ValueError)
 
 
 class TestDelzantChecks:
@@ -688,16 +666,11 @@ class TestProjection:
 
 
 def reference_side_of_cut(image):
-    """The per-vertex cut side: one linear_forms call on the level and the cut,
-    and the ParamPoly route for a level of degree > 1."""
+    """The per-vertex cut side: one linear_forms call on the level and the cut."""
     level = image[1]
+    (form, cut), den = linear_forms([level, default_cut()])
     try:
-        try:
-            (form, cut), den = linear_forms([level, default_cut()])
-        except ValueError:      # degree > 1
-            side = chamber_sign(level - default_cut())
-        else:
-            side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
+        side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
     except ChamberSignError as exc:
         raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
     if side == 0:
@@ -706,22 +679,29 @@ def reference_side_of_cut(image):
 
 
 def reference_glue_check(hat_data, tilde_data):
-    """glue_check with each cut side decided on its own and images matched to the
-    built-in graph's points by ParamPoly tuple equality, one point at a time."""
+    """glue_check with every image's degree read first, each cut side decided on its
+    own, and survivors, told apart by position, matched to the built-in graph's points
+    by ParamPoly tuple equality, one point at a time."""
     reference = tolman_graph()
-    kept = [(side_name, vd) for side_name, data, want in
-            (("tilde", tilde_data, -1), ("hat", hat_data, 1))
-            for vd in data if reference_side_of_cut(vd.image) == want]
+    rows = [(side_name, vd, want) for side_name, data, want in
+            (("tilde", tilde_data, -1), ("hat", hat_data, 1)) for vd in data]
+    for side_name, vd, _ in rows:
+        if len(vd.image) != 2 or any(c.degree() > 1 for c in vd.image):
+            raise MalformedPolytopeError(
+                f"{side_name} vertex {vd.index}: image ({', '.join(map(str, vd.image))})"
+                " is not a pair of degree <= 1 coordinates")
+    kept = [(side_name, vd) for side_name, vd, want in rows
+            if reference_side_of_cut(vd.image) == want]
     problems, matched, tilde_ids, hat_ids, used = [], [], [], [], set()
     for p in reference.points:
         want_dirs = tuple(sorted(d for _, d in outgoing_edges(reference, p.id)))
-        hits = [(side, vd) for side, vd in kept
-                if vd.image == p.moment_image and (side, vd.index) not in used]
+        hits = [n for n, (_, vd) in enumerate(kept)
+                if vd.image == p.moment_image and n not in used]
         if not hits:
             problems.append(f"no surviving vertex maps to {p.id}")
             continue
-        side, vd = hits[0]
-        used.add((side, vd.index))
+        used.add(hits[0])
+        side, vd = kept[hits[0]]
         got_dirs = tuple(sorted(vd.weights))
         if got_dirs != want_dirs:
             problems.append(f"weights at {p.id} differ: {got_dirs} vs {want_dirs}")
@@ -729,7 +709,7 @@ def reference_glue_check(hat_data, tilde_data):
         matched.append(p.id)
         (tilde_ids if side == "tilde" else hat_ids).append(p.id)
     problems += [f"extra {side} vertex {vd.index} survives the cut unmatched"
-                 for side, vd in kept if (side, vd.index) not in used]
+                 for n, (side, vd) in enumerate(kept) if n not in used]
     return toric.GlueReport(not problems, tuple(tilde_ids), tuple(hat_ids), tuple(matched),
                             tuple(problems))
 
@@ -737,7 +717,8 @@ def reference_glue_check(hat_data, tilde_data):
 def glue_or_error(check, hat_data, tilde_data):
     try:
         return check(hat_data, tilde_data)
-    except (VertexOnCutError, ParametricCombinatoricsUnstableError) as exc:
+    except (VertexOnCutError, ParametricCombinatoricsUnstableError,
+            MalformedPolytopeError) as exc:
         return type(exc), str(exc)
 
 
@@ -761,9 +742,15 @@ HAND_BUILT = {
         VertexData(7, TILDE_DATA[3].image, TILDE_DATA[3].weights),
         VertexData(8, (L1 / 3, L1 / 3 - 1), ()))),
     "not a pair": (HAT_DATA + (VertexData(9, (lin(0, 0), L2, L1), ()),), TILDE_DATA),
+    # survivors told apart by position: x00's tilde vertex twice, x11's vertex again
+    # under index 0, and every tilde vertex twice (four of them survive)
+    "duplicate survivor": (HAT_DATA, TILDE_DATA + (TILDE_DATA[0],)),
+    "duplicate image": (HAT_DATA, TILDE_DATA + (
+        VertexData(0, TILDE_DATA[3].image, TILDE_DATA[3].weights),)),
+    "every tilde vertex twice": (HAT_DATA, TILDE_DATA + TILDE_DATA),
 }
 # images for the hypothesis test: linear, over denominators 1 to 3, near the cut and
-# the built-in points, and now and then quadratic
+# the built-in points, and now and then quadratic (a MalformedPolytope input)
 IMAGE_COORDS = st.one_of(
     st.builds(lambda a, b, c, d: ParamPoly.linear(a, b, c) / d, st.integers(-2, 3),
               st.integers(-2, 3), st.integers(-1, 1), st.integers(1, 3)),
@@ -772,7 +759,7 @@ IMAGE_COORDS = st.one_of(
 
 
 class TestGlueAgainstTheOldRoute:
-    """glue_check gives the old route's GlueReport, or its error type and text."""
+    """glue_check gives the reference route's GlueReport, or its error type and text."""
 
     def test_moved_pairs(self):
         for m_hat in GL3_MOVES:
@@ -788,6 +775,23 @@ class TestGlueAgainstTheOldRoute:
         got = glue_or_error(glue_check, hat, tilde)
         assert got == glue_or_error(reference_glue_check, hat, tilde)
         assert got != glue_check(HAT_DATA, TILDE_DATA)
+
+    def test_malformed_images_are_named(self):
+        want = {"not a pair": "hat vertex 9: image (0, l2, l1)",
+                "quadratic first coordinate": "hat vertex 9: image (l1*l2, l2)",
+                "touch": f"tilde vertex 9: image (0, {HAND_BUILT['touch'][1][-1].image[1]})"}
+        for case, text in want.items():
+            with pytest.raises(MalformedPolytopeError) as err:
+                glue_check(*HAND_BUILT[case])
+            assert str(err.value) == f"{text} is not a pair of degree <= 1 coordinates"
+
+    def test_duplicate_survivors_are_extra(self):
+        for case, extras in (("duplicate survivor", (0,)), ("duplicate image", (0,)),
+                             ("every tilde vertex twice", (0, 1, 3, 5))):
+            report = glue_check(*HAND_BUILT[case])
+            assert report.matched == builtin_glue_report().matched
+            assert report.problems == tuple(
+                f"extra tilde vertex {i} survives the cut unmatched" for i in extras)
 
     @settings(max_examples=150)
     @given(st.data())
@@ -855,8 +859,10 @@ class TestGlue:
         with pytest.raises(ChamberSignError) as want:
             chamber_sign(wobble.image[1] - default_cut())
         assert str(got.value) == f"cut side changes: {want.value}"
-        # above the cut on the whole chamber but for the wall l2/l1 = 5, where
-        # it touches it: no sample pair sees that
+        # above the cut on the whole chamber but for the wall l2/l1 = 5, where it
+        # touches it; a quadratic level is no image that project_fixed_data makes
         touch = VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ())
-        with pytest.raises(ParametricCombinatoricsUnstableError, match=r"wall l2/l1 = 5$"):
+        with pytest.raises(MalformedPolytopeError) as got:
             glue_check(hat_data, tilde_data + (touch,))
+        assert str(got.value) == (f"tilde vertex 9: image (0, {touch.image[1]}) is not a pair"
+                                  " of degree <= 1 coordinates")
