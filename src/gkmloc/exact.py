@@ -112,6 +112,11 @@ class ParamPoly:
     one gcd in ``_make``. ``terms``, ``coefficient`` and ``evaluate`` return
     ``Fraction``s. A constant compares equal to its int or Fraction value (not
     to a string) and hashes like it; others hash as the frozenset of ``terms()``.
+
+    A result equal to an operand is that operand: a sum with the zero polynomial,
+    and a product of the zero polynomial or with the int 1, return the other side
+    unchanged. Sharing is safe because no code writes ``_num`` or ``_den`` once
+    ``_make`` or ``__init__`` has set them.
     """
 
     __slots__ = ("_num", "_den")
@@ -160,8 +165,7 @@ class ParamPoly:
     def linear(cls, c1, c2, const=0) -> "ParamPoly":
         """c1*l1 + c2*l2 + const."""
         if type(c1) is int and type(c2) is int and type(const) is int:
-            num = {(1, 0): c1, (0, 1): c2, (0, 0): const}
-            return cls._make({key: n for key, n in num.items() if n}, 1)
+            return linear_poly((c1 + c2, c2, const))
         return cls({(1, 0): rat(c1), (0, 1): rat(c2), (0, 0): rat(const)})
 
     # -- inspection --------------------------------------------------------
@@ -207,6 +211,10 @@ class ParamPoly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
         d1, d2 = self._den, other._den
         if d1 == d2:
             num, m2 = dict(self._num), 1
@@ -243,6 +251,8 @@ class ParamPoly:
     def __mul__(self, other):
         if type(other) is int:
             # gcd(_den, *_num) == 1, so gcd(_den, other) is all that normal form divides out
+            if other == 1 or not self._num:
+                return self
             if not other:
                 return ParamPoly._make({}, 1)
             g = math.gcd(self._den, other) if self._den != 1 else 1
@@ -385,10 +395,19 @@ def linear_forms(values):
 
 
 def linear_poly(form, den=1) -> ParamPoly:
-    """The ParamPoly (a*u + b*v + c) / den = ((a - b)*l1 + b*l2 + c) / den of form (a, b, c)."""
+    """The ParamPoly (a*u + b*v + c) / den = ((a - b)*l1 + b*l2 + c) / den of form (a, b, c).
+
+    The one int constructor of linear polynomials: ``ParamPoly.linear`` on ints and
+    every int form in the package come here; only nonzero entries enter the dict."""
     a, b, c = form
-    num = {(1, 0): a - b, (0, 1): b, (0, 0): c}
-    return ParamPoly._make({key: n for key, n in num.items() if n}, den)
+    num = {}
+    if a != b:
+        num[(1, 0)] = a - b
+    if b:
+        num[(0, 1)] = b
+    if c:
+        num[(0, 0)] = c
+    return ParamPoly._make(num, den)
 
 
 def linear_sign(form, den=1) -> int:

@@ -74,8 +74,9 @@ class Polytope:
         try:
             forms, den = linear_forms(coords)
         except ValueError:
-            v = next(v for v in verts if any(c.degree() > 1 for c in v))
-            raise MalformedPolytopeError(f"vertex coordinates must have degree <= 1: {v}") from None
+            k, v = next((k, v) for k, v in enumerate(verts) if any(c.degree() > 1 for c in v))
+            raise MalformedPolytopeError(
+                f"vertex {k}: ({', '.join(map(str, v))}) has a coordinate of degree > 1") from None
         object.__setattr__(self, "_forms", tuple(forms))
         object.__setattr__(self, "_den", den)
 
@@ -379,9 +380,11 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
         try:
             side = linear_sign((y[0] - cut[0], y[1] - cut[1], y[2] - cut[2]), den)
         except ChamberSignError as exc:
-            raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
+            raise ParametricCombinatoricsUnstableError(
+                f"{side_name} vertex {vd.index}: cut side changes: {exc}") from None
         if side == 0:
-            raise VertexOnCutError(f"vertex image {vd.image[1]} lies on the cut level")
+            raise VertexOnCutError(
+                f"{side_name} vertex {vd.index}: level {vd.image[1]} lies on the cut level")
         if side == want:
             by_key.setdefault(tuple(c * scale for c in x + y), len(kept))
             kept.append((side_name, vd))

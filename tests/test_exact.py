@@ -455,21 +455,33 @@ INT_POLYS = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.one_of(st.integers(-12, 12), st.integers(-10**30, 10**30)), max_size=6
 ).map(ParamPoly)
+# operands of the fast paths: the zero polynomial, int polynomials, and polynomials
+# over a denominator > 1 (an int polynomial divided by 2 to 12)
+OPERANDS = st.one_of(
+    st.just(ParamPoly()), INT_POLYS,
+    st.tuples(INT_POLYS, st.integers(2, 12)).map(lambda pd: pd[0] / pd[1]))
+INT_FACTORS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3, 3),
+                        st.integers(-10**30, 10**30))
 
 
 class TestDenominatorOne:
-    """Over the denominator 1, _make skips its gcd and so does the int product; sums,
-    products and _make give the _num and _den of the public constructor."""
+    """Over the denominator 1, _make skips its gcd and so does the int product; with the
+    zero polynomial, the factors -1, 0 and 1 and operands over den > 1 drawn as well, sums,
+    products, linear_poly and _make give the _num and _den of the public constructor."""
 
-    @settings(max_examples=200)
-    @given(INT_POLYS, INT_POLYS, st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)))
+    @settings(max_examples=300)
+    @given(OPERANDS, OPERANDS, INT_FACTORS)
     def test_match_the_public_constructor(self, p, q, k):
-        assert p._den == q._den == 1
+        neg_q = naive_mul(q, ParamPoly.const(-1))
         cases = [
-            (ParamPoly._make(dict(p._num), 1), ParamPoly(dict(p.terms()))),
+            (ParamPoly._make(dict(p._num), p._den), ParamPoly(dict(p.terms()))),
             (p + q, naive_add(p, q)),
-            (p - q, naive_add(p, naive_mul(q, ParamPoly.const(-1)))),
+            (q + p, naive_add(p, q)),
+            (p - q, naive_add(p, neg_q)),
             (p + k, naive_add(p, ParamPoly.const(k))),
+            (k + p, naive_add(p, ParamPoly.const(k))),
+            (p - k, naive_add(p, ParamPoly.const(-k))),
+            (sum([p, q]), naive_add(p, q)),
             (p * k, naive_mul(p, ParamPoly.const(k))),
             (k * p, naive_mul(p, ParamPoly.const(k))),
             (p * q, naive_mul(p, q)),
@@ -479,6 +491,26 @@ class TestDenominatorOne:
             assert storage(got) == storage(want)
             assert all(type(n) is int for n in got._num.values())
             assert_normal_form(got, want)
+
+    @settings(max_examples=300)
+    @given(st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))] * 3),
+           st.integers(1, 12))
+    def test_linear_poly_matches_the_public_constructor(self, form, den):
+        a, b, c = form
+        want = ParamPoly({(1, 0): Fraction(a - b, den), (0, 1): Fraction(b, den),
+                          (0, 0): Fraction(c, den)})
+        got = linear_poly(form, den)
+        assert storage(got) == storage(want) and list(got._num) == list(want._num)
+        assert all(type(n) is int for n in got._num.values())
+
+    def test_identity_results_are_the_operand(self):
+        x, zero = ParamPoly.linear(Fraction(1, 2), -3, 5), ParamPoly()
+        assert x + 0 is x and 0 + x is x and x - 0 is x and x + Fraction(0) is x
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert sum([x]) is x and sum([x], zero) is x
+        assert x * 1 is x and 1 * x is x
+        assert zero * 5 is zero and 5 * zero is zero and zero * 0 is zero
+        assert storage(x * 0) == ({}, 1) and storage(x - x) == ({}, 1)
 
     def test_make_still_reduces_other_denominators(self):
         assert storage(ParamPoly._make({(1, 0): 4, (0, 0): 6}, 8)) == ({(1, 0): 2, (0, 0): 3}, 4)

@@ -289,7 +289,7 @@ class TestBuiltinPolytopes:
     def test_vertex_validation(self):
         with pytest.raises(TypeError):
             Polytope(((lin(1, 0), lin(0, 1)),))
-        with pytest.raises(MalformedPolytopeError, match="degree <= 1"):
+        with pytest.raises(MalformedPolytopeError, match="degree > 1"):
             Polytope(((lin(1, 0), lin(0, 1), L1 * L2),))
 
     def test_stored_forms_are_not_fields(self):
@@ -308,7 +308,7 @@ class TestBuiltinPolytopes:
         square = (lin(1, 0), lin(0, 1), L1 * L2)
         with pytest.raises(MalformedPolytopeError) as err:
             Polytope(((const(0), const(0), const(0)), square, (L2 ** 2, const(0), const(0))))
-        assert str(err.value) == f"vertex coordinates must have degree <= 1: {square}"
+        assert str(err.value) == "vertex 1: (l1, l2, l1*l2) has a coordinate of degree > 1"
         for bad in (((lin(1, 0), lin(0, 1), 3),), ((lin(1, 0), lin(0, 1)),)):
             with pytest.raises(TypeError) as err:
                 Polytope(bad)
@@ -665,16 +665,17 @@ class TestProjection:
         assert sorted(vd.weights) == [(-1, 0), (0, -1), (1, -1)]
 
 
-def reference_side_of_cut(image):
+def reference_side_of_cut(side_name, vd):
     """The per-vertex cut side: one linear_forms call on the level and the cut."""
-    level = image[1]
+    level = vd.image[1]
     (form, cut), den = linear_forms([level, default_cut()])
     try:
         side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
     except ChamberSignError as exc:
-        raise ParametricCombinatoricsUnstableError(f"cut side changes: {exc}") from None
+        raise ParametricCombinatoricsUnstableError(
+            f"{side_name} vertex {vd.index}: cut side changes: {exc}") from None
     if side == 0:
-        raise VertexOnCutError(f"vertex image {level} lies on the cut level")
+        raise VertexOnCutError(f"{side_name} vertex {vd.index}: level {level} lies on the cut level")
     return side
 
 
@@ -691,7 +692,7 @@ def reference_glue_check(hat_data, tilde_data):
                 f"{side_name} vertex {vd.index}: image ({', '.join(map(str, vd.image))})"
                 " is not a pair of degree <= 1 coordinates")
     kept = [(side_name, vd) for side_name, vd, want in rows
-            if reference_side_of_cut(vd.image) == want]
+            if reference_side_of_cut(side_name, vd) == want]
     problems, matched, tilde_ids, hat_ids, used = [], [], [], [], set()
     for p in reference.points:
         want_dirs = tuple(sorted(d for _, d in outgoing_edges(reference, p.id)))
@@ -845,8 +846,9 @@ class TestGlue:
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = project_fixed_data(TILDE, L_TILDE)
         on_cut = VertexData(9, (lin(0, 0), default_cut()), ())
-        with pytest.raises(VertexOnCutError):
+        with pytest.raises(VertexOnCutError) as err:
             glue_check(hat_data, tilde_data + (on_cut,))
+        assert str(err.value) == "tilde vertex 9: level 1/2*l1 + 1/2*l2 lies on the cut level"
 
     def test_parameter_dependent_cut_side_rejected(self):
         hat_data = project_fixed_data(HAT, L_HAT)
@@ -858,7 +860,7 @@ class TestGlue:
         # signed on the ints of the level's form, named as the ParamPoly route names it
         with pytest.raises(ChamberSignError) as want:
             chamber_sign(wobble.image[1] - default_cut())
-        assert str(got.value) == f"cut side changes: {want.value}"
+        assert str(got.value) == f"tilde vertex 9: cut side changes: {want.value}"
         # above the cut on the whole chamber but for the wall l2/l1 = 5, where it
         # touches it; a quadratic level is no image that project_fixed_data makes
         touch = VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ())
