@@ -114,9 +114,10 @@ class ParamPoly:
     to a string) and hashes like it; others hash as the frozenset of ``terms()``.
 
     A result equal to an operand is that operand: a sum with the zero polynomial,
-    and a product of the zero polynomial or with the int 1, return the other side
-    unchanged. Sharing is safe because no code writes ``_num`` or ``_den`` once
-    ``_make`` or ``__init__`` has set them.
+    a product or quotient by a scalar equal to 1 (an int, bool, Fraction or "p/q"
+    string), and a scalar product, quotient or negation of the zero polynomial return
+    the polynomial operand unchanged. Sharing is safe because no code writes ``_num``
+    or ``_den`` once ``_make`` or ``__init__`` has set them.
     """
 
     __slots__ = ("_num", "_den")
@@ -150,6 +151,18 @@ class ParamPoly:
         self._num = num
         self._den = den
         return self
+
+    def _scaled(self, k, d) -> "ParamPoly":
+        """self * k / d for ints k and d >= 1 with gcd(k, d) == 1: every scalar product,
+        quotient and negation. Divides out gcd(_den, k) and leaves the rest of normal form
+        to ``_make``, which skips its gcd when the new denominator is 1."""
+        if k == d or not self._num:
+            return self
+        if not k:
+            return ParamPoly._make({}, 1)
+        g = math.gcd(self._den, k)
+        k //= g
+        return ParamPoly._make({key: n * k for key, n in self._num.items()}, self._den // g * d)
 
     # -- constructors ------------------------------------------------------
 
@@ -234,7 +247,7 @@ class ParamPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly._make({key: -n for key, n in self._num.items()}, self._den)
+        return self._scaled(-1, 1)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -250,25 +263,11 @@ class ParamPoly:
 
     def __mul__(self, other):
         if type(other) is int:
-            # gcd(_den, *_num) == 1, so gcd(_den, other) is all that normal form divides out
-            if other == 1 or not self._num:
-                return self
-            if not other:
-                return ParamPoly._make({}, 1)
-            g = math.gcd(self._den, other) if self._den != 1 else 1
-            k = other // g
-            out = object.__new__(ParamPoly)
-            out._num = {key: n * k for key, n in self._num.items()}
-            out._den = self._den // g
-            return out
+            return self._scaled(other, 1)
         if isinstance(other, str):
             other = rat(other)
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return ParamPoly._make({}, 1)
-            k = other.numerator
-            return ParamPoly._make(
-                {key: n * k for key, n in self._num.items()}, self._den * other.denominator)
+            return self._scaled(other.numerator, other.denominator)
         if isinstance(other, ParamPoly):
             return ParamPoly._make(
                 _mul_numerators(self._num, other._num), self._den * other._den)
@@ -285,7 +284,7 @@ class ParamPoly:
             raise ZeroDivisionError("division of ParamPoly by zero")
         if d < 0:
             k, d = -k, -d
-        return ParamPoly._make({key: n * k for key, n in self._num.items()}, self._den * d)
+        return self._scaled(k, d)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -298,27 +297,11 @@ class ParamPoly:
     # -- evaluation and comparison ------------------------------------------
 
     def evaluate(self, l1, l2) -> Fraction:
-        """Exact value at (l1, l2), summed as one integer numerator.
-
-        Each monomial x**i * y**j is the quotient of the integers
-        xn**i * yn**j and xd**i * yd**j; the running sum keeps one numerator
-        over the lcm of the monomial denominators seen so far, and only the
-        final Fraction, over that lcm times ``_den``, is reduced.
-        """
+        """Exact value at (l1, l2): one Fraction sum over the terms, over ``_den``; a
+        Fraction for every polynomial, the zero polynomial included."""
         x = l1 if isinstance(l1, (int, Fraction)) else rat(l1)
         y = l2 if isinstance(l2, (int, Fraction)) else rat(l2)
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        num, den = 0, 1
-        for (i, j), c in self._num.items():
-            term_num = c * xn**i * yn**j
-            term_den = xd**i * yd**j
-            if term_den == den:
-                num += term_num
-            else:
-                g = math.gcd(den, term_den)
-                num = num * (term_den // g) + term_num * (den // g)
-                den = den // g * term_den
-        return Fraction(num, den * self._den)
+        return sum((n * x**i * y**j for (i, j), n in self._num.items()), Fraction(0)) / self._den
 
     def __eq__(self, other):
         if isinstance(other, str):

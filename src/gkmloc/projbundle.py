@@ -137,32 +137,28 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
     """Cup product in the ring of P(E), reduced to normal form.
 
     Reduction uses eta^3 = 0 and xi^2 = -k1*eta*xi - k2*eta^2 (hence
-    eta*xi^2 = -k1*eta^2*xi and xi^3 = (k1^2 - k2)*eta^2*xi).
+    eta*xi^2 = -k1*eta^2*xi and xi^3 = (k1^2 - k2)*eta^2*xi). With the
+    operands ordered by degree, a product of degree <= 6 is a scalar multiple
+    (a degree-0 factor), or of degrees 2 and 2, or 2 and 4.
     """
-    k1, k2 = bundle.k1, bundle.k2
-    d = x.degree + y.degree
-    if d > 6:
+    if x.degree + y.degree > 6:
         raise DegreeOverflowError(
             f"product of degrees {x.degree} and {y.degree} exceeds the top degree")
-    if x.degree == 0:
-        return y * x.coords[0]
-    if y.degree == 0:
-        return x * y.coords[0]
     if x.degree > y.degree:
         x, y = y, x
-    if x.degree == 2 and y.degree == 2:
+    if x.degree == 0:
+        return y * x.coords[0]
+    k1, k2 = bundle.k1, bundle.k2
+    if y.degree == 2:
         a1, b1 = x.coords
         a2, b2 = y.coords
         # eta^2, eta*xi, xi^2 coefficients before reduction
         ee, ex, xx = a1 * a2, a1 * b2 + a2 * b1, b1 * b2
         return RingElement(4, (ee - k2 * xx, ex - k1 * xx))
-    if x.degree == 2 and y.degree == 4:
-        a, b = x.coords
-        p, q = y.coords
-        # eta^3 = 0; eta^2*xi survives; eta*xi^2 = -k1*eta^2*xi
-        return RingElement(6, (a * q + b * p - k1 * b * q,))
-    raise DegreeOverflowError(
-        f"product of degrees {x.degree} and {y.degree} exceeds the top degree")
+    a, b = x.coords
+    p, q = y.coords
+    # eta^3 = 0; eta^2*xi survives; eta*xi^2 = -k1*eta^2*xi
+    return RingElement(6, (a * q + b * p - k1 * b * q,))
 
 
 def integrate(bundle: Bundle, x: RingElement) -> Rational:

@@ -55,7 +55,7 @@ L_TILDE = ((1, 0, 0), (0, 1, 0))
 
 @dataclass(frozen=True)
 class Polytope:
-    """Vertex list; each vertex is a triple of degree <= 1 ParamPoly.
+    """Vertex list; each vertex is a triple of degree <= 1 ParamPoly, no two equal.
 
     Construction writes the coordinates once as int ``linear_forms``, kept in
     vertex order in ``_forms`` (three per vertex) over ``_den``. Neither is a
@@ -77,6 +77,10 @@ class Polytope:
             k, v = next((k, v) for k, v in enumerate(verts) if any(c.degree() > 1 for c in v))
             raise MalformedPolytopeError(
                 f"vertex {k}: ({', '.join(map(str, v))}) has a coordinate of degree > 1") from None
+        first = {}
+        for k in range(len(verts)):
+            if (seen := first.setdefault(tuple(forms[3 * k:3 * k + 3]), k)) != k:
+                raise MalformedPolytopeError(f"vertex {k} repeats vertex {seen}")
         object.__setattr__(self, "_forms", tuple(forms))
         object.__setattr__(self, "_den", den)
 

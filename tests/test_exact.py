@@ -185,13 +185,20 @@ class TestParamPoly:
             (L1 + L2) ** -1
 
     def test_bad_divisors_rejected(self):
-        for zero in (0, Fraction(0), "0", "0/5"):
-            with pytest.raises(ZeroDivisionError):
+        for zero in (0, False, Fraction(0), "0", "0/5"):
+            with pytest.raises(ZeroDivisionError, match="^division of ParamPoly by zero$"):
                 L1 / zero
-        with pytest.raises(ValueError):
-            L1 / "1/0"
+        for bad in (lambda: L1 / "1/0", lambda: L1 * "1/0"):
+            with pytest.raises(BadRationalError, match="^zero denominator in '1/0'$"):
+                bad()
         with pytest.raises(TypeError):
             L1 / 0.5
+
+    def test_unsupported_operands(self):
+        for op in (lambda: L1 - object(), lambda: object() - L1, lambda: L1 / L2):
+            with pytest.raises(TypeError):
+                op()
+        assert (L1 == object()) is False and (L1 != object()) is True
 
     def test_floats_rejected_by_arithmetic_and_evaluate(self):
         with pytest.raises(TypeError):
@@ -508,14 +515,104 @@ class TestDenominatorOne:
         assert x + 0 is x and 0 + x is x and x - 0 is x and x + Fraction(0) is x
         assert x + zero is x and zero + x is x and x - zero is x
         assert sum([x]) is x and sum([x], zero) is x
-        assert x * 1 is x and 1 * x is x
+        for one in (1, True, Fraction(1), "1", "3/3"):
+            assert x * one is x and one * x is x and x / one is x
         assert zero * 5 is zero and 5 * zero is zero and zero * 0 is zero
+        assert -zero is zero and zero * Fraction(-2, 3) is zero and zero / "7" is zero
         assert storage(x * 0) == ({}, 1) and storage(x - x) == ({}, 1)
 
     def test_make_still_reduces_other_denominators(self):
         assert storage(ParamPoly._make({(1, 0): 4, (0, 0): 6}, 8)) == ({(1, 0): 2, (0, 0): 3}, 4)
         assert storage(ParamPoly._make({}, 5)) == ({}, 1)
         assert storage(ParamPoly._make({}, 1)) == ({}, 1)
+
+
+# ParamPoly's scalar products, quotients, negation and evaluate as they were before the
+# three scaling routes became one helper and evaluate one Fraction sum: oracles for the
+# storage and value of the one route, as naive_mul is for products of polynomials.
+
+def routed_mul(p, other):
+    if type(other) is int:
+        # gcd(_den, *_num) == 1, so gcd(_den, other) is all that normal form divides out
+        if other == 1 or not p._num:
+            return p
+        if not other:
+            return ParamPoly._make({}, 1)
+        g = math.gcd(p._den, other) if p._den != 1 else 1
+        k = other // g
+        out = object.__new__(ParamPoly)
+        out._num = {key: n * k for key, n in p._num.items()}
+        out._den = p._den // g
+        return out
+    if isinstance(other, str):
+        other = rat(other)
+    if not other:
+        return ParamPoly._make({}, 1)
+    k = other.numerator
+    return ParamPoly._make({key: n * k for key, n in p._num.items()}, p._den * other.denominator)
+
+
+def routed_truediv(p, other):
+    c = other if isinstance(other, (int, Fraction)) else rat(other)
+    k, d = c.denominator, c.numerator
+    if d == 0:
+        raise ZeroDivisionError("division of ParamPoly by zero")
+    if d < 0:
+        k, d = -k, -d
+    return ParamPoly._make({key: n * k for key, n in p._num.items()}, p._den * d)
+
+
+def routed_neg(p):
+    return ParamPoly._make({key: -n for key, n in p._num.items()}, p._den)
+
+
+def lcm_evaluate(p, l1, l2):
+    x = l1 if isinstance(l1, (int, Fraction)) else rat(l1)
+    y = l2 if isinstance(l2, (int, Fraction)) else rat(l2)
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    num, den = 0, 1
+    for (i, j), c in p._num.items():
+        term_num = c * xn**i * yn**j
+        term_den = xd**i * yd**j
+        if term_den == den:
+            num += term_num
+        else:
+            g = math.gcd(den, term_den)
+            num = num * (term_den // g) + term_num * (den // g)
+            den = den // g * term_den
+    return Fraction(num, den * p._den)
+
+
+# every exact scalar type: ints with 0, +-1 and bools, Fractions with Fraction(1) and
+# negative ones, and "p/q" strings
+EXACT_SCALARS = st.one_of(
+    st.sampled_from([0, 1, -1, True, False, Fraction(1), Fraction(-1), "1", "-1", "0/3"]),
+    st.integers(-12, 12), st.integers(-10**30, 10**30),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-12, 12), st.integers(1, 12)))
+
+
+class TestOneScalingRoute:
+    """Products by a scalar, quotients and negation go through one helper, and evaluate
+    is one Fraction sum; each gives the _num and _den, or value, of the routes before."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(OPERANDS, POLYS), EXACT_SCALARS)
+    def test_products_quotients_and_negation(self, p, c):
+        cases = [(p * c, routed_mul(p, c)), (c * p, routed_mul(p, c)), (-p, routed_neg(p))]
+        if rat(c):
+            cases.append((p / c, routed_truediv(p, c)))
+        for got, want in cases:
+            assert storage(got) == storage(want)
+            assert all(type(n) is int for n in got._num.values())
+            assert_normal_form(got, want)
+
+    @settings(max_examples=300)
+    @given(st.one_of(OPERANDS, POLYS), POINTS, POINTS)
+    def test_evaluate_matches_the_lcm_sum(self, p, l1, l2):
+        for x, y in ((l1, l2), (0, l2), (str(l1), str(l2))):
+            got = p.evaluate(x, y)
+            assert type(got) is Fraction and got == lcm_evaluate(p, x, y)
 
 
 class TestChamberSign:

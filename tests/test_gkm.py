@@ -236,6 +236,16 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             GKMGraph((), ())
 
+    def test_non_parampoly_image_rejected(self):
+        for image in ((1, L2), (L1, "l2"), (L1,), (L1, L2, L1)):
+            with pytest.raises(TypeError, match="^moment_image must be a pair of ParamPoly$"):
+                FixedPoint("p", image)
+
+    def test_repeated_point_id_rejected(self):
+        twice = (FixedPoint("p", (L1, L2)), FixedPoint("p", (L2, L1)))
+        with pytest.raises(ValueError, match="^fixed point ids must be unique$"):
+            GKMGraph(twice, ())
+
     def test_non_primitive_direction_rejected(self):
         with pytest.raises(MalformedEdgeError):
             Edge("p", "q", (2, 2))

@@ -95,6 +95,11 @@ class TestRingElements:
         with pytest.raises(ValueError):
             eta() + RingElement(4, (1, 0))
 
+    def test_adding_a_scalar_rejected(self):
+        for op in (lambda: eta() + 1, lambda: eta() - 1):
+            with pytest.raises(TypeError):
+                op()
+
     def test_multiplying_elements_needs_cup(self):
         with pytest.raises(TypeError):
             eta() * xi()
@@ -395,7 +400,9 @@ class TestJupp:
         inv1 = jupp_invariants(B)
         inv2 = jupp_invariants(Bundle(-1, 0))
         cmp = jupp_compare(inv1, inv2, ((1, 0), (0, 1)))
-        assert not cmp.ok
+        assert not cmp.ok and not bool(cmp)
+        same = jupp_compare(inv1, inv1, ((1, 0), (0, 1)))
+        assert same.ok and bool(same)
         assert "trilinear" in cmp.failures
         assert "p1" in cmp.failures
 

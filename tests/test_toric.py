@@ -292,6 +292,18 @@ class TestBuiltinPolytopes:
         with pytest.raises(MalformedPolytopeError, match="degree > 1"):
             Polytope(((lin(1, 0), lin(0, 1), L1 * L2),))
 
+    def test_repeated_vertex_rejected(self):
+        # accepted, the copy would take vertex 0's edges out of the hull and the
+        # projection would report "vertex 0 has 1 edges, expected 3"
+        with pytest.raises(MalformedPolytopeError) as err:
+            Polytope(HAT.vertices + (HAT.vertices[0],))
+        assert str(err.value) == "vertex 6 repeats vertex 0"
+        # equal values written differently are the same vertex
+        with pytest.raises(MalformedPolytopeError) as err:
+            Polytope(((L1, const(0), const(0)), (const(0), L2, const(0)),
+                      ((2 * L1 + L2) / 2 - L2 / 2, const(Fraction(0, 3)), L1 - L1)))
+        assert str(err.value) == "vertex 2 repeats vertex 0"
+
     def test_stored_forms_are_not_fields(self):
         forms, den = linear_forms([c for v in TILDE.vertices for c in v])
         assert TILDE._forms == tuple(forms) and TILDE._den == den == 1
