@@ -112,9 +112,15 @@ def localization_table(g: GKMGraph, s):
 def localize(g: GKMGraph, s, integrand):
     """Sum integrand(row) / row.weight_product over localization_table(g, s).
 
-    An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly.
+    An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly; any
+    other value raises TypeError naming its point.
     """
-    (total,), den = _row_sum(_rows(g, s), lambda row: (integrand(FixedPointContribution(*row)),))
+    def exact(row):
+        if isinstance(value := integrand(FixedPointContribution(*row)), (int, Fraction, ParamPoly)):
+            return (value,)
+        raise TypeError(f"integrand at {row[0]} gave {type(value).__name__}, not an exact value")
+
+    (total,), den = _row_sum(_rows(g, s), exact)
     return Fraction(total, den) if isinstance(total, int) else total / den
 
 

@@ -224,12 +224,6 @@ def cubic_form(bundle: Bundle, a, b) -> Rational:
 # trilinear forms and diffeomorphism invariants
 # ---------------------------------------------------------------------------
 
-def _eval_cubic(coeffs, v):
-    u, w = v
-    c0, c1, c2, c3 = coeffs
-    return c0 * u**3 + c1 * u**2 * w + c2 * u * w**2 + c3 * w**3
-
-
 def trilinear_from_cubic(coeffs):
     """Polarize a binary cubic form S into the symmetric tensor T(x, y, z).
 
@@ -373,41 +367,30 @@ def find_equivalence(inv1: JuppInvariants, inv2: JuppInvariants, bound: int = 3)
     witness was found in the box, not that none exists. Returned matrices are
     the first hit in the lexicographic order of (q00, q01, q10, q11).
 
-    The scan is pruned column by column. Column i of Q, as a vector c, must
-    satisfy two conditions that jupp_compare checks: <p1_2, c> == p1_1[i]
-    (the p1 condition on basis vector i) and T2(c, c, c) == T1[i][i][i] (the
-    trilinear condition on the triple (i, i, i)). Both candidate sets are
-    computed once over the box; only pairs of candidates are tested for
-    unimodularity and passed to jupp_compare, in the same order as the full
-    scan. Every skipped matrix fails jupp_compare, so the result is the
+    Column i of Q, a box vector c, must pass two of jupp_compare's checks:
+    <p1_2, c> == p1_1[i], tested first, then T2(c, c, c) == T1[i][i][i] on
+    that p1 line only. Pairs of candidates are visited lazily in (q00, q01,
+    q10, q11) order, and the first unimodular one jupp_compare accepts is
+    returned. Every skipped matrix fails jupp_compare, so the result is the
     matrix, or None, that the full scan of the box would return.
     """
     if type(bound) is not int:
         raise TypeError(f"bound must be an int, got {bound!r}")
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    cubic = cubic_from_trilinear(inv2.trilinear)
-    p_u, p_v = inv2.p1_pairings
+    t2, (p_u, p_v) = inv2.trilinear, inv2.p1_pairings
     box = range(-bound, bound + 1)
-    # box vectors in (first, second) lexicographic order, with <p1_2, c> and T2(c, c, c)
-    values = [((a, b), p_u * a + p_v * b, _eval_cubic(cubic, (a, b)))
-              for a, b in product(box, repeat=2)]
 
-    def candidates(i):
+    def column(i):
         """Column-i candidates grouped by first entry: [(q0i, [q1i, ...]), ...]."""
         want_p1, want_cube = inv1.p1_pairings[i], inv1.trilinear[i][i][i]
-        cols = [c for c, p1, cube in values if p1 == want_p1 and cube == want_cube]
-        return [(a, [c[1] for c in group])
-                for a, group in groupby(cols, key=lambda c: c[0])]
+        cols = [c for c in product(box, repeat=2) if p_u * c[0] + p_v * c[1] == want_p1
+                and tensor_apply(t2, c, c, c) == want_cube]
+        return [(a, [c[1] for c in group]) for a, group in groupby(cols, key=lambda c: c[0])]
 
-    firsts, seconds = candidates(0), candidates(1)
-    for q00, q10s in firsts:
-        for q01, q11s in seconds:
-            for q10 in q10s:
-                for q11 in q11s:
-                    if q00 * q11 - q01 * q10 not in (1, -1):
-                        continue
-                    q = ((q00, q01), (q10, q11))
-                    if jupp_compare(inv1, inv2, q).ok:
-                        return q
+    for (q00, q10s), (q01, q11s) in product(column(0), column(1)):
+        for q10, q11 in product(q10s, q11s):
+            q = ((q00, q01), (q10, q11))
+            if q00 * q11 - q01 * q10 in (1, -1) and jupp_compare(inv1, inv2, q).ok:
+                return q
     return None

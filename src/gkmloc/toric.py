@@ -25,7 +25,7 @@ from functools import cached_property, cmp_to_key
 from itertools import combinations
 
 from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
-                    linear_forms, linear_poly, linear_sign, primitive)
+                    linear_forms, linear_poly, linear_sign)
 from . import gkm
 
 
@@ -125,7 +125,8 @@ def hull_combinatorics(points):
     Every plane through three non-collinear points that supports the whole set
     is a facet (recorded as the frozenset of incident indices, so coplanar
     quadrilateral facets come out whole); edges are pairs of points shared by
-    two facets. Intended for small inputs.
+    two facets. Intended for small inputs; a repeated point raises
+    MalformedPolytopeError.
 
     The side of point m against the plane of i < j < k is the sign of the
     orientation determinant of (i, j, k, m). Each of the C(n, 4) determinants
@@ -142,6 +143,9 @@ def hull_combinatorics(points):
     flat, sign = chamber_lattice([c for p in points for c in p])
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
+    if len(set(pts)) < n:
+        m = next(m for m, p in enumerate(pts) if p in pts[:m])
+        raise MalformedPolytopeError(f"point {m} repeats point {pts.index(pts[m])}")
     every = (1 << n) - 1
     above = [1 << m for m in range(n)]
     below = [1 << m + n for m in range(n)]
@@ -219,8 +223,6 @@ def _edge_direction(forms, den, i: int, j: int):
     for col in zip(*diff):
         if g := math.gcd(*col):
             break
-    else:
-        primitive((0, 0, 0))    # raises ZeroVectorError: v_j - v_i is 0
     u = (col[0] // g, col[1] // g, col[2] // g)
     k = 0 if u[0] else 1 if u[1] else 2
     a, b, c = (x // u[k] for x in diff[k])
@@ -257,6 +259,8 @@ def _vertex_directions(p: Polytope, index: int, neighbors, known):
     """
     if bad := [k for k in (index, *neighbors) if not 0 <= k < len(p.vertices)]:
         raise IndexError(f"no vertex {bad[0]}")
+    if index in neighbors:
+        raise MalformedPolytopeError(f"edge {index}-{index} joins vertex {index} to itself")
     if len(neighbors) != 3:
         raise NotDelzantVertexError(
             f"vertex {index} has {len(neighbors)} edges, expected 3")

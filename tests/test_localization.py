@@ -227,6 +227,14 @@ class TestCommonDenominatorKernel:
             integrand = lambda r, k=k: r.hamiltonian ** k
             assert localize(star, (2, 2), integrand) == per_row_localize(star, (2, 2), integrand)
 
+    def test_an_inexact_value_names_its_point(self):
+        # a float would make the sum inexact; a bool is an int
+        for value, kind in ((0.5, "float"), ("1/2", "str"), (None, "NoneType")):
+            with pytest.raises(TypeError) as err:
+                localize(G, (2, 1), lambda r, value=value: value)
+            assert str(err.value) == f"integrand at x00 gave {kind}, not an exact value"
+        assert localize(G, (2, 1), lambda r: True) == 0
+
 
 class TestCubicForm:
     def test_tensor(self):

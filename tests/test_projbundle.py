@@ -463,6 +463,13 @@ INVARIANTS = st.builds(
     st.tuples(SMALL, SMALL, SMALL, SMALL),
     st.tuples(st.integers(0, 1), st.integers(0, 1)),
     st.tuples(SMALL, SMALL))
+# as INVARIANTS, or with a tensor of eight independent entries: find_equivalence
+# evaluates T2(c, c, c) with tensor_apply, which sums every entry
+ANY_INVARIANTS = st.one_of(INVARIANTS, st.builds(
+    lambda t, w2, p1: JuppInvariants(((t[0:2], t[2:4]), (t[4:6], t[6:8])), w2, p1),
+    st.tuples(*[SMALL] * 8),
+    st.tuples(st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(SMALL, SMALL)))
 # matrices P = ((a, b), (c, d)) with |det P| = 1, as (a, b, c, d)
 MOVES = tuple(m for m in product(range(-2, 3), repeat=4) if m[0] * m[3] - m[1] * m[2] in (1, -1))
 ZERO = JuppInvariants(symmetric(0, 0, 0, 0), (0, 0), (0, 0))
@@ -511,9 +518,12 @@ class TestPrunedSearch:
         assert 0 < hits < len(invs) ** 2
 
     @settings(max_examples=300)
-    @given(inv1=INVARIANTS, inv2=st.one_of(INVARIANTS, st.sampled_from(MOVES)),
+    @given(inv1=ANY_INVARIANTS, inv2=st.one_of(ANY_INVARIANTS, st.sampled_from(MOVES)),
            bound=st.sampled_from((0, 1, 2, 3)))
     @example(inv1=ZERO, inv2=ZERO, bound=3)
+    # no filter prunes at bound 8: a hit at ((-8, -7), (-7, -6)), and a w2 miss after the box
+    @example(inv1=ZERO, inv2=ZERO, bound=8)
+    @example(inv1=ZERO, inv2=JuppInvariants(ZERO.trilinear, (1, 1), (0, 0)), bound=8)
     @example(inv1=JuppInvariants(symmetric(0, 0, 0, 0), (1, 0), (0, 0)), inv2=(1, 1, 0, 1), bound=3)
     @example(inv1=JuppInvariants(TENSOR_XI_ETA, (0, 0), (8, 0)), inv2=(1, 0, 1, 1), bound=2)
     def test_matches_the_full_scan_on_handmade_invariants(self, inv1, inv2, bound):

@@ -93,6 +93,9 @@ def reference_hull(points):
 
     pts = [tuple(Fraction(c) for c in p) for p in points]
     n = len(pts)
+    if len(set(pts)) < n:
+        m = next(m for m, p in enumerate(pts) if p in pts[:m])
+        raise MalformedPolytopeError(f"point {m} repeats point {pts.index(pts[m])}")
     facets = set()
     full_dim = False
     for i, j, k in combinations(range(n), 3):
@@ -131,6 +134,9 @@ def triple_loop_hull(points):
     flat, sign = chamber_lattice([c for p in points for c in p])
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
+    if len(set(pts)) < n:
+        m = next(m for m, p in enumerate(pts) if p in pts[:m])
+        raise MalformedPolytopeError(f"point {m} repeats point {pts.index(pts[m])}")
 
     def sub(u, v):
         return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
@@ -246,13 +252,15 @@ class TestHullCombinatorics:
     @settings(max_examples=150)
     @given(point_sets())
     def test_matches_the_rational_reference(self, points):
-        try:
-            expected = reference_hull(points)
-        except NotFullDimensionalError:
-            with pytest.raises(NotFullDimensionalError):
-                hull_combinatorics(points)
-            return
-        assert hull_combinatorics(points) == expected
+        assert hull_or_error(hull_combinatorics, points) == hull_or_error(reference_hull, points)
+
+    def test_repeated_point_rejected(self):
+        # a copy of a point would take every edge of the first copy out of the hull
+        with pytest.raises(MalformedPolytopeError) as err:
+            hull_combinatorics([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)])
+        assert str(err.value) == "point 4 repeats point 0"
+        with pytest.raises(MalformedPolytopeError, match="point 6 repeats point 0"):
+            hull_combinatorics(HAT.vertices + (HAT.vertices[0],))
 
 
 
@@ -362,6 +370,14 @@ class TestDelzantChecks:
         with pytest.raises(IndexError) as err:
             vertex_weights(HAT, 0, edges=((0, 1), (0, 2), (0, neighbor)))
         assert str(err.value) == f"no vertex {neighbor}"
+
+    @pytest.mark.parametrize("edges", [((0, 1), (0, 0)), ((0, 0), (0, 1), (0, 2), (0, 3))])
+    def test_self_loop_edge(self, edges):
+        # checked before the edge count, so a loop is never taken for a fourth edge
+        # or for an edge of zero direction
+        with pytest.raises(MalformedPolytopeError) as err:
+            vertex_weights(HAT, 0, edges=edges)
+        assert str(err.value) == "edge 0-0 joins vertex 0 to itself"
 
     def test_parameter_dependent_combinatorics_detected(self):
         # fifth point sits inside the simplex at (1, 2) and outside at (1, 3)
@@ -529,7 +545,8 @@ LINEAR_COORDS = st.one_of(st.integers(-2, 2).map(ParamPoly.const), st.builds(
 def hull_or_error(hull, points):
     try:
         return hull(points)
-    except (NotFullDimensionalError, ParametricCombinatoricsUnstableError) as exc:
+    except (MalformedPolytopeError, NotFullDimensionalError,
+            ParametricCombinatoricsUnstableError) as exc:
         return type(exc), str(exc)
 
 
