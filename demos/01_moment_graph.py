@@ -6,7 +6,7 @@ ids read off the integer coordinates of the image. Each edge is an
 invariant 2-sphere with a primitive integer direction.
 """
 
-from gkmloc import (
+from gkmloc.gkm import (
     betti_numbers,
     is_coprime_action,
     isotropy_spheres,

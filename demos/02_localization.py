@@ -6,13 +6,12 @@ polynomials of the three weights, the symplectic volume uses the momentum.
 Different subcircles must give the same answers, and they do, exactly.
 """
 
-from gkmloc import (
+from gkmloc.gkm import c1_values, tolman_graph
+from gkmloc.localization import (
     CHERN_MONOMIALS,
     abbv_chern_number,
-    c1_values,
     dh_volume,
     localization_table,
-    tolman_graph,
 )
 
 g = tolman_graph()

@@ -5,7 +5,8 @@ below is reduced to the basis 1; eta, xi; eta^2, eta*xi; eta^2*xi and
 integrated against eta^2*xi = 1.
 """
 
-from gkmloc import (
+from gkmloc.exact import rat_str
+from gkmloc.projbundle import (
     Bundle,
     c1_cubed,
     c2_pairings,
@@ -16,7 +17,6 @@ from gkmloc import (
     eta,
     integrate,
     p1_and_w2,
-    rat_str,
     total_chern,
     xi,
 )

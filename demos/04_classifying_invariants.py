@@ -8,17 +8,14 @@ ring reduction for the bundle with (k1, k2) = (-1, -1). They agree on the
 nose, identifying the manifold behind the graph.
 """
 
-from gkmloc import (
-    Bundle,
+from gkmloc.gkm import tolman_graph
+from gkmloc.localization import (
     c1_in_omega_basis,
     cubic_form_from_gkm,
     dh_volume,
-    find_equivalence,
-    jupp_compare,
-    jupp_invariants,
     jupp_invariants_from_gkm,
-    tolman_graph,
 )
+from gkmloc.projbundle import Bundle, find_equivalence, jupp_compare, jupp_invariants
 
 g = tolman_graph()
 s = (2, 1)

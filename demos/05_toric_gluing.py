@@ -7,7 +7,7 @@ integer matrices and keeping the half below / above the cut level
 graph exactly.
 """
 
-from gkmloc import (
+from gkmloc.toric import (
     L_HAT,
     L_TILDE,
     builtin_polytopes,
@@ -48,7 +48,7 @@ print(f"  hat half contributes:   {report.hat_points}")
 print(f"  matched fixed points:   {report.matched}")
 
 # sabotage one vertex to see the failure reporting
-from gkmloc import VertexData
+from gkmloc.toric import VertexData
 bad = list(tilde_data)
 bad[3] = VertexData(3, bad[3].image, ((9, 9),) + bad[3].weights[1:])
 broken = glue_check(hat_data, tuple(bad))

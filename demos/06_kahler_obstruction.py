@@ -9,7 +9,7 @@ positive, hence the verdict string NotObstructedByThisTest.
 
 from fractions import Fraction
 
-from gkmloc import curve_invariants, kahler_obstruction
+from gkmloc.kahlercone import curve_invariants, kahler_obstruction
 
 inv = curve_invariants(2)
 print("destabilizing sphere for n = 2:")

@@ -3,21 +3,17 @@
 Everything downstream (moment graphs, localization sums, intersection rings)
 runs on these types. No floating point is used anywhere in the package; all
 values are integers, `fractions.Fraction`, or polynomials with rational
-coefficients in the two positive real parameters l1 < l2. A polynomial is
-stored as integer numerators over one common denominator, so its arithmetic
-runs on ints; its coefficients and values are handed out as Fractions.
+coefficients in the two positive real parameters l1 < l2. Fractions are kept
+in lowest terms with a positive denominator, and str() already gives the
+canonical "p/q" (or "p") form used in all JSON output. A polynomial is stored
+as integer numerators over one common denominator, so its arithmetic runs on
+ints; its coefficients and values are handed out as Fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-# Rational numbers are stdlib Fractions: always in lowest terms, positive
-# denominator, exact field operations, and str() already gives the canonical
-# "p/q" (or "p") form used in all JSON output.
-Rational = Fraction
-
 
 class ToolkitError(Exception):
     """Base class for structured errors; ``code`` is the stable identifier."""

@@ -331,7 +331,10 @@ def betti_numbers(g: GKMGraph, s):
     n, s = valences.pop(), as_action(s)
     betti = [0] * (2 * n + 1)
     for p in g.points:
-        betti[fixed_point_index(restrict_weights(g, s, p.id))] += 1
+        ws = restrict_weights(g, s, p.id)
+        if 0 in ws:
+            raise DegenerateWeightError(f"subcircle ({s.a},{s.b}) has a zero weight at {p.id}")
+        betti[fixed_point_index(ws)] += 1
     return tuple(betti)
 
 

@@ -17,10 +17,11 @@ Degree-2k elements are stored as coordinate vectors in that basis, ordered
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
 
-from .exact import Rational, ToolkitError, _as_int, rat
+from .exact import ToolkitError, _as_int, rat
 
 
 class DegreeOverflowError(ToolkitError):
@@ -161,7 +162,7 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
     return RingElement(6, (a * q + b * p - k1 * b * q,))
 
 
-def integrate(bundle: Bundle, x: RingElement) -> Rational:
+def integrate(bundle: Bundle, x: RingElement) -> Fraction:
     """Integrate a top-degree class; the basis class eta^2*xi has integral 1."""
     if x.degree != 6:
         raise NotTopDegreeError(f"cannot integrate a degree-{x.degree} class")
@@ -210,7 +211,7 @@ def c2_pairings(bundle: Bundle):
             integrate(bundle, cup(bundle, c2, xi())))
 
 
-def cubic_form(bundle: Bundle, a, b) -> Rational:
+def cubic_form(bundle: Bundle, a, b) -> Fraction:
     """Cubic intersection form on degree 2: the integral of (a*eta + b*xi)^3.
 
     Computed by ring reduction; the closed form

@@ -13,8 +13,8 @@ sign that is not constant there is reported as unstable, naming the wall.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
-L_TILDE and cut at the level (l1+l2)/2, glue to reproduce the fixed-point
-data of the built-in six-point GKM graph.
+L_TILDE and cut at the level CUT = (l1+l2)/2, glue to reproduce the
+fixed-point data of the built-in six-point GKM graph.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class MalformedPolytopeError(ToolkitError, ValueError):
 
 L_HAT = ((1, 0, 1), (0, 1, 0))
 L_TILDE = ((1, 0, 0), (0, 1, 0))
+CUT = linear_poly((2, 1, 0), 2)     # (l1 + l2)/2 = (2u + v)/2
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ def hull_combinatorics(points):
     Every plane through three non-collinear points that supports the whole set
     is a facet (recorded as the frozenset of incident indices, so coplanar
     quadrilateral facets come out whole); edges are pairs of points shared by
-    two facets. Intended for small inputs; a repeated point raises
-    MalformedPolytopeError.
+    two facets. Intended for small inputs; a point that is not a triple, or a
+    repeated point, raises MalformedPolytopeError.
 
     The side of point m against the plane of i < j < k is the sign of the
     orientation determinant of (i, j, k, m). Each of the C(n, 4) determinants
@@ -140,6 +141,9 @@ def hull_combinatorics(points):
     then a cubic form and each collinear comparison a quadratic one, signed
     on all of 0 < l1 < l2 or raising ParametricCombinatoricsUnstableError.
     """
+    for m, p in enumerate(points):
+        if len(p) != 3:
+            raise MalformedPolytopeError(f"point {m} has {len(p)} coordinates, not 3")
     flat, sign = chamber_lattice([c for p in points for c in p])
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
@@ -333,13 +337,6 @@ class GlueReport:
     problems: tuple
 
 
-_CUT = linear_poly((2, 1, 0), 2)    # (l1 + l2)/2 = (2u + v)/2
-
-
-def default_cut() -> ParamPoly:
-    return _CUT
-
-
 def _linear_pair(image) -> bool:
     try:
         return len(image) == 2 and bool(linear_forms(image))
@@ -350,7 +347,7 @@ def _linear_pair(image) -> bool:
 def glue_check(hat_data, tilde_data) -> GlueReport:
     """Check that the two projected halves glue to the built-in fixed-point data.
 
-    Keeps tilde vertices strictly below the cut level ``default_cut()``
+    Keeps tilde vertices strictly below the cut level ``CUT``
     (second moment coordinate) and hat vertices strictly above, then matches
     the union against the built-in graph: every fixed point must be hit by
     exactly one surviving vertex with the same moment image, and the
@@ -369,7 +366,7 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     try:
         if any(len(vd.image) != 2 for _, vd, _ in rows):
             raise ValueError("not a pair")
-        flat, den = linear_forms([c for _, vd, _ in rows for c in vd.image] + [_CUT])
+        flat, den = linear_forms([c for _, vd, _ in rows for c in vd.image] + [CUT])
     except ValueError:
         side, vd = next((side, vd) for side, vd, _ in rows if not _linear_pair(vd.image))
         raise MalformedPolytopeError(

@@ -413,8 +413,9 @@ class TestMorseData:
         assert fixed_point_index((1, 2, 3)) == 0
 
     def test_zero_weight_rejected(self):
-        with pytest.raises(DegenerateWeightError):
+        with pytest.raises(DegenerateWeightError) as err:
             fixed_point_index((0, 1, 2))
+        assert str(err.value) == "zero weight in (0, 1, 2); index undefined"
 
     def test_non_integral_weight_rejected(self):
         # int() would truncate -1/2 to 0 and -0.5 to 0
@@ -432,8 +433,11 @@ class TestMorseData:
         assert betti_numbers(G, (1, 3)) == (1, 0, 2, 0, 2, 0, 1)
 
     def test_betti_degenerate_subcircle(self):
-        with pytest.raises(DegenerateWeightError):
-            betti_numbers(G, (1, 1))
+        # named with the localization rows' wording, not fixed_point_index's
+        for s, point in (((1, 1), "x03"), ((1, 0), "x00")):
+            with pytest.raises(DegenerateWeightError) as err:
+                betti_numbers(G, s)
+            assert str(err.value) == f"subcircle ({s[0]},{s[1]}) has a zero weight at {point}"
 
     def test_betti_needs_uniform_valence(self):
         pts = (

@@ -1,8 +1,10 @@
 """Promises about the runtime, read from the package source with ast: every
 absolute import is from the standard library, no float literal appears, and
-the CLI reads only the public names of the library modules."""
+the CLI reads only the public names of the library modules. The package itself
+holds no second name for a library object: ``import gkmloc`` loads no module."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,3 +55,20 @@ def test_cli_reads_only_public_library_names():
             private += [(node.lineno, f"{node.module}.{alias.name}")
                         for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_the_package_is_its_modules():
+    # a fresh interpreter, so that no other test has imported a submodule yet
+    probe = (
+        "import inspect, sys, gkmloc\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gkmloc.')))\n"
+        "print(sorted(n for n, v in vars(gkmloc).items()"
+        " if inspect.isfunction(v) or inspect.isclass(v)))\n"
+        "from gkmloc import cli, exact, gkm, kahlercone, localization, projbundle, toric\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gkmloc.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded, objects, modules = proc.stdout.splitlines()
+    assert (loaded, objects) == ("[]", "[]")
+    assert modules == str([f"gkmloc.{m}" for m in (
+        "cli", "exact", "gkm", "kahlercone", "localization", "projbundle", "toric")])

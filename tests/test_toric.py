@@ -12,6 +12,7 @@ from gkmloc.exact import (ChamberSignError, L1, L2, ParamPoly, chamber_lattice, 
                           linear_forms, linear_sign, primitive)
 from gkmloc.gkm import outgoing_edges, tolman_graph
 from gkmloc.toric import (
+    CUT,
     L_HAT,
     L_TILDE,
     MalformedPolytopeError,
@@ -23,7 +24,6 @@ from gkmloc.toric import (
     VertexOnCutError,
     builtin_glue_report,
     builtin_polytopes,
-    default_cut,
     glue_check,
     hull_combinatorics,
     polytope_edges,
@@ -262,7 +262,17 @@ class TestHullCombinatorics:
         with pytest.raises(MalformedPolytopeError, match="point 6 repeats point 0"):
             hull_combinatorics(HAT.vertices + (HAT.vertices[0],))
 
-
+    def test_point_that_is_not_a_triple_rejected(self):
+        # checked before any conversion: flattening 2-D points would regroup them by three
+        plane = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2)]
+        with pytest.raises(MalformedPolytopeError) as err:
+            hull_combinatorics(plane)
+        assert str(err.value) == "point 0 has 2 coordinates, not 3"
+        with pytest.raises(MalformedPolytopeError) as err:
+            hull_combinatorics([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1, 1)])
+        assert str(err.value) == "point 3 has 4 coordinates, not 3"
+        with pytest.raises(MalformedPolytopeError, match="point 2 has 2 coordinates"):
+            hull_combinatorics(HAT.vertices[:2] + (HAT.vertices[2][:2],) + HAT.vertices[3:])
 
 
 class TestBuiltinPolytopes:
@@ -537,6 +547,35 @@ class TestCertifiedOnTheChamber:
         self.assert_certified(moved(builtin_polytopes()[name], m))
 
 
+def projective_bundle(k, a, b):
+    """The Delzant polytope {x, y >= 0, 0 <= z <= B, x + y <= A + k*z} of P(O + O(k))
+    over CP^2, for an int k and degree <= 1 ParamPolys A = a and B = b."""
+    o, top = ParamPoly.zero(), a + k * b
+    return Polytope(((o, o, o), (a, o, o), (o, a, o), (o, o, b), (top, o, b), (o, top, b)))
+
+
+class TestProjectiveBundleFamily:
+    """The toric P(O + O(k)) over CP^2: the built-in halves are members, and the members
+    are Delzant on the whole chamber, also after a GL3(Z) move."""
+
+    def test_hat_is_the_trivial_bundle(self):
+        assert projective_bundle(0, lin(1, 1), lin(1, 0)).vertices == HAT.vertices
+
+    def test_tilde_is_the_twist_by_minus_three(self):
+        # (x, y, z) -> (x - z, y - z, z)
+        shear = ((1, 0, -1), (0, 1, -1), (0, 0, 1))
+        family = projective_bundle(-3, lin(2, 1), lin(1, 0))
+        assert set(moved(TILDE, shear).vertices) == set(family.vertices)
+
+    def test_every_twist_is_delzant(self):
+        for k in range(-4, 5):
+            family = projective_bundle(k, lin(4, 1), lin(1, 0))
+            for m in GL3_MOVES:
+                poly = moved(family, m)
+                assert len(polytope_edges(poly)) == 9, (k, m)
+                assert all(len(vertex_weights(poly, i)) == 3 for i in range(6)), (k, m)
+
+
 # half of them constant, so that some hulls are stable on the whole chamber
 LINEAR_COORDS = st.one_of(st.integers(-2, 2).map(ParamPoly.const), st.builds(
     ParamPoly.linear, st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)))
@@ -697,7 +736,7 @@ class TestProjection:
 def reference_side_of_cut(side_name, vd):
     """The per-vertex cut side: one linear_forms call on the level and the cut."""
     level = vd.image[1]
-    (form, cut), den = linear_forms([level, default_cut()])
+    (form, cut), den = linear_forms([level, CUT])
     try:
         side = linear_sign((form[0] - cut[0], form[1] - cut[1], form[2] - cut[2]), den)
     except ChamberSignError as exc:
@@ -761,10 +800,10 @@ HAND_BUILT = {
     "wrong weights": (HAT_DATA, TILDE_DATA[:3] + (
         VertexData(3, TILDE_DATA[3].image, ((5, 5),) + TILDE_DATA[3].weights[1:]),)
         + TILDE_DATA[4:]),
-    "on cut": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), default_cut()), ()),)),
+    "on cut": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), CUT), ()),)),
     "wobble": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ()),)),
     "touch": (HAT_DATA, TILDE_DATA + (
-        VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ()),)),
+        VertexData(9, (lin(0, 0), CUT + (L2 - 5 * L1) ** 2), ()),)),
     "quadratic first coordinate": (HAT_DATA + (VertexData(9, (L1 * L2, L2), ((1, 0),)),),
                                    TILDE_DATA),
     # a second image of x11, and an image over 3 that puts all forms over 6
@@ -784,7 +823,7 @@ HAND_BUILT = {
 IMAGE_COORDS = st.one_of(
     st.builds(lambda a, b, c, d: ParamPoly.linear(a, b, c) / d, st.integers(-2, 3),
               st.integers(-2, 3), st.integers(-1, 1), st.integers(1, 3)),
-    st.sampled_from([c for p in tolman_graph().points for c in p.moment_image] + [default_cut()]),
+    st.sampled_from([c for p in tolman_graph().points for c in p.moment_image] + [CUT]),
     st.builds(lambda a, b: a * L1 * L2 + b * L1 ** 2, st.integers(-1, 1), st.integers(-1, 1)))
 
 
@@ -848,8 +887,7 @@ class TestGlue:
         assert report.problems == ()
 
     def test_default_cut_level(self):
-        assert default_cut() == ParamPoly.linear(Fraction(1, 2), Fraction(1, 2))
-        assert default_cut() is default_cut()
+        assert CUT == ParamPoly.linear(Fraction(1, 2), Fraction(1, 2))
 
     def test_moved_vertex_breaks_the_match(self):
         hat_data = project_fixed_data(HAT, L_HAT)
@@ -874,7 +912,7 @@ class TestGlue:
     def test_vertex_on_cut_rejected(self):
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = project_fixed_data(TILDE, L_TILDE)
-        on_cut = VertexData(9, (lin(0, 0), default_cut()), ())
+        on_cut = VertexData(9, (lin(0, 0), CUT), ())
         with pytest.raises(VertexOnCutError) as err:
             glue_check(hat_data, tilde_data + (on_cut,))
         assert str(err.value) == "tilde vertex 9: level 1/2*l1 + 1/2*l2 lies on the cut level"
@@ -888,11 +926,11 @@ class TestGlue:
             glue_check(hat_data, tilde_data + (wobble,))
         # signed on the ints of the level's form, named as the ParamPoly route names it
         with pytest.raises(ChamberSignError) as want:
-            chamber_sign(wobble.image[1] - default_cut())
+            chamber_sign(wobble.image[1] - CUT)
         assert str(got.value) == f"tilde vertex 9: cut side changes: {want.value}"
         # above the cut on the whole chamber but for the wall l2/l1 = 5, where it
         # touches it; a quadratic level is no image that project_fixed_data makes
-        touch = VertexData(9, (lin(0, 0), default_cut() + (L2 - 5 * L1) ** 2), ())
+        touch = VertexData(9, (lin(0, 0), CUT + (L2 - 5 * L1) ** 2), ())
         with pytest.raises(MalformedPolytopeError) as got:
             glue_check(hat_data, tilde_data + (touch,))
         assert str(got.value) == (f"tilde vertex 9: image (0, {touch.image[1]}) is not a pair"
