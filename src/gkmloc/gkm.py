@@ -86,11 +86,12 @@ class CircleAction:
 
 
 def as_action(s) -> CircleAction:
-    """Coerce a CircleAction or (a, b) pair."""
+    """Coerce a CircleAction or an (a, b) tuple or list; anything else raises TypeError."""
     if isinstance(s, CircleAction):
         return s
-    a, b = s
-    return CircleAction(_as_int(a), _as_int(b))
+    if not isinstance(s, (tuple, list)) or len(s) != 2:
+        raise TypeError(f"a subcircle is a CircleAction or an (a, b) pair, not {s!r}")
+    return CircleAction(_as_int(s[0]), _as_int(s[1]))
 
 
 @dataclass(frozen=True)
@@ -137,8 +138,9 @@ class GKMGraph:
     form (a, b, c), the coordinate being (a*u + b*v + c) / ``_den`` with
     l1 = u, l2 = u + v: ``_forms`` maps each point id, in canonical order, to
     the forms of its two coordinates. It then checks every edge's area on
-    these ints. Neither is a field, so equality, hash and repr see only points
-    and edges; ``sphere_area`` builds an area when it is asked for.
+    these ints. ``_table`` keeps the fixed-point table of the last subcircle
+    queried in ``_last``. None of these is a field, so equality, hash and repr
+    see only points and edges; ``sphere_area`` builds an area when it is asked for.
     """
 
     points: tuple
@@ -164,6 +166,7 @@ class GKMGraph:
             _area(forms, den, e)
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_last", (None,))
 
     @cached_property
     def _by_id(self):
@@ -296,17 +299,49 @@ def outgoing_edges(g: GKMGraph, point_id: str):
     return g._outgoing[point_id]
 
 
+def _table(g: GKMGraph, s):
+    """The fixed-point table of g at s, (key, rows, D, scales): key the int pair (a, b), rows
+    one (point, weights, weight product, momentum) per point in canonical order, the momentum
+    the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h, D the lcm of the weight products
+    and scales each row's D // weight product; D is 0 and scales () when a weight is 0, and
+    each query makes its own check. g keeps the last table in its one slot ``_last``, replaced
+    whole: memory stays bounded, and a thread reads the table of its own key or builds it."""
+    s = as_action(s)
+    key = (s.a, s.b)
+    if (table := g._last)[0] == key:
+        return table
+    a, b = key
+    h, forms, rows = g._den, g._forms, []
+    for pid, inc in g._outgoing.items():
+        ws = tuple([a * x + b * y for _, (x, y) in inc])
+        (u0, v0, w0), (u1, v1, w1) = forms[pid]     # phi_i = (u*l1 + v*(l2 - l1) + w) / h
+        momentum = (-a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1, h)
+        rows.append((pid, ws, math.prod(ws), momentum))
+    den = math.lcm(*(row[2] for row in rows))
+    table = (key, tuple(rows), den, tuple(den // row[2] for row in rows) if den else ())
+    object.__setattr__(g, "_last", table)
+    return table
+
+
+def _nondegenerate_table(g: GKMGraph, s):
+    """_table(g, s), or DegenerateWeight at the first point with a zero weight."""
+    (a, b), rows, den, _ = table = _table(g, s)
+    if not den:
+        pid = next(row[0] for row in rows if not row[2])
+        raise DegenerateWeightError(f"subcircle ({a},{b}) has a zero weight at {pid}")
+    return table
+
+
 def restrict_weights(g: GKMGraph, s, point_id: str):
     """Weights of subcircle s at a fixed point, one per incident edge.
 
     Order follows the canonical edge order (ascending lex on the outgoing
     direction).
     """
-    s = as_action(s)
-    inc = g._outgoing.get(point_id)
-    if inc is None:
-        g.point(point_id)                       # raises NoSuchFixedPoint
-    return tuple(s.a * x + s.b * y for _, (x, y) in inc)
+    for row in _table(g, s)[1]:
+        if row[0] == point_id:
+            return row[1]
+    g.point(point_id)                           # raises NoSuchFixedPoint
 
 
 def edge_weight(g: GKMGraph, s, e: Edge) -> int:
@@ -328,13 +363,9 @@ def betti_numbers(g: GKMGraph, s):
     valences = {len(inc) for inc in g._outgoing.values()}
     if len(valences) != 1:
         raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
-    n, s = valences.pop(), as_action(s)
-    betti = [0] * (2 * n + 1)
-    for p in g.points:
-        ws = restrict_weights(g, s, p.id)
-        if 0 in ws:
-            raise DegenerateWeightError(f"subcircle ({s.a},{s.b}) has a zero weight at {p.id}")
-        betti[fixed_point_index(ws)] += 1
+    betti = [0] * (2 * valences.pop() + 1)
+    for row in _nondegenerate_table(g, s)[1]:
+        betti[fixed_point_index(row[1])] += 1
     return tuple(betti)
 
 
@@ -352,10 +383,10 @@ def c1_values(g: GKMGraph, s) -> dict:
         <c1, S> = (sum of weights at p_min - sum at p_max) / |w|.
 
     The values do not depend on s as long as no w is 0; each point's weights
-    are summed once.
+    are read once from the table of g at s and summed.
     """
     s = as_action(s)
-    sums = {p.id: sum(restrict_weights(g, s, p.id)) for p in g.points}
+    sums = {row[0]: sum(row[1]) for row in _table(g, s)[1]}
     out = {}
     for e in g.edges:
         w = edge_weight(g, s, e)
@@ -392,17 +423,16 @@ def is_coprime_action(g: GKMGraph, s):
     s = as_action(s)
     if s.a == 0 or s.b == 0:
         raise AxisSubcircleError("coprimality test needs a, b both nonzero")
-    for p in g.points:
-        ws = restrict_weights(g, s, p.id)
+    for pid, ws, _, _ in _table(g, s)[1]:
         for w in ws:
             if w == 0:
-                return False, CoprimeWitness(p.id, (w,), "zero_weight")
+                return False, CoprimeWitness(pid, (w,), "zero_weight")
             if abs(w) == 1:
-                return False, CoprimeWitness(p.id, (w,), "unit_weight")
+                return False, CoprimeWitness(pid, (w,), "unit_weight")
         for i in range(len(ws)):
             for j in range(i + 1, len(ws)):
                 if math.gcd(ws[i], ws[j]) != 1:
-                    return False, CoprimeWitness(p.id, (ws[i], ws[j]), "common_factor")
+                    return False, CoprimeWitness(pid, (ws[i], ws[j]), "common_factor")
     return True, None
 
 

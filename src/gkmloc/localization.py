@@ -18,16 +18,16 @@ c1, p1 and c2 pairings) come from one pass over the rows, which also
 checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
 every degree-4 monomial x*y in xi', eta'.
 
-One private builder, _rows, reads each row off the graph as a tuple (point, weights,
-e(p), momentum), the momentum being the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h
-from the graph's moment forms (so xi'(p) = x/h, eta'(p) = y/h). _row_sum is the one sum,
-of an integrand's components over the lcm of the weight products. The Chern numbers,
-dh_volume and the omega pass read the tuples and stay on ints until the returned value:
+Every query reads the graph's one table at s (gkm._table): a row (point, weights, e(p),
+momentum) per point, the momentum the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h
+(so xi'(p) = x/h, eta'(p) = y/h), the lcm D of the e(p) and each row's int D // e(p).
+_row_sum is the one sum, of an integrand's components over D. The Chern numbers,
+dh_volume and the omega pass read the rows and stay on ints until the returned value:
 the omega pass hands its twelve sums on as int numerators over one denominator, c1 is
 solved by Cramer's rule on them and every integrality test is a divisibility test.
 Fractions are made only for a returned value or an error's text, and ParamPolys only
 for dh_volume's result and FixedPointContribution.hamiltonian, which localization_table
-and localize hand out by wrapping the same tuples.
+and localize hand out by wrapping the same rows.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from operator import mul
 from .exact import ParamPoly, ToolkitError, linear_poly
 from .gkm import (
     GKMGraph,
-    DegenerateWeightError,
-    as_action,
+    _nondegenerate_table,
     restrict_weights,  # unused here; benchmarks/ reads it as localization.restrict_weights
 )
 from .projbundle import JuppInvariants, trilinear_from_cubic
@@ -86,27 +85,9 @@ class FixedPointContribution:
         return linear_poly((-x - y, -y, -z), h)
 
 
-def _rows(g: GKMGraph, s):
-    """localization_table as tuples (point, weights, weight product, momentum), with the
-    momentum the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h."""
-    s = as_action(s)
-    a, b = s.a, s.b
-    h, forms = g._den, g._forms
-    rows = []
-    for pid, inc in g._outgoing.items():
-        ws = tuple([a * x + b * y for _, (x, y) in inc])
-        prod = math.prod(ws)
-        if prod == 0:
-            raise DegenerateWeightError(f"subcircle ({a},{b}) has a zero weight at {pid}")
-        (u0, v0, w0), (u1, v1, w1) = forms[pid]     # phi_i = (u*l1 + v*(l2 - l1) + w) / h
-        momentum = (-a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1, h)
-        rows.append((pid, ws, prod, momentum))
-    return rows
-
-
 def localization_table(g: GKMGraph, s):
     """Per-point contributions for a subcircle, in canonical point order."""
-    return tuple(FixedPointContribution(*row) for row in _rows(g, s))
+    return tuple(FixedPointContribution(*row) for row in _nondegenerate_table(g, s)[1])
 
 
 def localize(g: GKMGraph, s, integrand):
@@ -120,16 +101,16 @@ def localize(g: GKMGraph, s, integrand):
             return (value,)
         raise TypeError(f"integrand at {row[0]} gave {type(value).__name__}, not an exact value")
 
-    (total,), den = _row_sum(_rows(g, s), exact)
+    (total,), den = _row_sum(_nondegenerate_table(g, s), exact)
     return Fraction(total, den) if isinstance(total, int) else total / den
 
 
-def _row_sum(rows, integrand):
-    """(numerators, D), D the lcm of the weight products: for integrand(row) a tuple, the sum
-    of its component k over the row's weight product is numerators[k] / D. Each row adds its
-    components times the int D // weight product; no division runs until the caller's."""
-    den = math.lcm(*(row[2] for row in rows))
-    scales = [den // row[2] for row in rows]
+def _row_sum(table, integrand):
+    """(numerators, D) on a table of gkm._nondegenerate_table, D the lcm of its weight
+    products: for integrand(row) a tuple, the sum of its component k over the row's weight
+    product is numerators[k] / D. Each row adds its components times the table's int
+    D // weight product; no division runs until the caller's."""
+    _, rows, den, scales = table
     return [sum(map(mul, column, scales)) for column in zip(*map(integrand, rows))], den
 
 
@@ -138,7 +119,7 @@ def _e2(ws):
     return (sum(ws) ** 2 - sum(w * w for w in ws)) // 2
 
 
-_CHERN_INTEGRANDS = {      # on the rows of _rows: row[1] the weights, row[2] their product
+_CHERN_INTEGRANDS = {      # on the table's rows: row[1] the weights, row[2] their product
     "c1^3": lambda row: sum(row[1]) ** 3,
     "c1c2": lambda row: sum(row[1]) * _e2(row[1]),
     "c3": lambda row: row[2],
@@ -156,7 +137,7 @@ def abbv_chern_number(g: GKMGraph, s, monomial: str) -> Fraction:
     if monomial not in _CHERN_INTEGRANDS:
         raise ValueError(f"unsupported monomial {monomial!r}; use one of {CHERN_MONOMIALS}")
     integrand = _CHERN_INTEGRANDS[monomial]
-    (total,), den = _row_sum(_rows(g, s), lambda row: (integrand(row),))
+    (total,), den = _row_sum(_nondegenerate_table(g, s), lambda row: (integrand(row),))
     return Fraction(total, den)
 
 
@@ -169,12 +150,12 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
     the coefficients of l1^i l2^j in h^(N - n(p)) * (x*l1 + y*l2 + z)^n(p), and the
     volume is one ParamPoly over D * h^N, D the lcm of the weight products.
     """
-    rows = _rows(g, s)
-    h, top = g._den, max(len(row[1]) for row in rows)
+    table = _nondegenerate_table(g, s)
+    h, top = g._den, max(len(row[1]) for row in table[1])
     keys = [(i, j) for i in range(top + 1) for j in range(top + 1 - i)]
     # per valence n: h^(top - n) times the multinomial n! / (i! j! (n - i - j)!), 0 past n
     coefficients = {n: [h ** (top - n) * math.comb(n, i) * math.comb(n - i, j) if i + j <= n else 0
-                        for i, j in keys] for n in {len(row[1]) for row in rows}}
+                        for i, j in keys] for n in {len(row[1]) for row in table[1]}}
 
     def expand(row):
         (x, y, z, _), n = row[3], len(row[1])
@@ -186,12 +167,12 @@ def dh_volume(g: GKMGraph, s) -> ParamPoly:
         return [c and c * xs[i] * ys[j] * zs[n - i - j]
                 for c, (i, j) in zip(coefficients[n], keys)]
 
-    nums, den = _row_sum(rows, expand)
+    nums, den = _row_sum(table, expand)
     return ParamPoly._make({key: c for key, c in zip(keys, nums) if c}, den * h ** top)
 
 
 def _omega_integrals(g: GKMGraph, s):
-    """The sums of one _rows pass, with xi', eta' read as ints over the graph's denominator h.
+    """The sums of one table pass, with xi', eta' read as ints over the graph's denominator h.
 
     Returns (nums, D): twelve int numerators over one D, the lcm of the weight products
     times h^3. nums[k] is integral xi'^k eta'^(2-k) (the certificate, checked to vanish),
@@ -199,8 +180,7 @@ def _omega_integrals(g: GKMGraph, s):
     c1 xi'^k eta'^(2-k) and nums[10:] are integral p1 xi' and integral p1 eta'. xi'(p) and
     eta'(p), the l1 and l2 coefficients of -H(p), are the x/h and y/h of the rows' momenta.
     """
-    s = as_action(s)
-    rows = _rows(g, s)
+    (a, b), rows, _, _ = table = _nondegenerate_table(g, s)
     h, forms = g._den, g._forms
     if any(len(row[1]) != 3 for row in rows) or any(     # an area has a constant term
             t[2] != q[2] for e in g.edges for t, q in zip(forms[e.tail], forms[e.head])):
@@ -213,12 +193,12 @@ def _omega_integrals(g: GKMGraph, s):
         e1, p1 = sum(row[1]), h * h * sum(w * w for w in row[1])
         return *quad, y**3, x * y * y, x * x * y, x**3, *(e1 * q for q in quad), p1 * x, p1 * y
 
-    nums, den = _row_sum(rows, terms)
+    nums, den = _row_sum(table, terms)
     den *= h ** 3
     for k in range(3):
         if nums[k]:
             value = Fraction(nums[k], den)
-            raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({s.a},{s.b}): "
+            raise LocalizationCheckError(f"ABBV certificate fails at subcircle ({a},{b}): "
                                          f"integral xi'^{k} eta'^{2 - k} is {value}, not 0")
     if not any(nums[3:7]):
         raise NotHomogeneousCubicError("volume is zero, not a homogeneous cubic")

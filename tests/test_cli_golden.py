@@ -68,10 +68,28 @@ def test_stdout_and_exit_code_are_unchanged(capsys, case):
         loads_exact(line)
 
 
+# Degenerate subcircles of the built-in graph, whose one fixed-point table every
+# subcircle query of a process shares, with the exact line each prints.
+DEGENERATE = [
+    (["betti", "--a", "1", "--b", "1"],
+     '{"error":{"code":"DegenerateWeight","message":"subcircle (1,1) has a zero weight at x03"}}\n'),
+    (["chern", "--a", "1", "--b", "0", "--monomial", "c3"],
+     '{"error":{"code":"DegenerateWeight","message":"subcircle (1,0) has a zero weight at x00"}}\n'),
+    (["dh-volume", "--a", "1", "--b", "1"],
+     '{"error":{"code":"DegenerateWeight","message":"subcircle (1,1) has a zero weight at x03"}}\n'),
+    (["jupp", "--a", "1", "--b", "1"],
+     '{"error":{"code":"DegenerateWeight","message":"subcircle (1,1) has a zero weight at x03"}}\n'),
+]
+
+
 def test_one_process_replays_every_case_in_reverse(capsys):
-    """Calls in one process share the parser and leave no state behind: the
-    cases in reverse order, each after a usage error and a help request."""
+    """Calls in one process share the parser and the built-in graph and leave no
+    state behind: the cases in reverse order, each after the degenerate
+    subcircles, a usage error and a help request."""
     for case in reversed(CASES):
+        for argv, line in DEGENERATE:
+            assert run(argv) == 1
+            assert capsys.readouterr().out == line
         with pytest.raises(SystemExit) as err:
             run(["chern", "--a", "2", "--b", "1", "--monomial", "c2^2"])
         assert err.value.code == 2

@@ -337,7 +337,14 @@ class TestGraphValidation:
                 as_action(s)
             with pytest.raises(TypeError):
                 restrict_weights(G, s, "x00")
+        # not a pair: named whole, not unpacked ("21" would be the characters '2', '1')
+        for s in ((2, 1, 0), (2,), "21", 21, None, {2: 1, 1: 2}):
+            for route in (as_action, lambda s: restrict_weights(G, s, "x00")):
+                with pytest.raises(TypeError) as err:
+                    route(s)
+                assert str(err.value) == f"a subcircle is a CircleAction or an (a, b) pair, not {s!r}"
         assert as_action((Fraction(4, 2), 1)) == CircleAction(2, 1)
+        assert as_action([2, -1]) == CircleAction(2, -1)
 
     def test_bool_subcircle_rejected(self):
         with pytest.raises(TypeError):
@@ -479,17 +486,18 @@ class TestSpheres:
             c1_values(G, (0, 1))
 
     def test_c1_values_sums_each_point_once(self, monkeypatch):
-        calls = []
+        # the weights come from one read of the graph's fixed-point table, one row per point
+        calls, table = [], gkm._table
 
-        def counting(g, s, point_id):
-            calls.append(point_id)
-            return restrict_weights(g, s, point_id)
+        def counting(g, s):
+            calls.append(s)
+            return table(g, s)
 
-        monkeypatch.setattr(gkm, "restrict_weights", counting)
+        monkeypatch.setattr(gkm, "_table", counting)
         for s in [(2, 1), (1, 3), (-4, 7)]:
             calls.clear()
             vals = c1_values(G, s)
-            assert sorted(calls) == sorted(POINT_IDS)
+            assert calls == [CircleAction(*s)]
             assert vals == {e: sphere_c1(G, s, e) for e in G.edges}
             assert all(type(v) is Fraction for v in vals.values())
 
@@ -523,9 +531,11 @@ class TestSpheres:
             assert ParamPoly.linear(x, y) == sphere_area(G, e)
 
     def test_stored_areas_are_not_fields(self):
+        # G keeps the fixed-point table of its last subcircle, rebuilt keeps none yet
+        betti_numbers(G, (2, 1))
         rebuilt = GKMGraph(tuple(reversed(G.points)), tuple(reversed(G.edges)))
         assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
-        assert not any(name in repr(G) for name in ("_forms", "_den"))
+        assert not any(name in repr(G) for name in ("_forms", "_den", "_last"))
         assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
 
     def test_stored_point_forms(self):

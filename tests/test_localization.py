@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 from collections import namedtuple
 from fractions import Fraction
 
@@ -10,12 +12,16 @@ from hypothesis import assume, given, settings, strategies as st
 from gkmloc import localization
 from gkmloc.exact import L1, L2, ParamPoly, ToolkitError, primitive
 from gkmloc.gkm import (
+    CircleAction,
     DegenerateWeightError,
     Edge,
     FixedPoint,
     GKMGraph,
     MalformedEdgeError,
+    betti_numbers,
     c1_values,
+    is_coprime_action,
+    isotropy_spheres,
     restrict_weights,
     sphere_area,
     tolman_graph,
@@ -904,3 +910,79 @@ class TestIntPass:
         assert c1 == (2, Fraction(2, 3)) and c2 == (6, 18)
         assert all(type(v) is Fraction for v in c1 + c2)
         assert cubic_form_from_gkm(g, (2, 1)) == (((2, 3), (3, 9)), ((3, 9), (9, 0)))
+
+
+# Every query that reads a graph's fixed-point table, with a localization_table that also
+# reads the momenta (outside the rows' equality) and a localize that sums them.
+SLOT_QUERIES = {
+    "restrict_weights": lambda g, s: [restrict_weights(g, s, p.id) for p in g.points],
+    "betti_numbers": betti_numbers,
+    "is_coprime_action": is_coprime_action,
+    "c1_values": c1_values,
+    "isotropy_spheres": isotropy_spheres,
+    "localization_table": lambda g, s: [(r, r.hamiltonian) for r in localization_table(g, s)],
+    "localize": lambda g, s: localize(g, s, lambda r: r.hamiltonian ** 3),
+    **{f"abbv_chern_number {m}": lambda g, s, m=m: abbv_chern_number(g, s, m)
+       for m in CHERN_MONOMIALS},
+    "dh_volume": dh_volume,
+    "jupp_invariants_from_gkm": jupp_invariants_from_gkm,
+    "c1_in_omega_basis": c1_in_omega_basis,
+    "c2_pairings_from_gkm": c2_pairings_from_gkm,
+    "cubic_form_from_gkm": cubic_form_from_gkm,
+}
+
+# generic, axis and zero-weight subcircles, sign changes of one pair, other spellings of a
+# pair, and the rejected (0, 0), (2, 1.0) and (True, 1)
+SLOT_SUBCIRCLES = st.one_of(
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.sampled_from([(1, 1), (1, 0), (0, 1), (-1, -1), (2, 1), (-2, 1), (2, -1), (-2, -1),
+                     [3, -2], CircleAction(-3, 2), (Fraction(4, 2), 1),
+                     (0, 0), (2, 1.0), (True, 1)]))
+
+
+def outcome(query, g, s):
+    """What query(g, s) returns, with its type, or the type and text of what it raises."""
+    try:
+        value = query(g, s)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestFixedPointTableSlot:
+    """A graph keeps the table of its last subcircle: every query answers as it does on a
+    freshly built equal graph, whatever was asked before and from whichever thread."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans(), st.lists(st.sampled_from(GENERATORS), max_size=4), SHIFTS, SHIFTS,
+           st.lists(SLOT_SUBCIRCLES, min_size=2, max_size=8))
+    def test_a_query_answers_as_on_a_fresh_graph(self, builtin, moves, shift0, shift1, subcircles):
+        g = tolman_graph() if builtin else moved(tolman_graph(), moves, shift0, shift1, 0, 1)
+        for s in subcircles:
+            for name, query in SLOT_QUERIES.items():
+                fresh = GKMGraph(g.points, g.edges)
+                assert outcome(query, g, s) == outcome(query, fresh, s), (name, s)
+
+    def test_threads_sharing_one_graph_get_the_serial_answers(self):
+        subcircles = [(2, 1), (-2, 1), (1, 1), (7, 2)]
+        serial = {s: [outcome(query, GKMGraph(G.points, G.edges), s)
+                      for query in SLOT_QUERIES.values()] for s in subcircles}
+        shared, barrier, results = GKMGraph(G.points, G.edges), threading.Barrier(4, timeout=60), {}
+
+        def worker(s):
+            barrier.wait()
+            results[s] = [[outcome(query, shared, s) for query in SLOT_QUERIES.values()]
+                          for _ in range(30)]
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in subcircles]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)         # switch threads as often as the interpreter can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {s: [serial[s]] * 30 for s in subcircles}

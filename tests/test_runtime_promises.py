@@ -1,7 +1,9 @@
 """Promises about the runtime, read from the package source with ast: every
 absolute import is from the standard library, no float literal appears, and
 the CLI reads only the public names of the library modules. The package itself
-holds no second name for a library object: ``import gkmloc`` loads no module."""
+holds no second name for a library object: ``import gkmloc`` loads no module.
+An unbounded cache holds one value per process: it decorates a function with
+no parameters, so what it keeps cannot grow with the inputs."""
 
 import ast
 import subprocess
@@ -72,3 +74,33 @@ def test_the_package_is_its_modules():
     assert (loaded, objects) == ("[]", "[]")
     assert modules == str([f"gkmloc.{m}" for m in (
         "cli", "exact", "gkm", "kahlercone", "localization", "projbundle", "toric")])
+
+
+def unbounded_caches():
+    """(module, function, parameter names) of every function decorated with
+    ``functools.cache`` or ``lru_cache(maxsize=None)``, under any import spelling."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def unbounded(dec):
+        if name(dec) == "cache":
+            return True
+        if isinstance(dec, ast.Call) and name(dec.func) == "lru_cache":
+            sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+            return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+        return False
+
+    for path in SOURCES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    unbounded(dec) for dec in node.decorator_list):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                yield path.stem, node.name, params
+
+
+def test_unbounded_caches_take_no_parameters():
+    caches = list(unbounded_caches())
+    assert {("gkm", "tolman_graph"), ("cli", "_parser")} <= {c[:2] for c in caches}
+    assert [c for c in caches if c[2]] == []
