@@ -401,14 +401,14 @@ def linear_sign(form, den=1) -> int:
     return chamber_sign(linear_poly(form, den))
 
 
-def chamber_lattice(values):
-    """The ``linear_forms`` a*u + b*v + c*w as ints a*X**4 + b*X + c (X = 2**k), and sign(n).
+def chamber_lattice(forms):
+    """Int forms (a, b, c) of ``linear_forms``, a*u + b*v + c*w, packed as ints
+    a*X**4 + b*X + c (X = 2**k), and sign(n).
 
     Int sums and products carry the coefficient of u^i v^j w^h as balanced base-X digit
     4*i + j. A 3x3 determinant of differences, or a difference of dot products of two,
     has coefficients below 2**11 * H**3 <= X/2 (H: the largest input coefficient), and
     sign(n) reads such a form back and signs it on the chamber."""
-    forms, _ = linear_forms(values)
     k = 3 * max((abs(c) for f in forms for c in f), default=0).bit_length() + 12
     mask, half, top = (1 << k) - 1, 1 << (k - 1), sum(1 << (k * e + k - 1) for e in range(16))
 

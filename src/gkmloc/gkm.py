@@ -364,8 +364,8 @@ def betti_numbers(g: GKMGraph, s):
     if len(valences) != 1:
         raise NotUniformlyValentError(f"graph is not uniformly valent: {sorted(valences)}")
     betti = [0] * (2 * valences.pop() + 1)
-    for row in _nondegenerate_table(g, s)[1]:
-        betti[fixed_point_index(row[1])] += 1
+    for row in _nondegenerate_table(g, s)[1]:     # no weight is 0: the index is 2 * #(w < 0)
+        betti[2 * sum(w < 0 for w in row[1])] += 1
     return tuple(betti)
 
 

@@ -2,10 +2,11 @@
 
 Vertices are triples of linear polynomials in (l1, l2), written as int linear
 forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
-construction, the hull converts its own input, and the glue makes one
-conversion of every image with the cut, deciding cut sides and its matches with
-the built-in graph on those ints. Each image must be a pair of linear
-coordinates, and each surviving vertex is matched at most once. Hull
+construction and its hull and edge directions run on them, ``hull_combinatorics``
+converts its own input once, and the glue makes one conversion of every image
+with the cut, deciding cut sides and its matches with the built-in graph on
+those ints. Each image must be a pair of linear coordinates, and each
+surviving vertex is matched at most once. Hull
 orientations (cubic forms, each of the C(n, 4) determinants signed once),
 collinear orders (quadratic), edge areas and cut sides (linear) are signed by
 ``exact``'s kernel on the whole chamber 0 < l1 < l2, never at sample values; a
@@ -14,14 +15,15 @@ sign that is not constant there is reported as unstable, naming the wall.
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
 L_TILDE and cut at the level CUT = (l1+l2)/2, glue to reproduce the
-fixed-point data of the built-in six-point GKM graph.
+fixed-point data of the built-in six-point GKM graph. They are built once per
+process, on the first call of ``builtin_polytopes``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key
 from itertools import combinations
 
 from .exact import (ChamberSignError, ParamPoly, ToolkitError, _as_int, chamber_lattice,
@@ -87,17 +89,24 @@ class Polytope:
 
     @cached_property
     def _edges(self):
-        return tuple(sorted(hull_combinatorics(self.vertices)[1]))
+        return tuple(sorted(_hull(self._forms)[1]))
 
 
 def builtin_polytopes():
-    """The prism and the corner-chopped simplex behind the built-in graph."""
+    """The prism and the corner-chopped simplex behind the built-in graph, in a new dict
+    on every call. The polytopes, and so their forms and hulls, are built once per
+    process, like ``gkm.tolman_graph``."""
+    return dict(_builtin_polytopes())
+
+
+@cache
+def _builtin_polytopes():
     # 0, l1, l2, l1 + l2 and 2*l1 + l2
     o, a, b, s, t = (ParamPoly.linear(*c) for c in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)))
     hat = ((o, o, o), (s, o, o), (o, s, o), (o, o, a), (s, o, a), (o, s, a))
     tilde = ((o, o, o), (t, o, o), (o, t, o), (a, a, a), (a, b, a), (b, a, a))
-    return {"tolman-hat": Polytope(hat, name="tolman-hat"),
-            "tolman-tilde": Polytope(tilde, name="tolman-tilde")}
+    return (("tolman-hat", Polytope(hat, name="tolman-hat")),
+            ("tolman-tilde", Polytope(tilde, name="tolman-tilde")))
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +146,21 @@ def hull_combinatorics(points):
     three later triples of the four points.
 
     Coordinates are rationals (floats raise ``TypeError``) or degree <= 1
-    ParamPolys, run as ints by ``exact.chamber_lattice``: each determinant is
-    then a cubic form and each collinear comparison a quadratic one, signed
-    on all of 0 < l1 < l2 or raising ParametricCombinatoricsUnstableError.
+    ParamPolys, written once as ``exact.linear_forms`` and run as ints packed by
+    ``exact.chamber_lattice``: each determinant is then a cubic form and each
+    collinear comparison a quadratic one, signed on all of 0 < l1 < l2 or
+    raising ParametricCombinatoricsUnstableError.
     """
     for m, p in enumerate(points):
         if len(p) != 3:
             raise MalformedPolytopeError(f"point {m} has {len(p)} coordinates, not 3")
-    flat, sign = chamber_lattice([c for p in points for c in p])
+    return _hull(linear_forms([c for p in points for c in p])[0])
+
+
+def _hull(forms):
+    """hull_combinatorics on the int forms of the coordinates, three per point in order;
+    a ``Polytope`` passes the forms it keeps."""
+    flat, sign = chamber_lattice(forms)
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
     if len(set(pts)) < n:

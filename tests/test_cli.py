@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkmloc import cli, projbundle
+from gkmloc import cli, gkm, projbundle, toric
 from gkmloc.cli import _parser, _render, _reproduce_checks, build_parser, run
 from gkmloc.exact import ParamPoly, rat_str
 from gkmloc.localization import CHERN_MONOMIALS
@@ -467,6 +467,33 @@ class TestReproduceAll:
         for out in (first, third):
             assert out.count("\n") == 1
             loads_exact(out)
+
+
+    def test_one_table_per_subcircle(self, monkeypatch):
+        # the graph queries are grouped by subcircle: a slot miss of the graph's
+        # one-table cache is a table build
+        _reproduce_checks()
+        builds, table = [], gkm._table
+
+        def counting(g, s):
+            slot = g._last
+            built = table(g, s)
+            if built is not slot:
+                builds.append(built[0])
+            return built
+
+        monkeypatch.setattr(gkm, "_table", counting)
+        checks = _reproduce_checks()
+        assert builds == [(2, 1), (7, 2), (0, 1), (1, 3)]
+        assert all(expected == got for _, expected, got in checks)
+
+    def test_second_call_runs_no_hull(self, monkeypatch):
+        # the built-in polytopes are built once per process, their hulls with them
+        _reproduce_checks()
+        hulls, hull = [], toric._hull
+        monkeypatch.setattr(toric, "_hull", lambda forms: hulls.append(forms) or hull(forms))
+        _reproduce_checks()
+        assert hulls == []
 
 
 class TestConsoleEntry:

@@ -743,7 +743,7 @@ class TestLinearForms:
         # the packed determinant of three differences reads back as the chamber
         # sign of the same determinant built from ParamPolys
         values = [ParamPoly.linear(a, b, 0 if homogeneous else c) / d for a, b, c, d in rows]
-        ints, sign = chamber_lattice(values * 3)
+        ints, sign = chamber_lattice(linear_forms(values * 3)[0])
         polys = [[values[(3 * m + k) % 4] for k in range(3)] for m in range(4)]
         packed = [ints[3 * m:3 * m + 3] for m in range(4)]
 

@@ -439,6 +439,14 @@ class TestMorseData:
         assert betti_numbers(G, (2, 1)) == (1, 0, 2, 0, 2, 0, 1)
         assert betti_numbers(G, (1, 3)) == (1, 0, 2, 0, 2, 0, 1)
 
+    def test_betti_is_the_index_histogram(self):
+        # fixed_point_index is the oracle; betti_numbers counts the table's negative weights
+        for s in [(2, 1), (1, 3), (7, 2), (-4, 7), (5, -3), (-1, -3)]:
+            betti = [0] * 7
+            for p in G.points:
+                betti[fixed_point_index(restrict_weights(G, s, p.id))] += 1
+            assert betti_numbers(G, s) == tuple(betti), s
+
     def test_betti_degenerate_subcircle(self):
         # named with the localization rows' wording, not fixed_point_index's
         for s, point in (((1, 1), "x03"), ((1, 0), "x00")):

@@ -131,7 +131,7 @@ def triple_loop_hull(points):
     each once and must find the same facets and edges and raise the same
     errors, with the same text.
     """
-    flat, sign = chamber_lattice([c for p in points for c in p])
+    flat, sign = chamber_lattice(linear_forms([c for p in points for c in p])[0])
     pts = [tuple(flat[m:m + 3]) for m in range(0, len(flat), 3)]
     n = len(pts)
     if len(set(pts)) < n:
@@ -276,6 +276,14 @@ class TestHullCombinatorics:
 
 
 class TestBuiltinPolytopes:
+    def test_built_once_per_process(self):
+        first, second = builtin_polytopes(), builtin_polytopes()
+        assert first is not second and first == second
+        assert all(first[name] is second[name] for name in ("tolman-hat", "tolman-tilde"))
+        first["tolman-hat"] = first.pop("tolman-tilde")
+        assert builtin_polytopes() == second
+        assert builtin_polytopes()["tolman-hat"] is HAT
+
     def test_vertex_counts(self):
         assert len(HAT.vertices) == 6
         assert len(TILDE.vertices) == 6
@@ -619,17 +627,47 @@ class TestOrientationTable:
     def test_each_determinant_signed_once(self, monkeypatch):
         signed = []
 
-        def counted(values):
-            ints, sign = chamber_lattice(values)
+        def counted(forms):
+            ints, sign = chamber_lattice(forms)
             return ints, lambda n: signed.append(n) or sign(n)
 
         monkeypatch.setattr(toric, "chamber_lattice", counted)
         for poly in (HAT, TILDE):
             for m in GL3_MOVES:
-                signed.clear()
-                hull_combinatorics(moved(poly, m).vertices)
-                # no three vertices are collinear: C(6, 4) determinants, no order test
-                assert len(signed) == math.comb(6, 4)
+                # the public hull on the vertices, then a fresh polytope's hull on its forms
+                for hull in (lambda p: hull_combinatorics(p.vertices), polytope_edges):
+                    signed.clear()
+                    hull(moved(poly, m))
+                    # no three vertices are collinear: C(6, 4) determinants, no order test
+                    assert len(signed) == math.comb(6, 4)
+
+
+class TestHullOnStoredForms:
+    """A polytope's hull runs on the forms it keeps from construction and finds what
+    hull_combinatorics finds on its vertices, facets and edges, or the same error."""
+
+    @staticmethod
+    def assert_as_on_vertices(p):
+        want = hull_or_error(hull_combinatorics, p.vertices)
+        assert hull_or_error(toric._hull, p._forms) == want
+        raised = isinstance(want[0], type)
+        assert hull_or_error(polytope_edges, p) == (want if raised else tuple(sorted(want[1])))
+
+    def test_builtin_pair_under_the_moves(self):
+        for poly in (HAT, TILDE):
+            for m in GL3_MOVES:
+                self.assert_as_on_vertices(moved(poly, m))
+
+    def test_projective_bundle_family(self):
+        for k in range(-4, 5):
+            for m in GL3_MOVES:
+                self.assert_as_on_vertices(moved(projective_bundle(k, lin(4, 1), lin(1, 0)), m))
+
+    def test_unstable_polytopes_raise_the_same_error(self):
+        for p in (APEX, CROSSING):
+            want = hull_or_error(hull_combinatorics, p.vertices)
+            assert want[0] is ParametricCombinatoricsUnstableError
+            self.assert_as_on_vertices(p)
 
 
 class TestNoSamplePoints:
