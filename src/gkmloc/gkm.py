@@ -138,9 +138,9 @@ class GKMGraph:
     form (a, b, c), the coordinate being (a*u + b*v + c) / ``_den`` with
     l1 = u, l2 = u + v: ``_forms`` maps each point id, in canonical order, to
     the forms of its two coordinates. It then checks every edge's area on
-    these ints. ``_table`` keeps the fixed-point table of the last subcircle
-    queried in ``_last``. None of these is a field, so equality, hash and repr
-    see only points and edges; ``sphere_area`` builds an area when it is asked for.
+    these ints. ``_kept`` holds fixed-point tables, as ``_table`` says. None of
+    these is a field, so equality, hash and repr see only points and edges;
+    ``sphere_area`` builds an area when it is asked for.
     """
 
     points: tuple
@@ -166,7 +166,7 @@ class GKMGraph:
             _area(forms, den, e)
         object.__setattr__(self, "_forms", forms)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_last", (None,))
+        object.__setattr__(self, "_kept", ())
 
     @cached_property
     def _by_id(self):
@@ -304,12 +304,16 @@ def _table(g: GKMGraph, s):
     one (point, weights, weight product, momentum) per point in canonical order, the momentum
     the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h, D the lcm of the weight products
     and scales each row's D // weight product; D is 0 and scales () when a weight is 0, and
-    each query makes its own check. g keeps the last table in its one slot ``_last``, replaced
-    whole: memory stays bounded, and a thread reads the table of its own key or builds it."""
+    each query makes its own check. g keeps the tables of the last four subcircles it built
+    in ``_kept``, newest first, four being the subcircles ``reproduce-all`` asks about. A hit
+    writes nothing, and a build stores the whole new tuple at once: memory stays bounded,
+    and a thread reads the table of its own key or builds it."""
     s = as_action(s)
     key = (s.a, s.b)
-    if (table := g._last)[0] == key:
-        return table
+    kept = g._kept
+    for table in kept:
+        if table[0] == key:
+            return table
     a, b = key
     h, forms, rows = g._den, g._forms, []
     for pid, inc in g._outgoing.items():
@@ -319,7 +323,7 @@ def _table(g: GKMGraph, s):
         rows.append((pid, ws, math.prod(ws), momentum))
     den = math.lcm(*(row[2] for row in rows))
     table = (key, tuple(rows), den, tuple(den // row[2] for row in rows) if den else ())
-    object.__setattr__(g, "_last", table)
+    object.__setattr__(g, "_kept", (table,) + kept[:3])
     return table
 
 
@@ -422,7 +426,8 @@ def is_coprime_action(g: GKMGraph, s):
     """
     s = as_action(s)
     if s.a == 0 or s.b == 0:
-        raise AxisSubcircleError("coprimality test needs a, b both nonzero")
+        raise AxisSubcircleError(f"subcircle ({s.a},{s.b}) lies on an axis:"
+                                 " the coprimality test needs a, b both nonzero")
     for pid, ws, _, _ in _table(g, s)[1]:
         for w in ws:
             if w == 0:
@@ -444,7 +449,8 @@ def tolman_coprime_criterion(a: int, b: int) -> bool:
     gcd(a, b), so coprimality is the conjunction below.
     """
     if a == 0 or b == 0:
-        raise AxisSubcircleError("criterion needs a, b both nonzero")
+        raise AxisSubcircleError(
+            f"subcircle ({a},{b}) lies on an axis: the criterion needs a, b both nonzero")
     return (
         math.gcd(a, b) == 1
         and abs(a) > 1

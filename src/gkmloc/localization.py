@@ -18,9 +18,10 @@ c1, p1 and c2 pairings) come from one pass over the rows, which also
 checks the Atiyah-Bott-Berline-Vergne certificate: integral x*y = 0 for
 every degree-4 monomial x*y in xi', eta'.
 
-Every query reads the graph's one table at s (gkm._table): a row (point, weights, e(p),
-momentum) per point, the momentum the ints (x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h
-(so xi'(p) = x/h, eta'(p) = y/h), the lcm D of the e(p) and each row's int D // e(p).
+Every query reads the graph's table at s from gkm._table (its docstring says which tables
+a graph keeps): a row (point, weights, e(p), momentum) per point, the momentum the ints
+(x, y, z, h) of -H(p) = (x*l1 + y*l2 + z) / h (so xi'(p) = x/h, eta'(p) = y/h), the lcm
+D of the e(p) and each row's int D // e(p).
 _row_sum is the one sum, of an integrand's components over D. The Chern numbers,
 dh_volume and the omega pass read the rows and stay on ints until the returned value:
 the omega pass hands its twelve sums on as int numerators over one denominator, c1 is

@@ -16,7 +16,8 @@ The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
 L_TILDE and cut at the level CUT = (l1+l2)/2, glue to reproduce the
 fixed-point data of the built-in six-point GKM graph. They are built once per
-process, on the first call of ``builtin_polytopes``.
+process, on the first call of ``builtin_polytopes``, and glued once, on the first
+call of ``builtin_glue_report``.
 """
 
 from __future__ import annotations
@@ -442,8 +443,10 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     )
 
 
+@cache
 def builtin_glue_report() -> GlueReport:
-    """Run the whole pipeline on the built-in pair with the default cut."""
+    """Run the whole pipeline on the built-in pair with the default cut, once per process:
+    every input is a module constant and the frozen report holds only tuples."""
     polys = builtin_polytopes()
     hat_data = project_fixed_data(polys["tolman-hat"], L_HAT)
     tilde_data = project_fixed_data(polys["tolman-tilde"], L_TILDE)

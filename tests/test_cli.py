@@ -212,6 +212,17 @@ class TestSubcommands:
         assert payload["hat"] == ["x03", "x13"]
         assert payload["problems"] == []
 
+    def test_second_toric_glue_runs_no_projection_or_glue(self, capsys, monkeypatch):
+        # the built-in report is computed once per process
+        _, first = capture(capsys, ["toric-glue"])
+        calls = []
+        for name in ("project_fixed_data", "glue_check"):
+            original = getattr(toric, name)
+            monkeypatch.setattr(toric, name,
+                                lambda *args, f=original, n=name: calls.append(n) or f(*args))
+        assert capture(capsys, ["toric-glue"]) == (0, first)
+        assert calls == []
+
     def test_kahler_cone_obstructed(self, capsys):
         code, out = capture(capsys, ["kahler-cone", "--l1", "1", "--l2", "2"])
         assert code == 0
@@ -271,7 +282,8 @@ class TestErrorPaths:
     def test_axis_subcircle(self, capsys):
         code, out = capture(capsys, ["coprime", "--a", "0", "--b", "5"])
         assert code == 1
-        assert json.loads(out)["error"]["code"] == "AxisSubcircle"
+        assert json.loads(out)["error"] == {"code": "AxisSubcircle", "message":
+            "subcircle (0,5) lies on an axis: the coprimality test needs a, b both nonzero"}
 
     def test_zero_denominator(self, capsys):
         code, out = capture(capsys, ["kahler-cone", "--l1", "1/0", "--l2", "2"])
@@ -470,15 +482,15 @@ class TestReproduceAll:
 
 
     def test_one_table_per_subcircle(self, monkeypatch):
-        # the graph queries are grouped by subcircle: a slot miss of the graph's
-        # one-table cache is a table build
-        _reproduce_checks()
+        # a call of gkm._table builds a table when its graph keeps none of that subcircle
+        g = gkm.tolman_graph()
+        object.__setattr__(g, "_kept", ())         # start from an empty cache
         builds, table = [], gkm._table
 
-        def counting(g, s):
-            slot = g._last
-            built = table(g, s)
-            if built is not slot:
+        def counting(graph, s):
+            kept = graph._kept
+            built = table(graph, s)
+            if not any(t is built for t in kept):
                 builds.append(built[0])
             return built
 
@@ -486,6 +498,9 @@ class TestReproduceAll:
         checks = _reproduce_checks()
         assert builds == [(2, 1), (7, 2), (0, 1), (1, 3)]
         assert all(expected == got for _, expected, got in checks)
+        builds.clear()
+        _reproduce_checks()
+        assert builds == []
 
     def test_second_call_runs_no_hull(self, monkeypatch):
         # the built-in polytopes are built once per process, their hulls with them

@@ -539,11 +539,11 @@ class TestSpheres:
             assert ParamPoly.linear(x, y) == sphere_area(G, e)
 
     def test_stored_areas_are_not_fields(self):
-        # G keeps the fixed-point table of its last subcircle, rebuilt keeps none yet
+        # G keeps the fixed-point tables of its last subcircles, rebuilt keeps none yet
         betti_numbers(G, (2, 1))
         rebuilt = GKMGraph(tuple(reversed(G.points)), tuple(reversed(G.edges)))
         assert rebuilt == G and hash(rebuilt) == hash(G) and repr(rebuilt) == repr(G)
-        assert not any(name in repr(G) for name in ("_forms", "_den", "_last"))
+        assert not any(name in repr(G) for name in ("_forms", "_den", "_kept"))
         assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
 
     def test_stored_point_forms(self):
@@ -690,10 +690,14 @@ class TestCoprimality:
         assert (witness.weights, witness.reason) == ((0,), "zero_weight")
 
     def test_axis_subcircles_rejected(self):
-        with pytest.raises(AxisSubcircleError):
+        with pytest.raises(AxisSubcircleError) as exc:
             is_coprime_action(G, (0, 1))
-        with pytest.raises(AxisSubcircleError):
+        assert str(exc.value) == (
+            "subcircle (0,1) lies on an axis: the coprimality test needs a, b both nonzero")
+        with pytest.raises(AxisSubcircleError) as exc:
             tolman_coprime_criterion(5, 0)
+        assert str(exc.value) == (
+            "subcircle (5,0) lies on an axis: the criterion needs a, b both nonzero")
 
     def test_criterion_matches_direct_test(self):
         for a in range(-6, 7):

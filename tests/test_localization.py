@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmloc import localization
+from gkmloc import gkm, localization
 from gkmloc.exact import L1, L2, ParamPoly, ToolkitError, primitive
 from gkmloc.gkm import (
     CircleAction,
@@ -949,9 +949,15 @@ def outcome(query, g, s):
     return type(value), value
 
 
+def assert_kept_at_most_four(g):
+    """g keeps at most four tables, one per subcircle."""
+    keys = [t[0] for t in g._kept]
+    assert len(keys) <= 4 and len(set(keys)) == len(keys), keys
+
+
 class TestFixedPointTableSlot:
-    """A graph keeps the table of its last subcircle: every query answers as it does on a
-    freshly built equal graph, whatever was asked before and from whichever thread."""
+    """A graph keeps the tables of its last four subcircles: every query answers as it does
+    on a freshly built equal graph, whatever was asked before and from whichever thread."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.booleans(), st.lists(st.sampled_from(GENERATORS), max_size=4), SHIFTS, SHIFTS,
@@ -962,19 +968,35 @@ class TestFixedPointTableSlot:
             for name, query in SLOT_QUERIES.items():
                 fresh = GKMGraph(g.points, g.edges)
                 assert outcome(query, g, s) == outcome(query, fresh, s), (name, s)
+                assert_kept_at_most_four(g)
+
+    def test_a_fifth_subcircle_evicts_the_oldest(self):
+        g = GKMGraph(G.points, G.edges)
+        first = [gkm._table(g, s) for s in [(2, 1), (7, 2), (0, 1), (1, 3)]]
+        assert [t[0] for t in g._kept] == [(1, 3), (0, 1), (7, 2), (2, 1)]
+        # a hit returns the kept table itself and writes nothing
+        assert all(gkm._table(g, t[0]) is t for t in first)
+        assert [t[0] for t in g._kept] == [(1, 3), (0, 1), (7, 2), (2, 1)]
+        gkm._table(g, (3, 5))
+        assert [t[0] for t in g._kept] == [(3, 5), (1, 3), (0, 1), (7, 2)]
+        again = gkm._table(g, (2, 1))
+        assert again is not first[0] and again == first[0]
+        assert [t[0] for t in g._kept] == [(2, 1), (3, 5), (1, 3), (0, 1)]
 
     def test_threads_sharing_one_graph_get_the_serial_answers(self):
-        subcircles = [(2, 1), (-2, 1), (1, 1), (7, 2)]
+        # four threads over six subcircles, so that tables are evicted under threads
+        subcircles = [(2, 1), (-2, 1), (1, 1), (7, 2), (0, 1), (1, 3)]
         serial = {s: [outcome(query, GKMGraph(G.points, G.edges), s)
                       for query in SLOT_QUERIES.values()] for s in subcircles}
         shared, barrier, results = GKMGraph(G.points, G.edges), threading.Barrier(4, timeout=60), {}
+        orders = [subcircles[k:] + subcircles[:k] for k in range(0, 6, 2)] + [subcircles[::-1]]
 
-        def worker(s):
+        def worker(k):
             barrier.wait()
-            results[s] = [[outcome(query, shared, s) for query in SLOT_QUERIES.values()]
-                          for _ in range(30)]
+            results[k] = [[outcome(query, shared, s) for query in SLOT_QUERIES.values()]
+                          for _ in range(10) for s in orders[k]]
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in subcircles]
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)         # switch threads as often as the interpreter can
         try:
@@ -985,4 +1007,5 @@ class TestFixedPointTableSlot:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert results == {s: [serial[s]] * 30 for s in subcircles}
+        assert results == {k: [serial[s] for _ in range(10) for s in orders[k]] for k in range(4)}
+        assert_kept_at_most_four(shared)
