@@ -17,13 +17,13 @@ import sys
 from fractions import Fraction
 
 from . import gkm, kahlercone, localization, projbundle, toric
-from .exact import ParamPoly, ToolkitError, rat, rat_str
+from .exact import ParamPoly, ToolkitError, rat
 
 
 def _exact(value):
     """json's hook for the exact values: a Fraction as "p/q", a ParamPoly as its term list."""
     if isinstance(value, Fraction):
-        return rat_str(value)
+        return str(value)
     if isinstance(value, ParamPoly):
         return value.to_json()
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -267,8 +267,7 @@ def _reproduce_checks():
     tilde_edges = toric.polytope_edges(tilde)
     add("toric/hat-edges", 9, len(toric.polytope_edges(hat)))
     add("toric/tilde-edges", 9, len(tilde_edges))
-    tilde_data = toric.project_fixed_data(tilde, toric.L_TILDE)
-    hat_data = toric.project_fixed_data(hat, toric.L_HAT)
+    hat_data, tilde_data = toric.builtin_projections()
     add("toric/tilde-vertex5-image", [ParamPoly.linear(0, 1), ParamPoly.linear(1, 0)],
         list(tilde_data[5].image))
     add("toric/tilde-vertex0-weights", [(0, 1, 0), (1, 0, 0), (1, 1, 1)],

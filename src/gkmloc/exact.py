@@ -315,8 +315,11 @@ class ParamPoly:
     # -- serialization -------------------------------------------------------
 
     def to_json(self):
-        """List of {"i", "j", "c"} records, highest monomial first."""
-        return [{"i": i, "j": j, "c": rat_str(c)} for (i, j), c in self.terms()]
+        """List of {"i", "j", "c"} records, highest monomial first. Each "c" is written from
+        its int numerator: the int itself over the denominator 1, else the reduced "p/q"."""
+        den = self._den
+        return [{"i": i, "j": j, "c": str(n) if den == 1 else str(Fraction(n, den))}
+                for (i, j), n in sorted(self._num.items(), reverse=True)]
 
     @classmethod
     def from_json(cls, records) -> "ParamPoly":

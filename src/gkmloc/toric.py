@@ -16,8 +16,9 @@ The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
 L_TILDE and cut at the level CUT = (l1+l2)/2, glue to reproduce the
 fixed-point data of the built-in six-point GKM graph. They are built once per
-process, on the first call of ``builtin_polytopes``, and glued once, on the first
-call of ``builtin_glue_report``.
+process, on the first call of ``builtin_polytopes``, projected once, on the first
+call of ``builtin_projections``, and glued once, on the first call of
+``builtin_glue_report``.
 """
 
 from __future__ import annotations
@@ -444,10 +445,17 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
 
 
 @cache
-def builtin_glue_report() -> GlueReport:
-    """Run the whole pipeline on the built-in pair with the default cut, once per process:
-    every input is a module constant and the frozen report holds only tuples."""
+def builtin_projections():
+    """``(hat_data, tilde_data)``: the built-in pair projected along L_HAT and L_TILDE by
+    ``project_fixed_data``, once per process. Every input is a module constant and the
+    frozen ``VertexData`` hold only tuples and ``ParamPoly``s, which are immutable."""
     polys = builtin_polytopes()
-    hat_data = project_fixed_data(polys["tolman-hat"], L_HAT)
-    tilde_data = project_fixed_data(polys["tolman-tilde"], L_TILDE)
-    return glue_check(hat_data, tilde_data)
+    return (project_fixed_data(polys["tolman-hat"], L_HAT),
+            project_fixed_data(polys["tolman-tilde"], L_TILDE))
+
+
+@cache
+def builtin_glue_report() -> GlueReport:
+    """Glue the built-in pair's projections (``builtin_projections``, made once per process)
+    at the default cut, once per process: the frozen report holds only tuples."""
+    return glue_check(*builtin_projections())

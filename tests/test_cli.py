@@ -510,6 +510,18 @@ class TestReproduceAll:
         _reproduce_checks()
         assert hulls == []
 
+    def test_second_call_projects_and_glues_nothing(self, capsys, monkeypatch):
+        # the built-in pair is projected once per process and glued once
+        _, first = capture(capsys, ["reproduce-all"])
+        calls = []
+        for name in ("project_fixed_data", "glue_check"):
+            original = getattr(toric, name)
+            monkeypatch.setattr(toric, name,
+                                lambda *args, f=original, n=name: calls.append(n) or f(*args))
+        assert capture(capsys, ["reproduce-all"]) == (0, first)
+        assert capture(capsys, ["toric-glue"])[0] == 0
+        assert calls == []
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

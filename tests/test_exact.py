@@ -1,10 +1,11 @@
+import json
 import math
 import re
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkmloc import exact
 from gkmloc.exact import (
@@ -469,6 +470,34 @@ OPERANDS = st.one_of(
     st.tuples(INT_POLYS, st.integers(2, 12)).map(lambda pd: pd[0] / pd[1]))
 INT_FACTORS = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3, 3),
                         st.integers(-10**30, 10**30))
+
+
+def terms_to_json(p):
+    """Oracle for ParamPoly.to_json: the rendering through terms() and rat_str."""
+    return [{"i": i, "j": j, "c": rat_str(c)} for (i, j), c in p.terms()]
+
+
+# monomials of degree <= 4; coefficients over denominators that reduce differently
+# against the common one, as l1/2 + l2/4 stores 2 and 1 over 4
+JSON_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda key: sum(key) <= 4),
+    st.builds(Fraction, st.one_of(st.integers(-24, 24), st.integers(-10**30, 10**30)),
+              st.sampled_from([1, 2, 3, 4, 6, 8, 12, 10**20])),
+    max_size=8).map(ParamPoly)
+
+
+class TestJsonFromInts:
+    @settings(max_examples=300)
+    @given(st.one_of(JSON_POLYS, RATIONALS.map(ParamPoly.const), OPERANDS))
+    @example(ParamPoly())
+    @example(ParamPoly.const(-7))
+    @example(ParamPoly.const(Fraction(-3, 4)))
+    @example(L1 / 2 + L2 / 4)
+    @example(ParamPoly({(4, 0): Fraction(-5, 6), (2, 2): Fraction(1, 4), (0, 4): 3}))
+    def test_matches_the_terms_rendering(self, p):
+        records = p.to_json()
+        assert json.dumps(records) == json.dumps(terms_to_json(p))
+        assert ParamPoly.from_json(records) == p
 
 
 class TestDenominatorOne:

@@ -102,6 +102,6 @@ def unbounded_caches():
 
 def test_unbounded_caches_take_no_parameters():
     caches = list(unbounded_caches())
-    assert {("gkm", "tolman_graph"), ("cli", "_parser"),
+    assert {("gkm", "tolman_graph"), ("cli", "_parser"), ("toric", "builtin_projections"),
             ("toric", "builtin_glue_report")} <= {c[:2] for c in caches}
     assert [c for c in caches if c[2]] == []

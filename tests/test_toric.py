@@ -24,6 +24,7 @@ from gkmloc.toric import (
     VertexOnCutError,
     builtin_glue_report,
     builtin_polytopes,
+    builtin_projections,
     glue_check,
     hull_combinatorics,
     polytope_edges,
@@ -678,7 +679,8 @@ class TestNoSamplePoints:
             raise AssertionError("ParamPoly.evaluate called")
 
         monkeypatch.setattr(ParamPoly, "evaluate", no_samples)
-        builtin_glue_report.cache_clear()   # so that the pipeline runs under the patch
+        builtin_projections.cache_clear()   # so that the pipeline runs under the patch
+        builtin_glue_report.cache_clear()
         assert builtin_glue_report().ok
         for m_hat, m_tilde in zip(GL3_MOVES, GL3_MOVES[::-1]):
             report = glue_check(
