@@ -7,6 +7,8 @@ integer matrices and keeping the half below / above the cut level
 graph exactly.
 """
 
+import dataclasses
+
 from gkmloc.toric import (
     L_HAT,
     L_TILDE,
@@ -48,9 +50,8 @@ print(f"  hat half contributes:   {report.hat_points}")
 print(f"  matched fixed points:   {report.matched}")
 
 # sabotage one vertex to see the failure reporting
-from gkmloc.toric import VertexData
 bad = list(tilde_data)
-bad[3] = VertexData(3, bad[3].image, ((9, 9),) + bad[3].weights[1:])
+bad[3] = dataclasses.replace(bad[3], weights=((9, 9),) + bad[3].weights[1:])
 broken = glue_check(hat_data, tuple(bad))
 print(f"\nwith one weight vector corrupted: ok = {broken.ok}")
 for problem in broken.problems:

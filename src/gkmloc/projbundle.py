@@ -327,6 +327,17 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
 _INDEX_TRIPLES = tuple(product(range(2), repeat=3))
 
 
+def _shape(q) -> str:
+    """The shape of a matrix given as rows, "1x2", for an error message."""
+    try:
+        lengths = [len(row) for row in q]
+    except TypeError:
+        return f"of type {type(q).__name__}"
+    if len(set(lengths)) > 1:
+        return f"rows of lengths {lengths}"
+    return f"{len(lengths)}x{lengths[0] if lengths else 0}"
+
+
 def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppComparison:
     """Decide whether Q identifies two invariant sets.
 
@@ -338,8 +349,11 @@ def jupp_compare(inv1: JuppInvariants, inv2: JuppInvariants, q) -> JuppCompariso
       w2:         Q * w2_1 == w2_2  (mod 2),
       p1:         <p1_2, Q x> == <p1_1, x> on basis vectors.
     """
-    ((q00, q01), (q10, q11)) = ((_as_int(q[0][0]), _as_int(q[0][1])),
-                                (_as_int(q[1][0]), _as_int(q[1][1])))
+    try:
+        (q00, q01), (q10, q11) = q
+    except (TypeError, ValueError):
+        raise TypeError(f"Q must be 2x2, not {_shape(q)}: {q!r}") from None
+    q00, q01, q10, q11 = _as_int(q00), _as_int(q01), _as_int(q10), _as_int(q11)
     det = q00 * q11 - q01 * q10
     if det not in (1, -1):
         raise NotUnimodularError(f"det Q = {det}; Q must be unimodular")

@@ -3,10 +3,9 @@
 Vertices are triples of linear polynomials in (l1, l2), written as int linear
 forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
 construction and its hull and edge directions run on them, ``hull_combinatorics``
-converts its own input once, and the glue makes one conversion of every image
-with the cut, deciding cut sides and its matches with the built-in graph on
-those ints. Each image must be a pair of linear coordinates, and each
-surviving vertex is matched at most once. Hull
+converts its own input once, and a projected vertex keeps its image as the int
+forms the matrix makes of the vertex's forms, on which the glue decides cut sides
+and its matches with the built-in graph, each survivor matched at most once. Hull
 orientations (cubic forms, each of the C(n, 4) determinants signed once),
 collinear orders (quadratic), edge areas and cut sides (linear) are signed by
 ``exact``'s kernel on the whole chamber 0 < l1 < l2, never at sample values; a
@@ -55,7 +54,8 @@ class MalformedPolytopeError(ToolkitError, ValueError):
 
 L_HAT = ((1, 0, 1), (0, 1, 0))
 L_TILDE = ((1, 0, 0), (0, 1, 0))
-CUT = linear_poly((2, 1, 0), 2)     # (l1 + l2)/2 = (2u + v)/2
+_CUT = ((2, 1, 0), 2)               # (l1 + l2)/2 = (2u + v)/2: a form and its den
+CUT = linear_poly(*_CUT)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def hull_combinatorics(points):
     Every plane through three non-collinear points that supports the whole set
     is a facet (recorded as the frozenset of incident indices, so coplanar
     quadrilateral facets come out whole); edges are pairs of points shared by
-    two facets. Intended for small inputs; a point that is not a triple, or a
-    repeated point, raises MalformedPolytopeError.
+    two facets. Intended for small inputs; a point that is not a triple, has a
+    coordinate of degree > 1 or repeats another raises MalformedPolytopeError.
 
     The side of point m against the plane of i < j < k is the sign of the
     orientation determinant of (i, j, k, m). Each of the C(n, 4) determinants
@@ -156,6 +156,9 @@ def hull_combinatorics(points):
     for m, p in enumerate(points):
         if len(p) != 3:
             raise MalformedPolytopeError(f"point {m} has {len(p)} coordinates, not 3")
+        if any(isinstance(c, ParamPoly) and c.degree() > 1 for c in p):
+            raise MalformedPolytopeError(
+                f"point {m}: ({', '.join(map(str, p))}) has a coordinate of degree > 1")
     return _hull(linear_forms([c for p in points for c in p])[0])
 
 
@@ -308,11 +311,18 @@ def _vertex_directions(p: Polytope, index: int, neighbors, known):
 
 @dataclass(frozen=True)
 class VertexData:
-    """Image and projected weights of one polytope vertex under a 2x3 map."""
+    """Image and projected weights of one polytope vertex under a 2x3 map: ``forms`` are
+    the int forms (a, b, c) of the image's two coordinates over ``den``, as
+    ``exact.linear_forms`` writes them, and ``image`` makes their ParamPolys when read."""
 
     index: int
-    image: tuple
+    forms: tuple
+    den: int
     weights: tuple
+
+    @property
+    def image(self) -> tuple:
+        return tuple(linear_poly(f, self.den) for f in self.forms)
 
 
 def project_fixed_data(p: Polytope, matrix):
@@ -335,12 +345,12 @@ def project_fixed_data(p: Polytope, matrix):
         dirs = _vertex_directions(p, idx, sorted(adjacent), known)
         # the image's forms: the rows applied to the u, v and w columns of the vertex's forms
         (xu, xv, xw), (yu, yv, yw), (zu, zv, zw) = forms[3 * idx:3 * idx + 3]
-        image = (linear_poly((r0 * xu + r1 * yu + r2 * zu, r0 * xv + r1 * yv + r2 * zv,
-                              r0 * xw + r1 * yw + r2 * zw), den),
-                 linear_poly((s0 * xu + s1 * yu + s2 * zu, s0 * xv + s1 * yv + s2 * zv,
-                              s0 * xw + s1 * yw + s2 * zw), den))
+        image = ((r0 * xu + r1 * yu + r2 * zu, r0 * xv + r1 * yv + r2 * zv,
+                  r0 * xw + r1 * yw + r2 * zw),
+                 (s0 * xu + s1 * yu + s2 * zu, s0 * xv + s1 * yv + s2 * zv,
+                  s0 * xw + s1 * yw + s2 * zw))
         weights = tuple((r0 * a + r1 * b + r2 * c, s0 * a + s1 * b + s2 * c) for a, b, c in dirs)
-        data.append(VertexData(idx, image, weights))
+        data.append(VertexData(idx, image, den, weights))
     return tuple(data)
 
 
@@ -355,11 +365,17 @@ class GlueReport:
     problems: tuple
 
 
-def _linear_pair(image) -> bool:
+def _image_forms(side, vd):
+    """The six ints of a ``VertexData``'s forms, and its den, or MalformedPolytopeError."""
     try:
-        return len(image) == 2 and bool(linear_forms(image))
-    except ValueError:
-        return False
+        (a, b, c), (d, e, f) = vd.forms
+        if ({type(a), type(b), type(c), type(d), type(e), type(f), type(vd.den)} == {int}
+                and vd.den > 0):
+            return (a, b, c, d, e, f), vd.den
+    except (TypeError, ValueError):
+        pass
+    raise MalformedPolytopeError(f"{side} vertex {vd.index}: image forms {vd.forms!r} over"
+                                 f" {vd.den!r} are not two int triples over a positive int")
 
 
 def glue_check(hat_data, tilde_data) -> GlueReport:
@@ -373,35 +389,26 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
     directions at that point. Each survivor, told apart by its position in
     the input, is matched at most once; one left over is reported as extra.
 
-    Every image must be a pair of degree <= 1 coordinates, as
-    ``project_fixed_data`` makes them; any other raises MalformedPolytopeError.
-    Cut sides and matches are decided on the int forms of the images, written
-    over one den with the cut.
+    Cut sides and matches are decided on the vertices' int ``forms``, brought to
+    one den with the cut and the graph's forms; forms that are not two int
+    triples over a positive int ``den`` raise MalformedPolytopeError.
     """
     reference = gkm.tolman_graph()
-    rows = [(name, vd, want) for name, data, want in
+    rows = [(name, vd, want, *_image_forms(name, vd)) for name, data, want in
             (("tilde", tilde_data, -1), ("hat", hat_data, 1)) for vd in data]
-    try:
-        if any(len(vd.image) != 2 for _, vd, _ in rows):
-            raise ValueError("not a pair")
-        flat, den = linear_forms([c for _, vd, _ in rows for c in vd.image] + [CUT])
-    except ValueError:
-        side, vd = next((side, vd) for side, vd, _ in rows if not _linear_pair(vd.image))
-        raise MalformedPolytopeError(
-            f"{side} vertex {vd.index}: image ({', '.join(map(str, vd.image))}) is not a pair"
-            " of degree <= 1 coordinates") from None
-    cut = flat[-1]
-    common = math.lcm(den, reference._den)
-    scale, ref_scale = common // den, common // reference._den
+    common = math.lcm(_CUT[1], reference._den, *(den for *_, den in rows))
+    cu, cv, cw = (c * (common // _CUT[1]) for c in _CUT[0])
+    ref_scale = common // reference._den
 
     kept = []
     # each image key -> the position in kept of its first survivor; the built-in
     # points have distinct images, so a later survivor with the same key is extra
     by_key = {}
-    for k, (side_name, vd, want) in enumerate(rows):
-        x, y = flat[2 * k], flat[2 * k + 1]
+    for side_name, vd, want, ints, den in rows:
+        m = common // den
+        key = tuple(c * m for c in ints)
         try:
-            side = linear_sign((y[0] - cut[0], y[1] - cut[1], y[2] - cut[2]), den)
+            side = linear_sign((key[3] - cu, key[4] - cv, key[5] - cw), common)
         except ChamberSignError as exc:
             raise ParametricCombinatoricsUnstableError(
                 f"{side_name} vertex {vd.index}: cut side changes: {exc}") from None
@@ -409,12 +416,10 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
             raise VertexOnCutError(
                 f"{side_name} vertex {vd.index}: level {vd.image[1]} lies on the cut level")
         if side == want:
-            by_key.setdefault(tuple(c * scale for c in x + y), len(kept))
+            by_key.setdefault(key, len(kept))
             kept.append((side_name, vd))
 
-    problems = []
-    matched = []
-    tilde_ids, hat_ids = [], []
+    problems, matched, tilde_ids, hat_ids = [], [], [], []
     used = set()    # the positions in kept that matched a point
     for p in reference.points:
         want_dirs = tuple(d for _, d in reference._outgoing[p.id])
@@ -427,28 +432,22 @@ def glue_check(hat_data, tilde_data) -> GlueReport:
         side, vd = kept[hit]
         got_dirs = tuple(sorted(vd.weights))
         if got_dirs != want_dirs:
-            problems.append(
-                f"weights at {p.id} differ: {got_dirs} vs {want_dirs}")
+            problems.append(f"weights at {p.id} differ: {got_dirs} vs {want_dirs}")
             continue
         matched.append(p.id)
         (tilde_ids if side == "tilde" else hat_ids).append(p.id)
     problems += [f"extra {side} vertex {vd.index} survives the cut unmatched"
                  for n, (side, vd) in enumerate(kept) if n not in used]
 
-    return GlueReport(
-        ok=not problems,
-        tilde_points=tuple(tilde_ids),
-        hat_points=tuple(hat_ids),
-        matched=tuple(matched),
-        problems=tuple(problems),
-    )
+    return GlueReport(not problems, tuple(tilde_ids), tuple(hat_ids), tuple(matched),
+                      tuple(problems))
 
 
 @cache
 def builtin_projections():
     """``(hat_data, tilde_data)``: the built-in pair projected along L_HAT and L_TILDE by
     ``project_fixed_data``, once per process. Every input is a module constant and the
-    frozen ``VertexData`` hold only tuples and ``ParamPoly``s, which are immutable."""
+    frozen ``VertexData`` hold only ints and tuples of them, which are immutable."""
     polys = builtin_polytopes()
     return (project_fixed_data(polys["tolman-hat"], L_HAT),
             project_fixed_data(polys["tolman-tilde"], L_TILDE))

@@ -377,6 +377,17 @@ class TestJupp:
                 jupp_compare(inv, inv, q)
         assert jupp_compare(inv, inv, ((Fraction(1), 0), (0, 1))).ok
 
+    def test_q_that_is_not_2x2_rejected(self):
+        # as as_action names a subcircle that is not a pair; a 3x3 Q was read as its corner
+        inv = jupp_invariants(B)
+        for q, shape in ((((1, 0),), "1x2"), (((1, 0, 0), (0, 1, 0), (0, 0, 1)), "3x3"),
+                         (((1, 0), (0, 1, 0)), "rows of lengths [2, 3]"), ((), "0x0"),
+                         (1, "of type int")):
+            with pytest.raises(TypeError) as err:
+                jupp_compare(inv, inv, q)
+            assert str(err.value) == f"Q must be 2x2, not {shape}: {q!r}"
+        assert jupp_compare(inv, inv, [[1, 0], [0, 1]]).ok
+
     def test_non_unimodular_rejected(self):
         inv = jupp_invariants(B)
         with pytest.raises(NotUnimodularError):

@@ -3,16 +3,20 @@ absolute import is from the standard library, no float literal appears, and
 the CLI reads only the public names of the library modules. The package itself
 holds no second name for a library object: ``import gkmloc`` loads no module.
 An unbounded cache holds one value per process: it decorates a function with
-no parameters, so what it keeps cannot grow with the inputs."""
+no parameters, so what it keeps cannot grow with the inputs. Every file of the
+package and the tests parses as the oldest Python that ``requires-python``
+names, whatever version runs the suite."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gkmloc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gkmloc"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -22,6 +26,20 @@ def parse(path):
 
 def test_every_module_is_read():
     assert {"__init__.py", "cli.py", "exact.py", "localization.py"} <= {p.name for p in SOURCES}
+
+
+def oldest_python():
+    """(3, minor) from ``requires-python = ">=3.minor"`` in pyproject.toml."""
+    pin = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                    (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
+    return 3, int(pin[1])
+
+
+@pytest.mark.parametrize("path", SOURCES + sorted((ROOT / "tests").glob("*.py")),
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=oldest_python())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -46,6 +46,14 @@ def const_polytope(coords, name=""):
         tuple(tuple(const(c) for c in v) for v in coords), name=name)
 
 
+def vertex(index, image, weights, scale=1):
+    """A hand-built VertexData with the given pair of degree <= 1 coordinates, its forms
+    written by linear_forms and then, with the den, multiplied by ``scale``."""
+    forms, den = linear_forms(image)
+    return VertexData(index, tuple(tuple(c * scale for c in f) for f in forms), den * scale,
+                      weights)
+
+
 HAT = builtin_polytopes()["tolman-hat"]
 TILDE = builtin_polytopes()["tolman-tilde"]
 
@@ -275,6 +283,19 @@ class TestHullCombinatorics:
         with pytest.raises(MalformedPolytopeError, match="point 2 has 2 coordinates"):
             hull_combinatorics(HAT.vertices[:2] + (HAT.vertices[2][:2],) + HAT.vertices[3:])
 
+    def test_coordinate_of_degree_two_rejected(self):
+        # named as Polytope names it, by the first point with such a coordinate
+        points = (HAT.vertices[:4] + ((lin(1, 0), L1 * L2, lin(0, 1)), (L2 ** 2, L1, L1))
+                  + HAT.vertices[4:])
+        with pytest.raises(MalformedPolytopeError) as err:
+            hull_combinatorics(points)
+        assert str(err.value) == "point 4: (l1, l1*l2, l2) has a coordinate of degree > 1"
+        with pytest.raises(MalformedPolytopeError) as err:
+            Polytope(points)
+        assert str(err.value) == "vertex 4: (l1, l1*l2, l2) has a coordinate of degree > 1"
+        # a rational coordinate has degree 0
+        assert hull_combinatorics([(0, 0, 0), (1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1)])
+
 
 class TestBuiltinPolytopes:
     def test_built_once_per_process(self):
@@ -462,7 +483,8 @@ def reference_project_fixed_data(p, matrix):
     Oracle for test_matches_the_two_ended_reference: each vertex calls
     reference_edge_direction, the ParamPoly route, from its own end of each
     of its edges, so every edge is computed twice, and the Delzant checks
-    raise the library's errors. Images are ParamPoly sums.
+    raise the library's errors. Images are ParamPoly sums, and each vertex gives
+    (index, image, weights).
     """
     edges = polytope_edges(p)
     data = []
@@ -482,8 +504,8 @@ def reference_project_fixed_data(p, matrix):
                       for row in matrix)
         weights = tuple(tuple(sum(row[c] * u[c] for c in range(3)) for row in matrix)
                         for u in dirs)
-        data.append(VertexData(idx, image, weights))
-    return tuple(data)
+        data.append((idx, image, weights))
+    return data
 
 
 def moved(p, m):
@@ -712,6 +734,23 @@ class TestNoProducts:
                                 project_fixed_data(tilde, to_tilde))
             assert report.ok and report.matched == ("x00", "x03", "x11", "x13", "x21", "x40")
 
+    def test_projection_and_glue_build_no_parampoly(self, monkeypatch):
+        """A projected vertex keeps its image as int forms: with ParamPoly construction
+        disabled, every GL3(Z)-moved pair still projects and glues."""
+        def no_parampoly(*args):
+            raise AssertionError("ParamPoly built")
+
+        pairs = [(moved(HAT, m_hat), moved(TILDE, m_tilde),
+                  matmul(L_HAT, inverse3(m_hat)), matmul(L_TILDE, inverse3(m_tilde)))
+                 for m_hat, m_tilde in zip(GL3_MOVES, GL3_MOVES[::-1])]
+        monkeypatch.setattr(ParamPoly, "_make", no_parampoly)
+        with pytest.raises(AssertionError, match="ParamPoly built"):
+            L1 + L2
+        for hat, tilde, to_hat, to_tilde in pairs:
+            report = glue_check(project_fixed_data(hat, to_hat),
+                                project_fixed_data(tilde, to_tilde))
+            assert report.ok and report.matched == ("x00", "x03", "x11", "x13", "x21", "x40")
+
 
 class TestProjection:
     def test_matches_the_two_ended_reference(self):
@@ -719,8 +758,10 @@ class TestProjection:
             for m in GL3_MOVES:
                 p = moved(poly, m)
                 for matrix in (L_HAT, L_TILDE, ((2, -1, 0), (1, 3, -1))):
-                    assert project_fixed_data(p, matrix) == \
+                    got = project_fixed_data(p, matrix)
+                    assert [(vd.index, vd.image, vd.weights) for vd in got] == \
                         reference_project_fixed_data(p, matrix), (poly.name, m, matrix)
+                    assert {vd.den for vd in got} == {p._den}
 
     def test_same_error_as_the_two_ended_reference(self):
         # the first fails at vertex 0; the second at vertex 2, whose edges to
@@ -789,17 +830,18 @@ def reference_side_of_cut(side_name, vd):
 
 
 def reference_glue_check(hat_data, tilde_data):
-    """glue_check with every image's degree read first, each cut side decided on its
-    own, and survivors, told apart by position, matched to the built-in graph's points
-    by ParamPoly tuple equality, one point at a time."""
+    """glue_check with every vertex's forms checked first, each cut side decided on its
+    own ParamPoly image, and survivors, told apart by position, matched to the built-in
+    graph's points by ParamPoly tuple equality, one point at a time."""
     reference = tolman_graph()
     rows = [(side_name, vd, want) for side_name, data, want in
             (("tilde", tilde_data, -1), ("hat", hat_data, 1)) for vd in data]
     for side_name, vd, _ in rows:
-        if len(vd.image) != 2 or any(c.degree() > 1 for c in vd.image):
+        if not (type(vd.den) is int and vd.den >= 1 and len(vd.forms) == 2
+                and all(len(f) == 3 and all(type(c) is int for c in f) for f in vd.forms)):
             raise MalformedPolytopeError(
-                f"{side_name} vertex {vd.index}: image ({', '.join(map(str, vd.image))})"
-                " is not a pair of degree <= 1 coordinates")
+                f"{side_name} vertex {vd.index}: image forms {vd.forms!r} over {vd.den!r}"
+                " are not two int triples over a positive int")
     kept = [(side_name, vd) for side_name, vd, want in rows
             if reference_side_of_cut(side_name, vd) == want]
     problems, matched, tilde_ids, hat_ids, used = [], [], [], [], set()
@@ -834,38 +876,53 @@ def glue_or_error(check, hat_data, tilde_data):
 
 HAT_DATA = project_fixed_data(HAT, L_HAT)
 TILDE_DATA = project_fixed_data(TILDE, L_TILDE)
-# the hand-built cases of TestGlue and three more, each as (hat data, tilde data)
+# the hand-built cases of TestGlue and more, each as (hat data, tilde data)
 HAND_BUILT = {
     "moved vertex": (HAT_DATA, TILDE_DATA[:3] + (
-        VertexData(3, (lin(2, 0), lin(1, 0)), TILDE_DATA[3].weights),) + TILDE_DATA[4:]),
+        vertex(3, (lin(2, 0), lin(1, 0)), TILDE_DATA[3].weights),) + TILDE_DATA[4:]),
     "wrong weights": (HAT_DATA, TILDE_DATA[:3] + (
-        VertexData(3, TILDE_DATA[3].image, ((5, 5),) + TILDE_DATA[3].weights[1:]),)
+        dataclasses.replace(TILDE_DATA[3], weights=((5, 5),) + TILDE_DATA[3].weights[1:]),)
         + TILDE_DATA[4:]),
-    "on cut": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), CUT), ()),)),
-    "wobble": (HAT_DATA, TILDE_DATA + (VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ()),)),
-    "touch": (HAT_DATA, TILDE_DATA + (
-        VertexData(9, (lin(0, 0), CUT + (L2 - 5 * L1) ** 2), ()),)),
-    "quadratic first coordinate": (HAT_DATA + (VertexData(9, (L1 * L2, L2), ((1, 0),)),),
-                                   TILDE_DATA),
-    # a second image of x11, and an image over 3 that puts all forms over 6
+    "on cut": (HAT_DATA, TILDE_DATA + (vertex(9, (lin(0, 0), CUT), ()),)),
+    "wobble": (HAT_DATA, TILDE_DATA + (vertex(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ()),)),
+    # level - cut is l2 - l1: zero on the wall l2 = l1 that bounds the chamber, so
+    # the vertex is above the cut on all of 0 < l1 < l2, and left over
+    "touch": (HAT_DATA + (vertex(9, (lin(0, 0), CUT + L2 - L1), ()),), TILDE_DATA),
+    "fractional first coordinate": (
+        HAT_DATA + (VertexData(9, ((Fraction(1, 2), 0, 0), (0, 1, 0)), 1, ((1, 0),)),),
+        TILDE_DATA),
+    # a second image of x11, and an image over 3, so the rows' dens differ
     "second x11, thirds": (HAT_DATA, TILDE_DATA + (
-        VertexData(7, TILDE_DATA[3].image, TILDE_DATA[3].weights),
-        VertexData(8, (L1 / 3, L1 / 3 - 1), ()))),
-    "not a pair": (HAT_DATA + (VertexData(9, (lin(0, 0), L2, L1), ()),), TILDE_DATA),
+        dataclasses.replace(TILDE_DATA[3], index=7), vertex(8, (L1 / 3, L1 / 3 - 1), ()))),
+    "not a pair": (HAT_DATA + (VertexData(9, ((0, 0, 0), (1, 1, 0), (1, 0, 0)), 1, ()),),
+                   TILDE_DATA),
     # survivors told apart by position: x00's tilde vertex twice, x11's vertex again
     # under index 0, and every tilde vertex twice (four of them survive)
     "duplicate survivor": (HAT_DATA, TILDE_DATA + (TILDE_DATA[0],)),
-    "duplicate image": (HAT_DATA, TILDE_DATA + (
-        VertexData(0, TILDE_DATA[3].image, TILDE_DATA[3].weights),)),
+    "duplicate image": (HAT_DATA, TILDE_DATA + (dataclasses.replace(TILDE_DATA[3], index=0),)),
     "every tilde vertex twice": (HAT_DATA, TILDE_DATA + TILDE_DATA),
 }
-# images for the hypothesis test: linear, over denominators 1 to 3, near the cut and
-# the built-in points, and now and then quadratic (a MalformedPolytope input)
+# image coordinates for the hypothesis test: linear over denominators 1 to 3, and
+# the built-in points' coordinates and the cut
 IMAGE_COORDS = st.one_of(
     st.builds(lambda a, b, c, d: ParamPoly.linear(a, b, c) / d, st.integers(-2, 3),
               st.integers(-2, 3), st.integers(-1, 1), st.integers(1, 3)),
-    st.sampled_from([c for p in tolman_graph().points for c in p.moment_image] + [CUT]),
-    st.builds(lambda a, b: a * L1 * L2 + b * L1 ** 2, st.integers(-1, 1), st.integers(-1, 1)))
+    st.sampled_from([c for p in tolman_graph().points for c in p.moment_image] + [CUT]))
+# forms that are not two int triples over a positive int, each with its den
+MALFORMED_FORMS = (
+    (((0, 0, 0), (1, 1, 0), (1, 0, 0)), 1),
+    (((0, 0, 0),), 1),
+    (((0, 0), (1, 1, 0)), 1),
+    (((Fraction(1, 2), 0, 0), (0, 1, 0)), 1),
+    (((0, 0, 0), (1, 1.0, 0)), 1),
+    (((True, 0, 0), (1, 1, 0)), 1),
+    (((0, 0, 0), (1, 1, 0)), 0),
+    (((0, 0, 0), (1, 1, 0)), -2),
+    (((0, 0, 0), (1, 1, 0)), Fraction(2)),
+    (((0, 0, 0), (1, 1, 0)), True),
+    ("ab", 1),
+    (None, 1),
+)
 
 
 class TestGlueAgainstTheOldRoute:
@@ -887,13 +944,22 @@ class TestGlueAgainstTheOldRoute:
         assert got != glue_check(HAT_DATA, TILDE_DATA)
 
     def test_malformed_images_are_named(self):
-        want = {"not a pair": "hat vertex 9: image (0, l2, l1)",
-                "quadratic first coordinate": "hat vertex 9: image (l1*l2, l2)",
-                "touch": f"tilde vertex 9: image (0, {HAND_BUILT['touch'][1][-1].image[1]})"}
+        want = {
+            "not a pair": "hat vertex 9: image forms ((0, 0, 0), (1, 1, 0), (1, 0, 0)) over 1",
+            "fractional first coordinate":
+                "hat vertex 9: image forms ((Fraction(1, 2), 0, 0), (0, 1, 0)) over 1"}
         for case, text in want.items():
             with pytest.raises(MalformedPolytopeError) as err:
                 glue_check(*HAND_BUILT[case])
-            assert str(err.value) == f"{text} is not a pair of degree <= 1 coordinates"
+            assert str(err.value) == f"{text} are not two int triples over a positive int"
+        for forms, den in MALFORMED_FORMS:
+            # before any cut side: vertex 9 follows one that lies on the cut
+            on_cut = vertex(8, (lin(0, 0), CUT), ())
+            tilde = TILDE_DATA + (on_cut, VertexData(9, forms, den, ()))
+            with pytest.raises(MalformedPolytopeError) as err:
+                glue_check(HAT_DATA, tilde)
+            assert str(err.value) == (f"tilde vertex 9: image forms {forms!r} over {den!r} are"
+                                      " not two int triples over a positive int")
 
     def test_duplicate_survivors_are_extra(self):
         for case, extras in (("duplicate survivor", (0,)), ("duplicate image", (0,)),
@@ -912,7 +978,8 @@ class TestGlueAgainstTheOldRoute:
             k = data.draw(st.integers(0, len(half) - 1))
             image = (data.draw(IMAGE_COORDS), data.draw(IMAGE_COORDS))
             index = data.draw(st.sampled_from([half[k].index, 0, 7]))
-            half[k] = VertexData(index, image, half[k].weights)
+            # forms and den times 1 to 3: the same image, its forms not in lowest terms
+            half[k] = vertex(index, image, half[k].weights, data.draw(st.integers(1, 3)))
         hat, tilde = map(tuple, halves)
         assert glue_or_error(glue_check, hat, tilde) == \
             glue_or_error(reference_glue_check, hat, tilde)
@@ -934,7 +1001,7 @@ class TestGlue:
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = list(project_fixed_data(TILDE, L_TILDE))
         vd = tilde_data[3]
-        tilde_data[3] = VertexData(vd.index, (lin(2, 0), lin(1, 0)), vd.weights)
+        tilde_data[3] = vertex(vd.index, (lin(2, 0), lin(1, 0)), vd.weights)
         report = glue_check(hat_data, tuple(tilde_data))
         assert not report.ok
         assert any("no surviving vertex maps to x11" in p for p in report.problems)
@@ -945,7 +1012,7 @@ class TestGlue:
         tilde_data = list(project_fixed_data(TILDE, L_TILDE))
         vd = tilde_data[3]
         bad = ((5, 5),) + vd.weights[1:]
-        tilde_data[3] = VertexData(vd.index, vd.image, bad)
+        tilde_data[3] = dataclasses.replace(vd, weights=bad)
         report = glue_check(hat_data, tuple(tilde_data))
         assert not report.ok
         assert any(p.startswith("weights at x11 differ") for p in report.problems)
@@ -953,7 +1020,7 @@ class TestGlue:
     def test_vertex_on_cut_rejected(self):
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = project_fixed_data(TILDE, L_TILDE)
-        on_cut = VertexData(9, (lin(0, 0), CUT), ())
+        on_cut = vertex(9, (lin(0, 0), CUT), ())
         with pytest.raises(VertexOnCutError) as err:
             glue_check(hat_data, tilde_data + (on_cut,))
         assert str(err.value) == "tilde vertex 9: level 1/2*l1 + 1/2*l2 lies on the cut level"
@@ -962,17 +1029,14 @@ class TestGlue:
         hat_data = project_fixed_data(HAT, L_HAT)
         tilde_data = project_fixed_data(TILDE, L_TILDE)
         # above the cut at (1, 2), below it at (1, 3)
-        wobble = VertexData(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ())
+        wobble = vertex(9, (lin(0, 0), lin(3, Fraction(-1, 2))), ())
         with pytest.raises(ParametricCombinatoricsUnstableError) as got:
             glue_check(hat_data, tilde_data + (wobble,))
         # signed on the ints of the level's form, named as the ParamPoly route names it
         with pytest.raises(ChamberSignError) as want:
             chamber_sign(wobble.image[1] - CUT)
         assert str(got.value) == f"tilde vertex 9: cut side changes: {want.value}"
-        # above the cut on the whole chamber but for the wall l2/l1 = 5, where it
-        # touches it; a quadratic level is no image that project_fixed_data makes
-        touch = VertexData(9, (lin(0, 0), CUT + (L2 - 5 * L1) ** 2), ())
-        with pytest.raises(MalformedPolytopeError) as got:
-            glue_check(hat_data, tilde_data + (touch,))
-        assert str(got.value) == (f"tilde vertex 9: image (0, {touch.image[1]}) is not a pair"
-                                  " of degree <= 1 coordinates")
+        # a level that meets the cut only on the wall l2 = l1, which bounds the
+        # chamber, is above it on all of 0 < l1 < l2: a tilde vertex there is dropped
+        touch = vertex(9, (lin(0, 0), CUT + L2 - L1), ())
+        assert glue_check(hat_data, tilde_data + (touch,)) == builtin_glue_report()
