@@ -174,7 +174,7 @@ class ParamPoly:
     def linear(cls, c1, c2, const=0) -> "ParamPoly":
         """c1*l1 + c2*l2 + const."""
         if type(c1) is int and type(c2) is int and type(const) is int:
-            return linear_poly((c1 + c2, c2, const))
+            return linear_poly((c1, c2, const))
         return cls({(1, 0): rat(c1), (0, 1): rat(c2), (0, 0): rat(const)})
 
     # -- inspection --------------------------------------------------------
@@ -362,8 +362,8 @@ _LINEAR_KEYS = frozenset({(1, 0), (0, 1), (0, 0)})
 
 
 def linear_forms(values):
-    """Int forms (a, b, c), one den >= 1: value == (a*u + b*v + c*w) / den, where l1 = u,
-    l2 = u + v, w = 1 (the chamber is u, v > 0). Values: rationals, degree <= 1 ParamPolys."""
+    """Int forms (a, b, c), one den >= 1: value == (a*l1 + b*l2 + c) / den.
+    Values: rationals, degree <= 1 ParamPolys."""
     polys = [p if isinstance(p, ParamPoly) else ParamPoly.const(p) for p in values]
     if bad := [p for p in polys if not p._num.keys() <= _LINEAR_KEYS]:
         raise ValueError(f"{bad[0]} has degree > 1, not a linear form")
@@ -371,20 +371,19 @@ def linear_forms(values):
     forms = []
     for p in polys:
         num, m = p._num, den // p._den
-        c2 = num.get((0, 1), 0)
-        forms.append(((num.get((1, 0), 0) + c2) * m, c2 * m, num.get((0, 0), 0) * m))
+        forms.append((num.get((1, 0), 0) * m, num.get((0, 1), 0) * m, num.get((0, 0), 0) * m))
     return forms, den
 
 
 def linear_poly(form, den=1) -> ParamPoly:
-    """The ParamPoly (a*u + b*v + c) / den = ((a - b)*l1 + b*l2 + c) / den of form (a, b, c).
+    """The ParamPoly (a*l1 + b*l2 + c) / den of form (a, b, c).
 
     The one int constructor of linear polynomials: ``ParamPoly.linear`` on ints and
     every int form in the package come here; only nonzero entries enter the dict."""
     a, b, c = form
     num = {}
-    if a != b:
-        num[(1, 0)] = a - b
+    if a:
+        num[(1, 0)] = a
     if b:
         num[(0, 1)] = b
     if c:
@@ -393,10 +392,11 @@ def linear_poly(form, den=1) -> ParamPoly:
 
 
 def linear_sign(form, den=1) -> int:
-    """``chamber_sign`` of the form (a, b, c) over den, on its ints: coefficients of one
-    sign decide; mixed signs vanish on the chamber, and only then is the ParamPoly built,
-    for the ChamberSignError naming the wall."""
+    """``chamber_sign`` of the form (a, b, c) over den, on its ints: in the chamber's (u, v, w)
+    = (l1, l2 - l1, 1) it is (a + b, b, c), and coefficients of one sign decide; mixed signs
+    vanish on the chamber, and only then is the ParamPoly built, for the error naming the wall."""
     a, b, c = form
+    a += b
     if a >= 0 and b >= 0 and c >= 0:
         return 1 if a or b or c else 0
     if a <= 0 and b <= 0 and c <= 0:
@@ -405,13 +405,14 @@ def linear_sign(form, den=1) -> int:
 
 
 def chamber_lattice(forms):
-    """Int forms (a, b, c) of ``linear_forms``, a*u + b*v + c*w, packed as ints
-    a*X**4 + b*X + c (X = 2**k), and sign(n).
+    """Int forms (a, b, c) of ``linear_forms``, in the chamber's (u, v, w) = (l1, l2 - l1, 1)
+    the forms (a + b)*u + b*v + c*w, packed as ints (a + b)*X**4 + b*X + c (X = 2**k), and sign(n).
 
     Int sums and products carry the coefficient of u^i v^j w^h as balanced base-X digit
     4*i + j. A 3x3 determinant of differences, or a difference of dot products of two,
-    has coefficients below 2**11 * H**3 <= X/2 (H: the largest input coefficient), and
-    sign(n) reads such a form back and signs it on the chamber."""
+    has coefficients below 2**11 * H**3 <= X/2 (H: the largest u, v or w coefficient),
+    and sign(n) reads such a form back and signs it on the chamber."""
+    forms = [(a + b, b, c) for a, b, c in forms]
     k = 3 * max((abs(c) for f in forms for c in f), default=0).bit_length() + 12
     mask, half, top = (1 << k) - 1, 1 << (k - 1), sum(1 << (k * e + k - 1) for e in range(16))
 
@@ -494,6 +495,8 @@ def chamber_sign(p: ParamPoly) -> int:
     Decided by ``_form_sign`` on p as a form in (u, v, w) = (l1, l2 - l1, 1); raises
     ChamberSignError, naming the wall, if p vanishes on the chamber, or if p is not
     homogeneous and the form has mixed signs."""
+    if not isinstance(p, ParamPoly):
+        raise TypeError(f"chamber_sign takes a ParamPoly, not {type(p).__name__}")
     form = {}
     for (i, j), c in p._num.items():
         for m in range(j + 1):                  # l2^j = (u + v)^j

@@ -135,12 +135,12 @@ class GKMGraph:
     """Validated moment graph; points and edges are kept in canonical order.
 
     Validation writes every moment coordinate once as an int ``linear_forms``
-    form (a, b, c), the coordinate being (a*u + b*v + c) / ``_den`` with
-    l1 = u, l2 = u + v: ``_forms`` maps each point id, in canonical order, to
-    the forms of its two coordinates. It then checks every edge's area on
-    these ints. ``_kept`` holds fixed-point tables, as ``_table`` says. None of
-    these is a field, so equality, hash and repr see only points and edges;
-    ``sphere_area`` builds an area when it is asked for.
+    form (a, b, c), the coordinate being (a*l1 + b*l2 + c) / ``_den``: ``_forms``
+    maps each point id, in canonical order, to the forms of its two coordinates.
+    It then checks every edge's area on these ints. ``_kept`` holds fixed-point
+    tables, as ``_table`` says. None of these is a field, so equality, hash and
+    repr see only points and edges; ``sphere_area`` builds an area when it is
+    asked for.
     """
 
     points: tuple
@@ -318,8 +318,8 @@ def _table(g: GKMGraph, s):
     h, forms, rows = g._den, g._forms, []
     for pid, inc in g._outgoing.items():
         ws = tuple([a * x + b * y for _, (x, y) in inc])
-        (u0, v0, w0), (u1, v1, w1) = forms[pid]     # phi_i = (u*l1 + v*(l2 - l1) + w) / h
-        momentum = (-a * (u0 - v0) - b * (u1 - v1), -a * v0 - b * v1, -a * w0 - b * w1, h)
+        (x0, y0, z0), (x1, y1, z1) = forms[pid]
+        momentum = (-a * x0 - b * x1, -a * y0 - b * y1, -a * z0 - b * z1, h)
         rows.append((pid, ws, math.prod(ws), momentum))
     den = math.lcm(*(row[2] for row in rows))
     table = (key, tuple(rows), den, tuple(den // row[2] for row in rows) if den else ())

@@ -82,8 +82,7 @@ class FixedPointContribution:
     @property
     def hamiltonian(self) -> ParamPoly:
         x, y, z, h = self._momentum
-        # H = -(x*l1 + y*l2 + z) / h as the form (a, b, c) of a*l1 + b*(l2 - l1) + c
-        return linear_poly((-x - y, -y, -z), h)
+        return linear_poly((-x, -y, -z), h)
 
 
 def localization_table(g: GKMGraph, s):

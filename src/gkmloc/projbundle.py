@@ -170,6 +170,8 @@ def integrate(bundle: Bundle, x: RingElement) -> Fraction:
 
 
 def cup_power(bundle: Bundle, x: RingElement, n: int) -> RingElement:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"cup_power exponents must be non-negative ints, got {n!r}")
     out = one()
     for _ in range(n):
         out = cup(bundle, out, x)

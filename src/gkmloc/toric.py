@@ -1,15 +1,15 @@
 """Delzant 3-polytopes with parameterized vertices, and moment-map gluing.
 
 Vertices are triples of linear polynomials in (l1, l2), written as int linear
-forms in (u, v, w) = (l1, l2 - l1, 1): a ``Polytope`` keeps its forms from
-construction and its hull and edge directions run on them, ``hull_combinatorics``
-converts its own input once, and a projected vertex keeps its image as the int
-forms the matrix makes of the vertex's forms, on which the glue decides cut sides
-and its matches with the built-in graph, each survivor matched at most once. Hull
-orientations (cubic forms, each of the C(n, 4) determinants signed once),
-collinear orders (quadratic), edge areas and cut sides (linear) are signed by
-``exact``'s kernel on the whole chamber 0 < l1 < l2, never at sample values; a
-sign that is not constant there is reported as unstable, naming the wall.
+forms: a ``Polytope`` keeps its forms from construction and its hull and edge
+directions run on them, ``hull_combinatorics`` converts its own input once, and
+a projected vertex keeps its image as the int forms the matrix makes of the
+vertex's forms, on which the glue decides cut sides and its matches with the
+built-in graph, each survivor matched at most once. Hull orientations (cubic
+forms, each of the C(n, 4) determinants signed once), collinear orders
+(quadratic), edge areas and cut sides (linear) are signed by ``exact``'s kernel
+on the whole chamber 0 < l1 < l2, never at sample values; a sign that is not
+constant there is reported as unstable, naming the wall.
 
 The built-in pair ("tolman-hat", "tolman-tilde") are the two Delzant
 polytopes whose toric manifolds, projected along the 2x3 matrices L_HAT and
@@ -54,7 +54,7 @@ class MalformedPolytopeError(ToolkitError, ValueError):
 
 L_HAT = ((1, 0, 1), (0, 1, 0))
 L_TILDE = ((1, 0, 0), (0, 1, 0))
-_CUT = ((2, 1, 0), 2)               # (l1 + l2)/2 = (2u + v)/2: a form and its den
+_CUT = ((1, 1, 0), 2)               # (l1 + l2)/2: a form and its den
 CUT = linear_poly(*_CUT)
 
 
@@ -239,9 +239,8 @@ def polytope_edges(p: Polytope):
 def _edge_direction(forms, den, i: int, j: int):
     """Primitive integer direction u with v_j - v_i == A * u for an area A > 0.
 
-    The u, v, w columns of the coefficient matrix of v_j - v_i must be multiples
-    of one primitive u, taken from the first nonzero column, where A's form then
-    has a positive coefficient: A > 0 on the chamber unless it changes sign there.
+    The columns of the coefficient matrix of v_j - v_i must be multiples of one primitive
+    u; u turns round where ``linear_sign`` finds A < 0, and A changing sign raises.
     """
     diff = [(y[0] - x[0], y[1] - x[1], y[2] - x[2])
             for x, y in zip(forms[3 * i:3 * i + 3], forms[3 * j:3 * j + 3])]
@@ -256,7 +255,8 @@ def _edge_direction(forms, den, i: int, j: int):
             f"edge {i}-{j} direction varies with the parameters")
     if a < 0 or b < 0 or c < 0:
         try:
-            linear_sign((a, b, c), den)
+            if linear_sign((a, b, c), den) < 0:
+                u = (-u[0], -u[1], -u[2])
         except ChamberSignError as exc:
             raise ParametricCombinatoricsUnstableError(f"edge {i}-{j} degenerates: {exc}") from None
     return u
@@ -343,12 +343,12 @@ def project_fixed_data(p: Polytope, matrix):
     known = {}
     for idx, adjacent in enumerate(neighbors):
         dirs = _vertex_directions(p, idx, sorted(adjacent), known)
-        # the image's forms: the rows applied to the u, v and w columns of the vertex's forms
-        (xu, xv, xw), (yu, yv, yw), (zu, zv, zw) = forms[3 * idx:3 * idx + 3]
-        image = ((r0 * xu + r1 * yu + r2 * zu, r0 * xv + r1 * yv + r2 * zv,
-                  r0 * xw + r1 * yw + r2 * zw),
-                 (s0 * xu + s1 * yu + s2 * zu, s0 * xv + s1 * yv + s2 * zv,
-                  s0 * xw + s1 * yw + s2 * zw))
+        # the image's forms: the rows applied to each column of the vertex's forms
+        (x1, x2, x0), (y1, y2, y0), (z1, z2, z0) = forms[3 * idx:3 * idx + 3]
+        image = ((r0 * x1 + r1 * y1 + r2 * z1, r0 * x2 + r1 * y2 + r2 * z2,
+                  r0 * x0 + r1 * y0 + r2 * z0),
+                 (s0 * x1 + s1 * y1 + s2 * z1, s0 * x2 + s1 * y2 + s2 * z2,
+                  s0 * x0 + s1 * y0 + s2 * z0))
         weights = tuple((r0 * a + r1 * b + r2 * c, s0 * a + s1 * b + s2 * c) for a, b, c in dirs)
         data.append(VertexData(idx, image, den, weights))
     return tuple(data)

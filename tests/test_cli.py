@@ -1,17 +1,23 @@
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gkmloc
 from gkmloc import cli, gkm, projbundle, toric
 from gkmloc.cli import _parser, _render, _reproduce_checks, build_parser, run
-from gkmloc.exact import ParamPoly, rat_str
+from gkmloc.exact import ParamPoly, ToolkitError, rat_str
 from gkmloc.localization import CHERN_MONOMIALS
 
 
@@ -538,3 +544,42 @@ class TestConsoleEntry:
         code, out = capture(capsys, ["reproduce-all"])
         assert code == 0
         assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def readme_examples():
+    """(argv, expected stdout) for each ``gkmloc ...`` line of README's "Command line" sh
+    block that the next line answers with a ``# {...}`` comment."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = block.splitlines()
+    return [(shlex.split(line, comments=True)[1:], answer[2:] + "\n")
+            for line, answer in zip(lines, lines[1:])
+            if line.startswith("gkmloc ") and answer.startswith("# {")]
+
+
+class TestReadme:
+    def test_command_line_examples_print_what_the_readme_says(self, capsys):
+        examples = readme_examples()
+        assert len(examples) >= 5
+        for argv, want in examples:
+            assert capture(capsys, argv) == (0, want), argv
+
+
+class TestErrorCodes:
+    def test_codes_are_unique_class_names(self):
+        """Every structured error's code is its class name without "Error", so the codes
+        the CLI reports cannot collide or drift from the class they name."""
+        for info in pkgutil.iter_modules(gkmloc.__path__):
+            if info.name != "__main__":         # running it is the command line itself
+                importlib.import_module(f"gkmloc.{info.name}")
+        classes, stack = [], list(ToolkitError.__subclasses__())
+        while stack:
+            cls = stack.pop()
+            classes.append(cls)
+            stack += cls.__subclasses__()
+        classes = sorted({c for c in classes if c.__module__.startswith("gkmloc.")},
+                         key=lambda c: c.__name__)
+        assert len(classes) >= 29
+        for cls in classes:
+            assert cls.__name__.endswith("Error") and cls.code == cls.__name__[:-len("Error")]
+        assert len({cls.code for cls in classes}) == len(classes)

@@ -521,7 +521,8 @@ class TestDenominatorOne:
             (p * k, naive_mul(p, ParamPoly.const(k))),
             (k * p, naive_mul(p, ParamPoly.const(k))),
             (p * q, naive_mul(p, q)),
-            (linear_poly((k, 1 - k, -k)), ParamPoly({(1, 0): 2 * k - 1, (0, 1): 1 - k, (0, 0): -k})),
+            (linear_poly((2 * k - 1, 1 - k, -k)),
+             ParamPoly({(1, 0): 2 * k - 1, (0, 1): 1 - k, (0, 0): -k})),
         ]
         for got, want in cases:
             assert storage(got) == storage(want)
@@ -533,7 +534,7 @@ class TestDenominatorOne:
            st.integers(1, 12))
     def test_linear_poly_matches_the_public_constructor(self, form, den):
         a, b, c = form
-        want = ParamPoly({(1, 0): Fraction(a - b, den), (0, 1): Fraction(b, den),
+        want = ParamPoly({(1, 0): Fraction(a, den), (0, 1): Fraction(b, den),
                           (0, 0): Fraction(c, den)})
         got = linear_poly(form, den)
         assert storage(got) == storage(want) and list(got._num) == list(want._num)
@@ -653,6 +654,11 @@ class TestChamberSign:
             assert chamber_sign(-p) == -1, p
         assert chamber_sign(ParamPoly.zero()) == 0
 
+    @pytest.mark.parametrize("value", [5, Fraction(1, 2), "l1", None])
+    def test_non_polynomial_names_its_type(self, value):
+        with pytest.raises(TypeError, match=f"not {type(value).__name__}$"):
+            chamber_sign(value)
+
     def test_sign_change_names_the_wall(self):
         with pytest.raises(ChamberSignError, match=r"wall l2/l1 = 3$"):
             chamber_sign(3 * L1 - L2)
@@ -755,9 +761,24 @@ class TestLinearForms:
         values = [L1, L2, ParamPoly.linear(Fraction(1, 2), -3, Fraction(5, 3)), Fraction(7, 4), 2]
         forms, den = linear_forms(values)
         assert den == 12
-        assert forms == [(12, 0, 0), (12, 12, 0), (-30, -36, 20), (0, 0, 21), (0, 0, 24)]
+        assert forms == [(12, 0, 0), (0, 12, 0), (6, -36, 20), (0, 0, 21), (0, 0, 24)]
         for value, form in zip(values, forms):
             assert linear_poly(form, den) == value
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3, st.integers(1, 12)),
+                    min_size=1, max_size=6))
+    def test_forms_are_the_values_own_coefficients(self, rows):
+        # a degree <= 1 value a*l1 + b*l2 + c is written (a, b, c) * den, den the lcm of the
+        # coefficients' denominators, and linear_poly gives back its storage
+        values = [ParamPoly({(1, 0): Fraction(a, d), (0, 1): Fraction(b, d), (0, 0): Fraction(c, d)})
+                  for a, b, c, d in rows]
+        forms, den = linear_forms(values)
+        assert den == math.lcm(*(q.denominator for p in values for _, q in p.terms()))
+        for value, form in zip(values, forms):
+            assert all(type(c) is int for c in form)
+            assert form == tuple(value.coefficient(*key) * den for key in ((1, 0), (0, 1), (0, 0)))
+            assert storage(linear_poly(form, den)) == storage(value)
 
     def test_degree_and_floats_rejected(self):
         with pytest.raises(ValueError, match="degree > 1"):
@@ -815,12 +836,14 @@ class TestLinearSign:
 
         monkeypatch.setattr(exact, "linear_poly", no_poly)
         assert [linear_sign(f, 3) for f in ((1, 0, 2), (0, -4, -1), (0, 0, 0))] == [1, -1, 0]
+        # l2 - l1 and l1 - l2 - 3 have one sign in (u, v, w) = (l1, l2 - l1, 1): v and -v - 3w
+        assert [linear_sign(f, 3) for f in ((-1, 1, 0), (1, -1, -3))] == [1, -1]
         with pytest.raises(AssertionError, match="ParamPoly built"):
-            linear_sign((1, -1, 0), 3)
+            linear_sign((2, -1, 0), 3)     # 2*l1 - l2 = u - v
 
     def test_walls(self):
-        # (2*u - v) / 3 = (3*l1 - l2) / 3; u - 2*w = l1 - 2
+        # (3*l1 - l2) / 3 = (2*u - v) / 3; l1 - 2 = u - 2*w
         with pytest.raises(ChamberSignError, match=r"^l1 - 1/3\*l2 changes sign .* l2/l1 = 3$"):
-            linear_sign((2, -1, 0), 3)
+            linear_sign((3, -1, 0), 3)
         with pytest.raises(ChamberSignError, match=r"at the line l1 - 2 = 0$"):
             linear_sign((1, 0, -2))

@@ -547,18 +547,18 @@ class TestSpheres:
         assert [f.name for f in dataclasses.fields(G)] == ["points", "edges"]
 
     def test_stored_point_forms(self):
-        # (a, b, c) / den is a*u + b*v + c with l1 = u, l2 = u + v
+        # (a, b, c) / den is (a*l1 + b*l2 + c) / den
         assert G._den == 1
         assert list(G._forms) == list(POINT_IDS)
         # localization zips the forms with the table rows: one point order for both
         assert list(G._forms) == list(G._outgoing) == [p.id for p in G.points]
-        assert G._forms["x40"] == ((3, 1, 0), (0, 0, 0))
-        assert G._forms["x13"] == ((1, 0, 0), (2, 1, 0))
+        assert G._forms["x40"] == ((2, 1, 0), (0, 0, 0))
+        assert G._forms["x13"] == ((1, 0, 0), (1, 1, 0))
         half = GKMGraph((FixedPoint("p", (L1 / 2, ParamPoly.const(Fraction(1, 3)))),
                          FixedPoint("q", (L2 / 2, ParamPoly.const(Fraction(1, 3))))),
                         (Edge("p", "q", (1, 0)),))
         assert half._den == 6
-        assert half._forms == {"p": ((3, 0, 0), (0, 0, 2)), "q": ((3, 3, 0), (0, 0, 2))}
+        assert half._forms == {"p": ((3, 0, 0), (0, 0, 2)), "q": ((0, 3, 0), (0, 0, 2))}
         assert sphere_area(half, half.edges[0]) == ParamPoly({(1, 0): Fraction(-1, 2),
                                                               (0, 1): Fraction(1, 2)})
 

@@ -124,6 +124,15 @@ class TestCupProduct:
     def test_xi_cubed(self):
         assert integrate(B, cup_power(B, xi(), 3)) == 2
 
+    def test_zeroth_power_is_the_unit(self):
+        assert cup_power(Bundle(0, 0), eta(), 0) == one()
+
+    @pytest.mark.parametrize("n", [-1, -3, 2.0, 0.5])
+    def test_exponent_must_be_a_non_negative_int(self, n):
+        # range(n) is empty for a negative n: without the check, eta^-1 would be 1
+        with pytest.raises(ValueError, match="non-negative ints"):
+            cup_power(Bundle(0, 0), eta(), n)
+
     def test_unit_acts_trivially(self):
         y = degree2(4, -5)
         assert cup(B, one(), y) == y

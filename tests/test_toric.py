@@ -355,10 +355,10 @@ class TestBuiltinPolytopes:
     def test_stored_forms_are_not_fields(self):
         forms, den = linear_forms([c for v in TILDE.vertices for c in v])
         assert TILDE._forms == tuple(forms) and TILDE._den == den == 1
-        # (a, b, c) / den is a*u + b*v + c with l1 = u, l2 = u + v: vertex 4 is (l1, l2, l1)
-        assert TILDE._forms[12:15] == ((1, 0, 0), (1, 1, 0), (1, 0, 0))
+        # (a, b, c) / den is (a*l1 + b*l2 + c) / den: vertex 4 is (l1, l2, l1)
+        assert TILDE._forms[12:15] == ((1, 0, 0), (0, 1, 0), (1, 0, 0))
         thirds = Polytope(((L1 / 3, L2 / 2, const(Fraction(1, 6))),))
-        assert thirds._den == 6 and thirds._forms == ((2, 0, 0), (3, 3, 0), (0, 0, 1))
+        assert thirds._den == 6 and thirds._forms == ((2, 0, 0), (0, 3, 0), (0, 0, 1))
         rebuilt = Polytope(list(map(list, TILDE.vertices)), TILDE.name)
         assert rebuilt == TILDE and hash(rebuilt) == hash(TILDE) and repr(rebuilt) == repr(TILDE)
         assert not any(name in repr(TILDE) for name in ("_forms", "_den"))
@@ -750,6 +750,32 @@ class TestNoProducts:
             report = glue_check(project_fixed_data(hat, to_hat),
                                 project_fixed_data(tilde, to_tilde))
             assert report.ok and report.matched == ("x00", "x03", "x11", "x13", "x21", "x40")
+
+
+def packed_in_chamber_coordinates(p):
+    """Oracle for chamber_lattice on a polytope's coordinates: each coordinate's (u, v, w)
+    coefficients (u = l1, v = l2 - l1, w = 1), read off its values at (l1, l2) = (1, 1),
+    (0, 1) and (0, 0), times the lcm of the coefficients' denominators, packed as
+    u*X**4 + v*X + w with X = 2**k, k three times the largest bit length plus 12."""
+    coords = [c for v in p.vertices for c in v]
+    den = math.lcm(*(q.denominator for c in coords for _, q in c.terms()))
+    forms = []
+    for c in coords:
+        w = c.evaluate(0, 0)
+        forms.append(tuple(int(x * den) for x in (c.evaluate(1, 1) - w, c.evaluate(0, 1) - w, w)))
+    k = 3 * max(abs(x) for f in forms for x in f).bit_length() + 12
+    return [(u << 4 * k) + (v << k) + w for u, v, w in forms]
+
+
+class TestChamberLattice:
+    def test_packs_the_chamber_coordinates(self):
+        """Forms stored as (l1, l2, 1) coefficients pack as the (u, v, w) forms would, so
+        every hull sign call sees the same ints, for the built-in pair and its moves."""
+        pairs = [(HAT, TILDE)] + [(moved(HAT, m_hat), moved(TILDE, m_tilde))
+                                  for m_hat, m_tilde in zip(GL3_MOVES, GL3_MOVES[::-1])]
+        for pair in pairs:
+            for p in pair:
+                assert chamber_lattice(p._forms)[0] == packed_in_chamber_coordinates(p)
 
 
 class TestProjection:
