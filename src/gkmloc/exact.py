@@ -16,21 +16,26 @@ import math
 from fractions import Fraction
 
 class ToolkitError(Exception):
-    """Base class for structured errors; ``code`` is the stable identifier."""
+    """Base class for structured errors; ``code`` is the stable identifier, the class name
+    without "Error" in every subclass."""
 
     code = "ToolkitError"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__.removesuffix("Error")
+
 
 class ZeroVectorError(ToolkitError):
-    code = "ZeroVector"
+    """Raised by ``primitive`` for the zero vector."""
 
 
 class BadRationalError(ToolkitError, ValueError):
-    code = "BadRational"
+    """Raised by ``rat`` for input that is not an exact rational."""
 
 
 class ChamberSignError(ToolkitError):
-    code = "ChamberSign"
+    """Raised by the chamber sign tests for a form that vanishes or changes sign on the chamber."""
 
 
 def rat(value) -> Fraction:
@@ -375,11 +380,20 @@ def linear_forms(values):
     return forms, den
 
 
+def _den_error(den):
+    """The error for a form's den that is not an int >= 1 (a bool is not an int here)."""
+    if type(den) is not int:
+        return TypeError(f"a form's den must be an int, not {type(den).__name__}")
+    return ValueError(f"a form's den must be >= 1, got {den}")
+
+
 def linear_poly(form, den=1) -> ParamPoly:
-    """The ParamPoly (a*l1 + b*l2 + c) / den of form (a, b, c).
+    """The ParamPoly (a*l1 + b*l2 + c) / den of form (a, b, c); den is an int >= 1.
 
     The one int constructor of linear polynomials: ``ParamPoly.linear`` on ints and
     every int form in the package come here; only nonzero entries enter the dict."""
+    if type(den) is not int or den < 1:
+        raise _den_error(den)
     a, b, c = form
     num = {}
     if a:
@@ -395,6 +409,8 @@ def linear_sign(form, den=1) -> int:
     """``chamber_sign`` of the form (a, b, c) over den, on its ints: in the chamber's (u, v, w)
     = (l1, l2 - l1, 1) it is (a + b, b, c), and coefficients of one sign decide; mixed signs
     vanish on the chamber, and only then is the ParamPoly built, for the error naming the wall."""
+    if type(den) is not int or den < 1:
+        raise _den_error(den)
     a, b, c = form
     a += b
     if a >= 0 and b >= 0 and c >= 0:
@@ -411,7 +427,7 @@ def chamber_lattice(forms):
     Int sums and products carry the coefficient of u^i v^j w^h as balanced base-X digit
     4*i + j. A 3x3 determinant of differences, or a difference of dot products of two,
     has coefficients below 2**11 * H**3 <= X/2 (H: the largest u, v or w coefficient),
-    and sign(n) reads such a form back and signs it on the chamber."""
+    and sign(n) reads such a form back as a ParamPoly and signs it with ``chamber_sign``."""
     forms = [(a + b, b, c) for a, b, c in forms]
     k = 3 * max((abs(c) for f in forms for c in f), default=0).bit_length() + 12
     mask, half, top = (1 << k) - 1, 1 << (k - 1), sum(1 << (k * e + k - 1) for e in range(16))
@@ -419,12 +435,12 @@ def chamber_lattice(forms):
     def sign(n):
         if not abs(n) & top:    # every digit is below X/2 and has the sign of n
             return (n > 0) - (n < 0)
-        form = {}
+        poly = ParamPoly()
         for e in range(16):
             c = ((n + half) & mask) - half      # the balanced digit, in [-X/2, X/2)
             n = (n - c) >> k
-            form[divmod(e, 4)] = c
-        return _form_sign({key: c for key, c in form.items() if c})
+            poly += c * L1**(e // 4) * (L2 - L1)**(e % 4)   # c * u^i * v^j, e = 4*i + j
+        return chamber_sign(poly)
 
     return [(a << 4 * k) + (b << k) + c for a, b, c in forms], sign
 
@@ -442,21 +458,29 @@ def _pdivmod(a, b):
     return q, a
 
 
-def _form_sign(form, poly=None):
-    """Sign on u, v > 0, w = 1 of the form with nonzero int coefficients {(i, j): c}.
+def chamber_sign(p: ParamPoly) -> int:
+    """Sign of p on the whole chamber 0 < l1 < l2: 1, -1, or 0 when p == 0.
 
-    One sign among them decides. Else the form must be w^h * u^e * g(v/u): a Sturm
-    sequence counts the distinct roots of g on t > 0, and the smallest is the wall
-    l2/l1 = 1 + t, exact when rational, else in an isolating interval."""
+    p is rewritten as a form with int coefficients {(i, j): c} in (u, v, w) = (l1, l2 - l1, 1),
+    and one sign among them decides. Else the form must be w^h * u^e * g(v/u): a Sturm
+    sequence counts the distinct roots of g on t > 0, and the smallest is raised as the wall
+    l2/l1 = 1 + t in a ChamberSignError, exact when rational, else in an isolating interval.
+    The error also names a mixed-sign form that is not homogeneous."""
+    if not isinstance(p, ParamPoly):
+        raise TypeError(f"chamber_sign takes a ParamPoly, not {type(p).__name__}")
+    form = {}
+    for (i, j), c in p._num.items():
+        for m in range(j + 1):                  # l2^j = (u + v)^j
+            form[i + j - m, m] = form.get((i + j - m, m), 0) + c * math.comb(j, m)
+    form = {key: c for key, c in form.items() if c}
     signs = {c > 0 for c in form.values()}
     if len(signs) < 2:
         return (1 if signs.pop() else -1) if signs else 0
-    poly = poly or sum((c * L1**i * (L2 - L1)**j for (i, j), c in form.items()), ParamPoly())
     degrees = {i + j for i, j in form}
     if degrees == {0, 1}:
-        raise ChamberSignError(f"{poly} changes sign on 0 < l1 < l2 at the line {poly} = 0")
+        raise ChamberSignError(f"{p} changes sign on 0 < l1 < l2 at the line {p} = 0")
     if len(degrees) > 1:
-        raise ChamberSignError(f"sign of {poly} on 0 < l1 < l2 is not decided (not homogeneous)")
+        raise ChamberSignError(f"sign of {p} on 0 < l1 < l2 is not decided (not homogeneous)")
     e = degrees.pop()
     powers = [j for _, j in form]               # g(t), without the factors u, v > 0
     g = [form.get((e - j, j), 0) for j in range(min(powers), max(powers) + 1)]
@@ -464,10 +488,10 @@ def _form_sign(form, poly=None):
     while r := _pdivmod(seq[-2], seq[-1])[1]:
         seq.append([-c for c in r])
     if len(seq[-1]) > 1:                        # multiple roots: use the square-free part
-        seq[:] = [_pdivmod(p, seq[-1])[0] for p in seq]
+        seq[:] = [_pdivmod(q, seq[-1])[0] for q in seq]
 
     def changes(t):                             # along seq, at t or at +infinity (None)
-        values = [p[-1] if t is None else sum(c * t**m for m, c in enumerate(p)) for p in seq]
+        values = [q[-1] if t is None else sum(c * t**m for m, c in enumerate(q)) for q in seq]
         signs = [v > 0 for v in values if v]
         return sum(x != y for x, y in zip(signs, signs[1:]))
 
@@ -486,22 +510,7 @@ def _form_sign(form, poly=None):
     else:
         wall = f"a wall l2/l1 between {1 + lo} and {1 + hi}"
     verb = "changes sign" if e == 1 else "vanishes"
-    raise ChamberSignError(f"{poly} {verb} on 0 < l1 < l2 at {wall}")
-
-
-def chamber_sign(p: ParamPoly) -> int:
-    """Sign of p on the whole chamber 0 < l1 < l2: 1, -1, or 0 when p == 0.
-
-    Decided by ``_form_sign`` on p as a form in (u, v, w) = (l1, l2 - l1, 1); raises
-    ChamberSignError, naming the wall, if p vanishes on the chamber, or if p is not
-    homogeneous and the form has mixed signs."""
-    if not isinstance(p, ParamPoly):
-        raise TypeError(f"chamber_sign takes a ParamPoly, not {type(p).__name__}")
-    form = {}
-    for (i, j), c in p._num.items():
-        for m in range(j + 1):                  # l2^j = (u + v)^j
-            form[i + j - m, m] = form.get((i + j - m, m), 0) + c * math.comb(j, m)
-    return _form_sign({key: c for key, c in form.items() if c}, p)
+    raise ChamberSignError(f"{p} {verb} on 0 < l1 < l2 at {wall}")
 
 
 L1 = ParamPoly({(1, 0): 1})

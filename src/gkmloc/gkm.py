@@ -32,43 +32,43 @@ from .exact import (
 
 
 class NoSuchFixedPointError(ToolkitError):
-    code = "NoSuchFixedPoint"
+    """Raised by ``GKMGraph.point`` for an id that names no fixed point."""
 
 
 class UnknownGraphError(ToolkitError):
-    code = "UnknownGraph"
+    """Raised by the command line for a built-in graph name that does not exist."""
 
 
 class TrivialSubcircleError(ToolkitError, ValueError):
-    code = "TrivialSubcircle"
+    """Raised by ``CircleAction`` for the trivial subcircle (0, 0)."""
 
 
 class DegenerateWeightError(ToolkitError):
-    code = "DegenerateWeight"
+    """Raised where a subcircle has a zero weight at a fixed point."""
 
 
 class MalformedEdgeError(ToolkitError):
-    code = "MalformedEdge"
+    """Raised for an edge whose direction, endpoints, images or area do not fit."""
 
 
 class EdgeFixedPointwiseError(ToolkitError):
-    code = "EdgeFixedPointwise"
+    """Raised by ``c1_values`` when a subcircle fixes a sphere pointwise."""
 
 
 class AxisSubcircleError(ToolkitError):
-    code = "AxisSubcircle"
+    """Raised by the coprimality tests for a subcircle (a, b) with a or b zero."""
 
 
 class NotCoprimeError(ToolkitError):
-    code = "NotCoprime"
+    """Raised by ``isotropy_spheres`` for a subcircle that does not act coprimely."""
 
 
 class NotUniformlyValentError(ToolkitError, ValueError):
-    code = "NotUniformlyValent"
+    """Raised by ``betti_numbers`` for a graph whose points differ in valence."""
 
 
 class MalformedGraphError(ToolkitError, ValueError):
-    code = "MalformedGraph"
+    """Raised by ``graph_from_json`` for a document that is not a graph."""
 
 
 @dataclass(frozen=True)

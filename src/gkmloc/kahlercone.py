@@ -22,11 +22,11 @@ from .exact import ToolkitError, rat
 
 
 class NotDestabilizingError(ToolkitError):
-    code = "NotDestabilizing"
+    """Raised by ``curve_invariants`` for an n that gives no destabilizing curve."""
 
 
 class InvalidKahlerParametersError(ToolkitError):
-    code = "InvalidKahlerParameters"
+    """Raised by ``kahler_obstruction`` unless 0 < l1 < l2."""
 
 
 OBSTRUCTED = "Obstructed"

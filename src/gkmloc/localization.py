@@ -49,23 +49,23 @@ from .projbundle import JuppInvariants, trilinear_from_cubic
 
 
 class NotHomogeneousCubicError(ToolkitError):
-    code = "NotHomogeneousCubic"
+    """Raised where the volume of a graph is not a homogeneous cubic."""
 
 
 class NonSpanningBasisError(ToolkitError, ValueError):
-    code = "NonSpanningBasis"
+    """Raised where the (xi', eta') values do not span the dual plane."""
 
 
 class NonIntegralC1Error(ToolkitError, ValueError):
-    code = "NonIntegralC1"
+    """Raised by ``jupp_invariants_from_gkm`` when c1 is not integral on (xi', eta')."""
 
 
 class NonIntegralP1Error(ToolkitError, ValueError):
-    code = "NonIntegralP1"
+    """Raised by ``jupp_invariants_from_gkm`` when a p1 pairing is not an integer."""
 
 
 class LocalizationCheckError(ToolkitError, ValueError):
-    code = "LocalizationCheck"
+    """Raised where the ABBV certificate fails or c1 leaves the (xi', eta') span."""
 
 
 @dataclass(frozen=True)

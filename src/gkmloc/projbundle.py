@@ -25,19 +25,19 @@ from .exact import ToolkitError, _as_int, rat
 
 
 class DegreeOverflowError(ToolkitError):
-    code = "DegreeOverflow"
+    """Raised for a class of degree above 6 or a product past the top degree."""
 
 
 class NotTopDegreeError(ToolkitError):
-    code = "NotTopDegree"
+    """Raised by ``integrate`` for a class that is not of degree 6."""
 
 
 class NotCubicError(ToolkitError):
-    code = "NotCubic"
+    """Raised by ``trilinear_from_cubic`` unless given 4 rational coefficients."""
 
 
 class NotUnimodularError(ToolkitError):
-    code = "NotUnimodular"
+    """Raised by ``jupp_compare`` for a basis change Q whose determinant is not 1 or -1."""
 
 
 _BASIS_NAMES = {
@@ -142,6 +142,9 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
     operands ordered by degree, a product of degree <= 6 is a scalar multiple
     (a degree-0 factor), or of degrees 2 and 2, or 2 and 4.
     """
+    if not (isinstance(x, RingElement) and isinstance(y, RingElement)):
+        bad = y if isinstance(x, RingElement) else x
+        raise TypeError(f"cup takes RingElements, not {type(bad).__name__}")
     if x.degree + y.degree > 6:
         raise DegreeOverflowError(
             f"product of degrees {x.degree} and {y.degree} exceeds the top degree")
@@ -164,6 +167,8 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
 
 def integrate(bundle: Bundle, x: RingElement) -> Fraction:
     """Integrate a top-degree class; the basis class eta^2*xi has integral 1."""
+    if not isinstance(x, RingElement):
+        raise TypeError(f"integrate takes a RingElement, not {type(x).__name__}")
     if x.degree != 6:
         raise NotTopDegreeError(f"cannot integrate a degree-{x.degree} class")
     return x.coords[0]

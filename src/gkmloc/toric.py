@@ -33,23 +33,23 @@ from . import gkm
 
 
 class NotDelzantVertexError(ToolkitError):
-    code = "NotDelzantVertex"
+    """Raised unless a vertex has 3 edges whose directions form a basis of Z^3."""
 
 
 class ParametricCombinatoricsUnstableError(ToolkitError):
-    code = "ParametricCombinatoricsUnstable"
+    """Raised where hull, edge or cut-side data change inside the chamber."""
 
 
 class VertexOnCutError(ToolkitError):
-    code = "VertexOnCut"
+    """Raised by ``glue_check`` for a vertex image on the cut level."""
 
 
 class NotFullDimensionalError(ToolkitError):
-    code = "NotFullDimensional"
+    """Raised by the hull for points that do not affinely span 3-space."""
 
 
 class MalformedPolytopeError(ToolkitError, ValueError):
-    code = "MalformedPolytope"
+    """Raised for polytope input that is malformed, repeated or of degree > 1."""
 
 
 L_HAT = ((1, 0, 1), (0, 1, 0))

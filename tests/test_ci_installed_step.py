@@ -73,3 +73,24 @@ def test_fails_on_output_that_differs_from_the_golden_entry(tmp_path):
     proc = run_step(tmp_path, installed_copy(tmp_path), body)
     assert proc.returncode != 0
     assert "gkmloc reproduce-all differs from its golden entry" in proc.stderr
+
+
+def job_settings(job):
+    """The top-level ``key: value`` lines of one job of the workflow, as a dict of strings."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index(f"  {job}:")
+    settings = {}
+    for line in lines[start + 1:]:
+        if line.strip() and not line.startswith("    "):
+            break                               # the next job, or the end of ``jobs``
+        if line.startswith("    ") and not line.startswith("     ") and ":" in line:
+            key, value = line.strip().split(":", 1)
+            settings[key] = value.strip()
+    return settings
+
+
+def test_the_tests_job_has_a_timeout():
+    # without one, a hung test would run to GitHub's 360-minute default; tier-1 takes
+    # under a minute and each benchmark smoke 2 s
+    minutes = job_settings("tests").get("timeout-minutes")
+    assert minutes is not None and minutes.isdigit() and 5 <= int(minutes) <= 60

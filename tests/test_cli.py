@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import pkgutil
@@ -564,22 +566,62 @@ class TestReadme:
         for argv, want in examples:
             assert capture(capsys, argv) == (0, want), argv
 
+    def test_names_no_private_part(self):
+        """README describes the package through public names: no backticked span names a
+        `_`-prefixed part (dunders such as __version__ excepted); the module docstrings
+        describe the internals."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+        spans = re.findall(r"`([^`]+)`", text)
+        assert len(spans) > 50
+        private = [(span, part) for span in spans for part in re.findall(r"(?<!\w)_\w+", span)
+                   if not (part.startswith("__") and part.endswith("__"))]
+        assert private == []
+
+
+def toolkit_error_classes():
+    """Every ToolkitError subclass that gkmloc defines, sorted by name, all modules imported."""
+    for info in pkgutil.iter_modules(gkmloc.__path__):
+        if info.name != "__main__":         # running it is the command line itself
+            importlib.import_module(f"gkmloc.{info.name}")
+    classes, stack = [], list(ToolkitError.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        classes.append(cls)
+        stack += cls.__subclasses__()
+    return sorted({c for c in classes if c.__module__.startswith("gkmloc.")},
+                  key=lambda c: c.__name__)
+
 
 class TestErrorCodes:
     def test_codes_are_unique_class_names(self):
         """Every structured error's code is its class name without "Error", so the codes
         the CLI reports cannot collide or drift from the class they name."""
-        for info in pkgutil.iter_modules(gkmloc.__path__):
-            if info.name != "__main__":         # running it is the command line itself
-                importlib.import_module(f"gkmloc.{info.name}")
-        classes, stack = [], list(ToolkitError.__subclasses__())
-        while stack:
-            cls = stack.pop()
-            classes.append(cls)
-            stack += cls.__subclasses__()
-        classes = sorted({c for c in classes if c.__module__.startswith("gkmloc.")},
-                         key=lambda c: c.__name__)
+        classes = toolkit_error_classes()
         assert len(classes) >= 29
         for cls in classes:
             assert cls.__name__.endswith("Error") and cls.code == cls.__name__[:-len("Error")]
         assert len({cls.code for cls in classes}) == len(classes)
+
+    def test_codes_are_derived_and_each_class_says_when_it_is_raised(self):
+        """ToolkitError derives every subclass's code from its name: no class body sets its
+        own (ToolkitError.__init_subclass__ writes it into each class's dict), and each body
+        is one docstring saying when the error is raised."""
+        classes = toolkit_error_classes()
+        assert len(classes) >= 29
+        assert ToolkitError.code == "ToolkitError"
+        for cls in classes:
+            body = ast.parse(inspect.getsource(cls)).body[0].body
+            assert [type(node) for node in body] == [ast.Expr], cls.__name__
+            assert cls.__doc__.startswith("Raised "), cls.__name__
+
+    def test_a_new_subclass_gets_its_code_from_its_name(self):
+        class ExampleSituationError(ToolkitError):
+            """Raised by this test only."""
+
+        class Plain(ExampleSituationError):
+            """Raised by this test only."""
+
+        assert ExampleSituationError.code == "ExampleSituation"
+        assert ExampleSituationError("text").code == "ExampleSituation"
+        assert Plain.code == "Plain"

@@ -841,6 +841,18 @@ class TestLinearSign:
         with pytest.raises(AssertionError, match="ParamPoly built"):
             linear_sign((2, -1, 0), 3)     # 2*l1 - l2 = u - v
 
+    @pytest.mark.parametrize("den, error", [(-2, ValueError), (-1, ValueError), (0, ValueError),
+                                            (True, TypeError), (1.0, TypeError),
+                                            (Fraction(1), TypeError), ("2", TypeError)])
+    def test_den_is_an_int_of_at_least_one(self, den, error):
+        # stored as 1 over -1, (2, 0, 0) over -2 printed -1*l1 but was != ParamPoly.linear(-1, 0),
+        # -l1 over -1 was signed 1, and a den of 0 gave a value whose str divided by zero
+        for form in ((2, 0, 0), (1, 0, 0), (0, 0, 0), (2, -1, 0)):
+            with pytest.raises(error, match="den must be"):
+                linear_poly(form, den)
+            with pytest.raises(error, match="den must be"):
+                linear_sign(form, den)
+
     def test_walls(self):
         # (3*l1 - l2) / 3 = (2*u - v) / 3; l1 - 2 = u - 2*w
         with pytest.raises(ChamberSignError, match=r"^l1 - 1/3\*l2 changes sign .* l2/l1 = 3$"):

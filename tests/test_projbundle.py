@@ -133,6 +133,20 @@ class TestCupProduct:
         with pytest.raises(ValueError, match="non-negative ints"):
             cup_power(Bundle(0, 0), eta(), n)
 
+    @pytest.mark.parametrize("x, y", [(2, eta()), (eta(), "xi"), (None, None), (eta(), (1, 0))])
+    def test_operands_must_be_ring_elements(self, x, y):
+        bad = x if not isinstance(x, RingElement) else y
+        with pytest.raises(TypeError, match=f"^cup takes RingElements, not {type(bad).__name__}$"):
+            cup(Bundle(0, 0), x, y)
+
+    def test_integrand_must_be_a_ring_element(self):
+        for x in (5, Fraction(1), (1,)):
+            with pytest.raises(TypeError, match=f"^integrate takes a RingElement, not "
+                                                f"{type(x).__name__}$"):
+                integrate(B, x)
+        with pytest.raises(TypeError, match="^cup takes RingElements, not int$"):
+            cup_power(B, 3, 2)
+
     def test_unit_acts_trivially(self):
         y = degree2(4, -5)
         assert cup(B, one(), y) == y
