@@ -19,8 +19,8 @@ of them:
     Kaehler cone;
   * ``cli``: the ``gkmloc`` command, run in process by ``cli.run(argv)``.
 
-The documented reference values form one table, ``cli._reproduce_checks``:
-``gkmloc reproduce-all`` prints it, and the acceptance suite runs each row.
+The documented reference values form one table: ``gkmloc reproduce-all``
+prints it, and the acceptance suite runs each row.
 """
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from . import gkm, kahlercone, localization, projbundle, toric
@@ -21,11 +22,14 @@ from .exact import ParamPoly, ToolkitError, rat
 
 
 def _exact(value):
-    """json's hook for the exact values: a Fraction as "p/q", a ParamPoly as its term list."""
+    """json's hook: a Fraction as "p/q", a ParamPoly as its term list and a dataclass
+    instance, such as a library result, as an object of its fields in declaration order."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, ParamPoly):
         return value.to_json()
+    if is_dataclass(type(value)):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -60,8 +64,7 @@ def _cmd_coprime(g, s, args):
     ok, witness = gkm.is_coprime_action(g, s)
     payload = {"coprime": ok}
     if witness is not None:
-        payload["witness"] = {"point": witness.point, "weights": list(witness.weights),
-                              "reason": witness.reason}
+        payload["witness"] = witness
     return payload, 0
 
 
@@ -83,14 +86,6 @@ def _cmd_dh_volume(g, s, args):
     return {"volume": localization.dh_volume(g, s), "table": table}, 0
 
 
-def _inv_json(inv):
-    return {
-        "trilinear": [list(map(list, plane)) for plane in inv.trilinear],
-        "w2": list(inv.w2),
-        "p1_pairings": list(inv.p1_pairings),
-    }
-
-
 def _ring_payload(k1: int, k2: int):
     b = projbundle.Bundle(k1, k2)
     c1, c2, c3 = projbundle.total_chern(b)
@@ -109,7 +104,7 @@ def _ring_payload(k1: int, k2: int):
         "c1_cubed": projbundle.c1_cubed(b),
         "c2_pairings": {"eta": pair_eta, "xi": pair_xi},
         "cubic_coefficients_xi_eta": list(projbundle.cubic_from_trilinear(inv.trilinear)),
-        "jupp": _inv_json(inv),
+        "jupp": inv,
     }
 
 
@@ -124,12 +119,10 @@ def _cmd_jupp(args):
     q = ((1, 0), (0, 1))
     cmp = projbundle.jupp_compare(inv_graph, inv_ring, q)
     return {
-        "graph_invariants": _inv_json(inv_graph),
-        "bundle_invariants": _inv_json(inv_ring),
-        "q": [list(row) for row in q],
-        "trilinear_ok": cmp.trilinear_ok,
-        "w2_ok": cmp.w2_ok,
-        "p1_ok": cmp.p1_ok,
+        "graph_invariants": inv_graph,
+        "bundle_invariants": inv_ring,
+        "q": q,
+        **_exact(cmp),          # its flags, as the renderer writes any result object
         "equivalent": cmp.ok,
     }, 0
 
@@ -146,13 +139,7 @@ def _cmd_toric_glue(args):
 
 
 def _cmd_kahler_cone(args):
-    verdict = kahlercone.kahler_obstruction(rat(args.l1), rat(args.l2), args.n)
-    return {
-        "verdict": verdict.verdict,
-        "n": verdict.n,
-        "pairing": verdict.pairing,
-        "certificate": verdict.certificate,
-    }, 0
+    return kahlercone.kahler_obstruction(rat(args.l1), rat(args.l2), args.n), 0
 
 
 # ---------------------------------------------------------------------------

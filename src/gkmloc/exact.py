@@ -288,7 +288,7 @@ class ParamPoly:
         return self._scaled(k, d)
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("ParamPoly exponents must be non-negative ints")
         num = {(0, 0): 1}
         for _ in range(n):

@@ -94,10 +94,11 @@ def localize(g: GKMGraph, s, integrand):
     """Sum integrand(row) / row.weight_product over localization_table(g, s).
 
     An int or Fraction integrand gives a Fraction, a ParamPoly one a ParamPoly; any
-    other value raises TypeError naming its point.
+    other value, a bool included, raises TypeError naming its point.
     """
     def exact(row):
-        if isinstance(value := integrand(FixedPointContribution(*row)), (int, Fraction, ParamPoly)):
+        value = integrand(FixedPointContribution(*row))
+        if isinstance(value, (int, Fraction, ParamPoly)) and type(value) is not bool:
             return (value,)
         raise TypeError(f"integrand at {row[0]} gave {type(value).__name__}, not an exact value")
 

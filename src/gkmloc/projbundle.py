@@ -16,7 +16,7 @@ Degree-2k elements are stored as coordinate vectors in that basis, ordered
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby, product
@@ -25,7 +25,7 @@ from .exact import ToolkitError, _as_int, rat
 
 
 class DegreeOverflowError(ToolkitError):
-    """Raised for a class of degree above 6 or a product past the top degree."""
+    """Raised for a class of even degree above 6 or a product past the top degree."""
 
 
 class NotTopDegreeError(ToolkitError):
@@ -79,7 +79,11 @@ class RingElement:
     coords: tuple
 
     def __post_init__(self):
+        if type(self.degree) is not int:
+            raise TypeError(f"a degree must be an int, not {type(self.degree).__name__}")
         if self.degree not in _BASIS_NAMES:
+            if self.degree < 0 or self.degree % 2:
+                raise ValueError(f"degree {self.degree} is not even and non-negative")
             raise DegreeOverflowError(f"no classes of degree {self.degree}")
         coords = tuple(rat(c) for c in self.coords)
         if len(coords) != (size := len(_BASIS_NAMES[self.degree])):
@@ -142,6 +146,8 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
     operands ordered by degree, a product of degree <= 6 is a scalar multiple
     (a degree-0 factor), or of degrees 2 and 2, or 2 and 4.
     """
+    if not isinstance(bundle, Bundle):
+        raise TypeError(f"cup takes a Bundle, not {type(bundle).__name__}")
     if not (isinstance(x, RingElement) and isinstance(y, RingElement)):
         bad = y if isinstance(x, RingElement) else x
         raise TypeError(f"cup takes RingElements, not {type(bad).__name__}")
@@ -167,6 +173,8 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
 
 def integrate(bundle: Bundle, x: RingElement) -> Fraction:
     """Integrate a top-degree class; the basis class eta^2*xi has integral 1."""
+    if not isinstance(bundle, Bundle):
+        raise TypeError(f"integrate takes a Bundle, not {type(bundle).__name__}")
     if not isinstance(x, RingElement):
         raise TypeError(f"integrate takes a RingElement, not {type(x).__name__}")
     if x.degree != 6:
@@ -175,7 +183,9 @@ def integrate(bundle: Bundle, x: RingElement) -> Fraction:
 
 
 def cup_power(bundle: Bundle, x: RingElement, n: int) -> RingElement:
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(bundle, Bundle):
+        raise TypeError(f"cup_power takes a Bundle, not {type(bundle).__name__}")
+    if type(n) is not int or n < 0:
         raise ValueError(f"cup_power exponents must be non-negative ints, got {n!r}")
     out = one()
     for _ in range(n):
@@ -304,13 +314,8 @@ class JuppComparison:
 
     @property
     def failures(self):
-        return tuple(
-            name for name, good in (
-                ("trilinear", self.trilinear_ok),
-                ("w2", self.w2_ok),
-                ("p1", self.p1_ok),
-            ) if not good
-        )
+        """The names of the failed checks, each field name without "_ok", in field order."""
+        return tuple(f.name.removesuffix("_ok") for f in fields(self) if not getattr(self, f.name))
 
     def __bool__(self):
         return self.ok

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gkmloc
-from gkmloc import cli, gkm, projbundle, toric
+from gkmloc import cli, gkm, kahlercone, projbundle, toric
 from gkmloc.cli import _parser, _render, _reproduce_checks, build_parser, run
 from gkmloc.exact import ParamPoly, ToolkitError, rat_str
 from gkmloc.localization import CHERN_MONOMIALS
@@ -40,7 +41,8 @@ def loads_exact(line):
 
 def canon(value):
     """Oracle for cli._render: the recursive walk that copied a payload into exact
-    JSON-safe primitives before the renderer handed it to json's encoder."""
+    JSON-safe primitives before the renderer handed it to json's encoder, with a
+    dataclass instance copied as an object of its fields in declaration order."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
@@ -55,6 +57,8 @@ def canon(value):
         return {str(k): canon(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [canon(v) for v in value]
+    if is_dataclass(type(value)):
+        return {f.name: canon(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -66,12 +70,23 @@ PARAMPOLYS = st.one_of(
     st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                     st.one_of(st.integers(-9, 9), FRACTIONS), max_size=4).map(ParamPoly),
     FRACTIONS.map(ParamPoly.const))
+# the library's result objects that handlers hand to the renderer whole
+RESULTS = st.one_of(
+    st.builds(projbundle.jupp_invariants,
+              st.builds(projbundle.Bundle, st.integers(-6, 6), st.integers(-6, 6))),
+    st.builds(kahlercone.ObstructionVerdict,
+              st.sampled_from((kahlercone.OBSTRUCTED, kahlercone.NOT_OBSTRUCTED)),
+              st.integers(), FRACTIONS, st.one_of(st.none(), FRACTIONS)),
+    st.builds(gkm.CoprimeWitness, TEXT, st.lists(st.integers(-9, 9), max_size=3).map(tuple),
+              TEXT))
 PAYLOADS = st.recursive(
     st.one_of(st.integers(), st.integers(-10**50, 10**50), st.booleans(), st.none(), TEXT,
-              FRACTIONS, PARAMPOLYS),
+              FRACTIONS, PARAMPOLYS, RESULTS),
     lambda children: st.one_of(st.lists(children, max_size=4),
                                st.lists(children, max_size=4).map(tuple),
-                               st.dictionaries(TEXT, children, max_size=4)),
+                               st.dictionaries(TEXT, children, max_size=4),
+                               # a result whose field holds any payload, results included
+                               st.builds(gkm.CoprimeWitness, TEXT, children, TEXT)),
     max_leaves=12)
 
 
@@ -83,11 +98,25 @@ class TestRenderer:
         assert line == json.dumps(canon(payload), separators=(",", ":")) + "\n"
         loads_exact(line)
 
-    @pytest.mark.parametrize("leaf, name", [({1}, "set"), (object(), "object")])
+    @pytest.mark.parametrize("leaf, name", [({1}, "set"), (object(), "object"),
+                                            (gkm.CoprimeWitness, "type")])
     def test_other_types_are_refused(self, leaf, name):
+        # a dataclass itself, as opposed to an instance, has no field values to print
         for route in (_render, canon):
             with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
                 route({"ok": [1, leaf]})
+
+    def test_result_objects_render_their_fields_in_declaration_order(self):
+        # literal keys: renaming a field fails here, not only through the goldens
+        inv = projbundle.jupp_invariants(projbundle.Bundle(-1, -1))
+        verdict = kahlercone.kahler_obstruction(1, 2)
+        _, witness = gkm.is_coprime_action(gkm.tolman_graph(), (3, 2))
+        assert [list(loads_exact(_render(obj))) for obj in (inv, verdict, witness)] == [
+            ["trilinear", "w2", "p1_pairings"],
+            ["verdict", "n", "pairing", "certificate"],
+            ["point", "weights", "reason"],
+        ]
+        assert _render(witness) == '{"point":"x03","weights":[1],"reason":"unit_weight"}\n'
 
     def test_a_float_would_be_caught_on_stdout(self):
         # json encodes a float itself; no handler makes one, and loads_exact refuses it
@@ -173,7 +202,7 @@ class TestSubcommands:
 
     def test_ring_payload_matches_fresh_public_calls(self):
         # each field from its public function on a fresh Bundle, so no call shares
-        # the classes another call derived
+        # the classes another call derived; the invariants are spelled out field by field
         def public_payload(k1, k2):
             c1, c2, c3 = projbundle.total_chern(projbundle.Bundle(k1, k2))
             p1, w2, c1_even = projbundle.p1_and_w2(projbundle.Bundle(k1, k2))
@@ -189,12 +218,13 @@ class TestSubcommands:
                 "c1_cubed": projbundle.c1_cubed(projbundle.Bundle(k1, k2)),
                 "c2_pairings": {"eta": pair_eta, "xi": pair_xi},
                 "cubic_coefficients_xi_eta": list(projbundle.cubic_from_trilinear(inv.trilinear)),
-                "jupp": cli._inv_json(inv),
+                "jupp": {"trilinear": inv.trilinear, "w2": inv.w2,
+                         "p1_pairings": inv.p1_pairings},
             }
 
         for k1 in range(-6, 7):
             for k2 in range(-6, 7):
-                assert cli._ring_payload(k1, k2) == public_payload(k1, k2)
+                assert _render(cli._ring_payload(k1, k2)) == _render(public_payload(k1, k2))
 
     def test_jupp_defaults_match(self, capsys):
         code, out = capture(capsys, ["jupp"])
@@ -567,16 +597,18 @@ class TestReadme:
             assert capture(capsys, argv) == (0, want), argv
 
     def test_names_no_private_part(self):
-        """README describes the package through public names: no backticked span names a
-        `_`-prefixed part (dunders such as __version__ excepted); the module docstrings
-        describe the internals."""
-        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
-        spans = re.findall(r"`([^`]+)`", text)
-        assert len(spans) > 50
-        private = [(span, part) for span in spans for part in re.findall(r"(?<!\w)_\w+", span)
-                   if not (part.startswith("__") and part.endswith("__"))]
-        assert private == []
+        """README and the package docstring describe the package through public names: no
+        backticked span names a `_`-prefixed part (dunders such as __version__ excepted);
+        the module docstrings describe the internals."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for text, least_spans in ((readme, 50), (gkmloc.__doc__, 10)):
+            text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+            spans = re.findall(r"`([^`]+)`", text)
+            assert len(spans) > least_spans
+            private = [(span, part) for span in spans
+                       for part in re.findall(r"(?<!\w)_\w+", span)
+                       if not (part.startswith("__") and part.endswith("__"))]
+            assert private == []
 
 
 def toolkit_error_classes():

@@ -185,6 +185,11 @@ class TestParamPoly:
         with pytest.raises(ValueError):
             (L1 + L2) ** -1
 
+    def test_bool_and_non_int_powers_rejected(self):
+        for n in (True, False, 2.0, Fraction(2)):
+            with pytest.raises(ValueError, match="^ParamPoly exponents must be non-negative ints$"):
+                (L1 + L2) ** n
+
     def test_bad_divisors_rejected(self):
         for zero in (0, False, Fraction(0), "0", "0/5"):
             with pytest.raises(ZeroDivisionError, match="^division of ParamPoly by zero$"):

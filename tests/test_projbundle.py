@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from gkmloc.projbundle import (
     Bundle,
     DegreeOverflowError,
+    JuppComparison,
     JuppInvariants,
     NotCubicError,
     NotTopDegreeError,
@@ -82,8 +83,22 @@ class TestRingElements:
             RingElement(2, (1,))
         with pytest.raises(DegreeOverflowError):
             RingElement(8, (1,))
-        with pytest.raises(DegreeOverflowError):
+        with pytest.raises(ValueError, match="^degree 3 is not even and non-negative$"):
             RingElement(3, (1,))
+
+    def test_degree_is_an_even_non_negative_int(self):
+        # DegreeOverflow is kept for an even degree above the top degree 6
+        for degree in (2.0, True, False, "2", None):
+            with pytest.raises(TypeError, match=f"^a degree must be an int, not "
+                                                f"{type(degree).__name__}$"):
+                RingElement(degree, (1, 0))
+        for degree in (-2, -1, 1, 3, 5, 7):
+            with pytest.raises(ValueError, match=f"^degree {degree} is not even") as err:
+                RingElement(degree, (1,))
+            assert not isinstance(err.value, DegreeOverflowError)
+        for degree in (8, 10):
+            with pytest.raises(DegreeOverflowError, match=f"^no classes of degree {degree}$"):
+                RingElement(degree, (1,))
 
     def test_addition_and_scaling(self):
         y = degree2(2, -3) + degree2(1, 1)
@@ -127,7 +142,7 @@ class TestCupProduct:
     def test_zeroth_power_is_the_unit(self):
         assert cup_power(Bundle(0, 0), eta(), 0) == one()
 
-    @pytest.mark.parametrize("n", [-1, -3, 2.0, 0.5])
+    @pytest.mark.parametrize("n", [-1, -3, 2.0, 0.5, True, False])
     def test_exponent_must_be_a_non_negative_int(self, n):
         # range(n) is empty for a negative n: without the check, eta^-1 would be 1
         with pytest.raises(ValueError, match="non-negative ints"):
@@ -146,6 +161,19 @@ class TestCupProduct:
                 integrate(B, x)
         with pytest.raises(TypeError, match="^cup takes RingElements, not int$"):
             cup_power(B, 3, 2)
+
+    def test_bundle_must_be_a_bundle(self):
+        # also where no product reads k1 or k2: a degree-0 factor, integrate, the 0th power
+        for bundle in (None, (-1, -1), "B"):
+            name = type(bundle).__name__
+            for x, y in ((one(), eta()), (eta(), one()), (xi(), xi())):
+                with pytest.raises(TypeError, match=f"^cup takes a Bundle, not {name}$"):
+                    cup(bundle, x, y)
+            with pytest.raises(TypeError, match=f"^integrate takes a Bundle, not {name}$"):
+                integrate(bundle, RingElement(6, (3,)))
+            for n in (0, 1, 3):
+                with pytest.raises(TypeError, match=f"^cup_power takes a Bundle, not {name}$"):
+                    cup_power(bundle, xi(), n)
 
     def test_unit_acts_trivially(self):
         y = degree2(4, -5)
@@ -439,6 +467,13 @@ class TestJupp:
         assert same.ok and bool(same)
         assert "trilinear" in cmp.failures
         assert "p1" in cmp.failures
+
+    def test_failures_name_the_false_flags_in_field_order(self):
+        for flags in product((False, True), repeat=3):
+            cmp = JuppComparison(*flags)
+            assert cmp.failures == tuple(
+                name for name, good in zip(("trilinear", "w2", "p1"), flags) if not good)
+            assert cmp.ok is all(flags)
 
     def test_find_equivalence(self):
         inv1 = jupp_invariants(B)
