@@ -6,6 +6,12 @@ are term lists. Output for a given invocation is byte-for-byte deterministic.
 
 Exit codes: 0 success, 1 computation error (structured {"error": ...}) or a
 failing reproduce-all run, 2 usage error.
+
+Each call of ``gkmloc`` is a fresh interpreter, so this module imports at the
+top only what the parser and every subcircle subcommand need: exact, gkm and
+localization. A handler imports the other modules it runs (projbundle for ring
+and jupp, toric for toric-glue, kahlercone for kahler-cone, all three for
+reproduce-all), and ``gkmloc chern`` neither compiles nor loads them.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from . import gkm, kahlercone, localization, projbundle, toric
+from . import gkm, localization
 from .exact import ParamPoly, ToolkitError, rat
 
 
@@ -87,6 +93,8 @@ def _cmd_dh_volume(g, s, args):
 
 
 def _ring_payload(k1: int, k2: int):
+    from . import projbundle
+
     b = projbundle.Bundle(k1, k2)
     c1, c2, c3 = projbundle.total_chern(b)
     p1, w2, c1_even = projbundle.p1_and_w2(b)
@@ -113,6 +121,8 @@ def _cmd_ring(args):
 
 
 def _cmd_jupp(args):
+    from . import projbundle
+
     g = _graph(args.name)
     inv_graph = localization.jupp_invariants_from_gkm(g, (args.a, args.b))
     inv_ring = projbundle.jupp_invariants(projbundle.Bundle(args.k1, args.k2))
@@ -128,6 +138,8 @@ def _cmd_jupp(args):
 
 
 def _cmd_toric_glue(args):
+    from . import toric
+
     report = toric.builtin_glue_report()
     return {
         "ok": report.ok,
@@ -139,6 +151,8 @@ def _cmd_toric_glue(args):
 
 
 def _cmd_kahler_cone(args):
+    from . import kahlercone
+
     return kahlercone.kahler_obstruction(rat(args.l1), rat(args.l2), args.n), 0
 
 
@@ -148,6 +162,8 @@ def _cmd_kahler_cone(args):
 
 def _reproduce_checks():
     """(name, expected, got) triples for every documented reference value."""
+    from . import kahlercone, projbundle, toric
+
     g = gkm.tolman_graph()
     checks = []
 

@@ -22,7 +22,7 @@ from .exact import ToolkitError, rat
 
 
 class NotDestabilizingError(ToolkitError):
-    """Raised by ``curve_invariants`` for an n that gives no destabilizing curve."""
+    """Raised by ``curve_invariants`` for an int n < 2, which gives no destabilizing curve."""
 
 
 class InvalidKahlerParametersError(ToolkitError):
@@ -49,8 +49,13 @@ class CurveInvariants:
 
 
 def curve_invariants(n: int = 2) -> CurveInvariants:
-    """Invariants of the destabilizing sphere; n < 2 does not destabilize."""
-    if not isinstance(n, int) or n < 2:
+    """Invariants of the destabilizing sphere; n < 2 does not destabilize.
+
+    n must be an int (not a bool); any other type raises TypeError.
+    """
+    if type(n) is not int:
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    if n < 2:
         raise NotDestabilizingError(f"n = {n!r} gives no destabilizing curve")
     m = 2 * n + 1
     return CurveInvariants(n=n, m=m, c1_pairing=3 - m, eta_pairing=1, xi_pairing=-n)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .exact import ParamPoly, ToolkitError, linear_poly
 from .gkm import (
@@ -45,7 +46,9 @@ from .gkm import (
     _nondegenerate_table,
     restrict_weights,  # unused here; benchmarks/ reads it as localization.restrict_weights
 )
-from .projbundle import JuppInvariants, trilinear_from_cubic
+
+if TYPE_CHECKING:  # imported where used, so that importing this module leaves projbundle out
+    from .projbundle import JuppInvariants
 
 
 class NotHomogeneousCubicError(ToolkitError):
@@ -232,9 +235,11 @@ def _solve_c1(nums, den):
 
 def _tensor(nums, den):
     """The cubic form's tensor from the sums of _omega_integrals."""
+    from . import projbundle
+
     t0, t1, t2, t3 = nums[3:7]
-    return trilinear_from_cubic((Fraction(t3, den), Fraction(3 * t2, den),
-                                 Fraction(3 * t1, den), Fraction(t0, den)))
+    return projbundle.trilinear_from_cubic((Fraction(t3, den), Fraction(3 * t2, den),
+                                            Fraction(3 * t1, den), Fraction(t0, den)))
 
 
 def cubic_form_from_gkm(g: GKMGraph, s):
@@ -269,6 +274,8 @@ def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
     """Classifying invariants on the basis (xi', eta'), from one localization pass:
     the trilinear tensor, w2 = c1 mod 2 and <p1, xi'>, <p1, eta'> (all must be integral).
     """
+    from . import projbundle
+
     nums, den = _omega_integrals(g, s)
     an, bn, det = _solve_c1(nums, den)
     if an % det or bn % det:
@@ -278,5 +285,5 @@ def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
     if p1x % den or p1y % den:
         raise NonIntegralP1Error(f"<p1, xi'> = {Fraction(p1x, den)}, "
                                  f"<p1, eta'> = {Fraction(p1y, den)}: not integers")
-    return JuppInvariants(_tensor(nums, den), (an // det % 2, bn // det % 2),
-                          (p1x // den, p1y // den))
+    return projbundle.JuppInvariants(_tensor(nums, den), (an // det % 2, bn // det % 2),
+                                     (p1x // den, p1y // den))

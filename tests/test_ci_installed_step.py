@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 STEP = "- name: Installed package"
@@ -56,9 +58,16 @@ def installed_copy(tmp_path):
 
 
 def test_passes_on_a_package_outside_the_checkout(tmp_path):
-    proc = run_step(tmp_path, installed_copy(tmp_path))
+    # the stand-in logs the argv of each call, every one a process of its own
+    log = tmp_path / "calls"
+    body = f'echo "$*" >>"{log}"; exec "{sys.executable}" -m gkmloc "$@"'
+    proc = run_step(tmp_path, installed_copy(tmp_path), body)
     assert proc.returncode == 0, proc.stderr
-    assert "gkmloc reproduce-all matches its golden entry" in proc.stdout
+    assert ("gkmloc reproduce-all, chern, ring, jupp, toric-glue, kahler-cone"
+            " match their golden entries") in proc.stdout
+    assert log.read_text().splitlines() == [
+        "reproduce-all", "chern --a 2 --b 1 --monomial c1^3", "ring --k1 -3 --k2 -3", "jupp",
+        "toric-glue", "kahler-cone --l1 1 --l2 2"]
 
 
 def test_fails_on_the_checkouts_own_package(tmp_path):
@@ -73,6 +82,17 @@ def test_fails_on_output_that_differs_from_the_golden_entry(tmp_path):
     proc = run_step(tmp_path, installed_copy(tmp_path), body)
     assert proc.returncode != 0
     assert "gkmloc reproduce-all differs from its golden entry" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", ["chern --a 2 --b 1 --monomial c1^3", "ring --k1 -3 --k2 -3",
+                                  "jupp", "toric-glue", "kahler-cone --l1 1 --l2 2"])
+def test_fails_when_one_command_differs(tmp_path, argv):
+    # only this command's output gets a space before its newline
+    body = (f'if [ "$*" = "{argv}" ]; then "{sys.executable}" -m gkmloc "$@" | sed "s/}}$/}} /";'
+            f' else exec "{sys.executable}" -m gkmloc "$@"; fi')
+    proc = run_step(tmp_path, installed_copy(tmp_path), body)
+    assert proc.returncode != 0
+    assert f"gkmloc {argv} differs from its golden entry" in proc.stderr
 
 
 def job_settings(job):

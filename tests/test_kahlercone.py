@@ -27,8 +27,14 @@ class TestCurveInvariants:
         for n in (1, 0, -3):
             with pytest.raises(NotDestabilizingError):
                 curve_invariants(n)
-        with pytest.raises(NotDestabilizingError):
-            curve_invariants("2")
+
+    def test_n_must_be_an_int(self):
+        # 2 destabilizes, so these are refused for their type, not their value
+        for n in (2.0, "2", None, Fraction(2), True, False):
+            with pytest.raises(TypeError, match=f"^n must be an int, not {type(n).__name__}$"):
+                curve_invariants(n)
+            with pytest.raises(TypeError, match=f"^n must be an int, not {type(n).__name__}$"):
+                kahler_obstruction(1, 3, n)
 
 
 class TestPairing:

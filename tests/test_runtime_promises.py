@@ -2,18 +2,22 @@
 absolute import is from the standard library, no float literal appears, and
 the CLI reads only the public names of the library modules. The package itself
 holds no second name for a library object: ``import gkmloc`` loads no module.
+A fresh interpreter that runs one subcommand loads only the modules it runs.
 An unbounded cache holds one value per process: it decorates a function with
 no parameters, so what it keeps cannot grow with the inputs. Every file of the
 package and the tests parses as the oldest Python that ``requires-python``
 names, whatever version runs the suite."""
 
 import ast
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import OWN_OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gkmloc"
@@ -92,6 +96,52 @@ def test_the_package_is_its_modules():
     assert (loaded, objects) == ("[]", "[]")
     assert modules == str([f"gkmloc.{m}" for m in (
         "cli", "exact", "gkm", "kahlercone", "localization", "projbundle", "toric")])
+
+
+# The gkmloc modules a fresh interpreter holds after one call of each subcommand:
+# cli imports exact, gkm and localization at the top, and each handler imports
+# the other modules it runs. None stands for a bare ``import gkmloc.cli``.
+CLI_MODULES = ("cli", "exact", "gkm", "localization")
+SUBCOMMAND_MODULES = {
+    None: CLI_MODULES,
+    **dict.fromkeys(("graph", "weights", "betti", "coprime", "spheres", "chern", "dh-volume"),
+                    CLI_MODULES),
+    "ring": CLI_MODULES + ("projbundle",),
+    "jupp": CLI_MODULES + ("projbundle",),
+    "toric-glue": CLI_MODULES + ("toric",),
+    "kahler-cone": CLI_MODULES + ("kahlercone",),
+    "reproduce-all": CLI_MODULES + ("kahlercone", "projbundle", "toric"),
+}
+
+
+def first_golden_argvs():
+    """The first argv of each subcommand in tests/cli_golden.json, by subcommand."""
+    argvs = {}
+    for case in json.loads((ROOT / "tests" / "cli_golden.json").read_text()):
+        argvs.setdefault(case["argv"][0], case["argv"])
+    return argvs
+
+
+def test_the_module_table_names_every_subcommand():
+    assert set(SUBCOMMAND_MODULES) - {None} == set(first_golden_argvs()) == set(OWN_OPTIONS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES, ids=lambda c: c or "import")
+def test_each_subcommand_loads_only_the_modules_it_runs(command):
+    # a fresh interpreter, so that only this call has imported anything
+    argv = first_golden_argvs()[command] if command else None
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import gkmloc.cli\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert gkmloc.cli.run(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gkmloc.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted(f'gkmloc.{m}' for m in SUBCOMMAND_MODULES[command])}\n"
 
 
 def unbounded_caches():
