@@ -240,7 +240,8 @@ def _reproduce_checks():
     add("ring/xi-cubed-(-1,-1)", [Fraction(2)],
         list(projbundle.cup_power(b, projbundle.xi(), 3).coords))
     add("ring/c1_cubed-(-1,-1)", 64, projbundle.c1_cubed(b))
-    add("ring/c1_cubed-(-1,0)", 56, projbundle.c1_cubed(projbundle.Bundle(-1, 0)))
+    b_10 = projbundle.Bundle(-1, 0)
+    add("ring/c1_cubed-(-1,0)", 56, projbundle.c1_cubed(b_10))
     add("ring/c1_cubed-(0,1)", 46, projbundle.c1_cubed(projbundle.Bundle(0, 1)))
     add("ring/c1_cubed-ring-route", Fraction(64),
         projbundle.integrate(b, projbundle.cup_power(b, c1, 3)))
@@ -261,7 +262,7 @@ def _reproduce_checks():
     add("jupp/tensors-equal", inv_ring.trilinear, inv_graph.trilinear)
     add("jupp/match-(-1,-1)", True, projbundle.jupp_compare(inv_graph, inv_ring, identity).ok)
     mismatch = projbundle.jupp_compare(
-        inv_ring, projbundle.jupp_invariants(projbundle.Bundle(-1, 0)), identity)
+        inv_ring, projbundle.jupp_invariants(b_10), identity)
     add("jupp/mismatch-(-1,0)", [False, True],
         [mismatch.ok, "trilinear" in mismatch.failures])
 

@@ -55,6 +55,9 @@ def rat(value) -> Fraction:
             problem = "zero denominator in "
         except ValueError:
             problem = "not an exact rational: "
+        except TypeError:
+            raise TypeError(f"an exact rational is an int, a Fraction or a 'p/q' string, "
+                            f"not {type(value).__name__}") from None
     text = repr(value)
     if len(text) > 80:
         text = f"{text[:80]}... ({len(str(value))} characters)"

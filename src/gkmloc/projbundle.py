@@ -70,6 +70,19 @@ class Bundle:
         w2 = tuple(int(c) % 2 for c in c1.coords)
         return (c1, c2, c3), (p1, w2, all(v == 0 for v in w2))
 
+    @cached_property
+    def _moments(self):
+        """(M0, M1, M2, M3) as ints, Mk the integral of eta^(3-k)*xi^k, reduced once with cup.
+
+        Every top-degree integral of the ring is a combination of these four: a
+        degree-4 class is eta times a degree-2 class, and the cube of
+        a*eta + b*xi is the sum of C(3, k) a^(3-k) b^k Mk.
+        """
+        e, x = eta(), xi()
+        ee, xx = cup(self, e, e), cup(self, x, x)
+        return tuple(int(integrate(self, cup(self, sq, y)))
+                     for sq, y in ((ee, e), (ee, x), (xx, e), (xx, x)))
+
 
 @dataclass(frozen=True)
 class RingElement:
@@ -85,18 +98,29 @@ class RingElement:
             if self.degree < 0 or self.degree % 2:
                 raise ValueError(f"degree {self.degree} is not even and non-negative")
             raise DegreeOverflowError(f"no classes of degree {self.degree}")
+        if isinstance(self.coords, (str, bytes)) or not hasattr(self.coords, "__iter__"):
+            raise TypeError(f"coordinates must be an iterable of rationals, "
+                            f"not {type(self.coords).__name__}")
         coords = tuple(rat(c) for c in self.coords)
         if len(coords) != (size := len(_BASIS_NAMES[self.degree])):
             raise ValueError(f"degree {self.degree} needs {size} coordinates")
         object.__setattr__(self, "coords", coords)
+
+    @classmethod
+    def _make(cls, degree, coords) -> "RingElement":
+        """A class from Fraction coordinates the ring has just computed, stored unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coords", coords)
+        return self
 
     def __add__(self, other):
         if not isinstance(other, RingElement):
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("cannot add classes of different degrees")
-        return RingElement(self.degree,
-                           tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return RingElement._make(self.degree,
+                                 tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
         if not isinstance(other, RingElement):
@@ -107,7 +131,7 @@ class RingElement:
         if isinstance(scalar, RingElement):
             raise TypeError("use cup() to multiply ring classes")
         c = rat(scalar)
-        return RingElement(self.degree, tuple(c * v for v in self.coords))
+        return RingElement._make(self.degree, tuple(c * v for v in self.coords))
 
     __rmul__ = __mul__
 
@@ -118,7 +142,7 @@ class RingElement:
         names = _BASIS_NAMES[self.degree]
         parts = [f"{c}*{n}" if n != "1" else str(c)
                  for c, n in zip(self.coords, names) if c]
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def one() -> RingElement:
@@ -164,11 +188,11 @@ def cup(bundle: Bundle, x: RingElement, y: RingElement) -> RingElement:
         a2, b2 = y.coords
         # eta^2, eta*xi, xi^2 coefficients before reduction
         ee, ex, xx = a1 * a2, a1 * b2 + a2 * b1, b1 * b2
-        return RingElement(4, (ee - k2 * xx, ex - k1 * xx))
+        return RingElement._make(4, (ee - k2 * xx, ex - k1 * xx))
     a, b = x.coords
     p, q = y.coords
     # eta^3 = 0; eta^2*xi survives; eta*xi^2 = -k1*eta^2*xi
-    return RingElement(6, (a * q + b * p - k1 * b * q,))
+    return RingElement._make(6, (a * q + b * p - k1 * b * q,))
 
 
 def integrate(bundle: Bundle, x: RingElement) -> Fraction:
@@ -206,9 +230,22 @@ def total_chern(bundle: Bundle):
     return bundle._classes[0]
 
 
+def _cube(bundle: Bundle, a, b):
+    """The integral of (a*eta + b*xi)^3, expanded over the bundle's moments."""
+    m0, m1, m2, m3 = bundle._moments
+    return a * a * (a * m0 + 3 * b * m1) + b * b * (3 * a * m2 + b * m3)
+
+
+def _pairings(bundle: Bundle, w: RingElement):
+    """(<w, eta>, <w, xi>) for a degree-4 class w = eta*(p*eta + q*xi), from the moments."""
+    m0, m1, m2, _ = bundle._moments
+    p, q = w.coords
+    return p * m0 + q * m1, p * m1 + q * m2
+
+
 def c1_cubed(bundle: Bundle) -> int:
     """The Chern number c1^3 of P(E), integrated in the ring."""
-    return int(integrate(bundle, cup_power(bundle, total_chern(bundle)[0], 3)))
+    return int(_cube(bundle, *total_chern(bundle)[0].coords))
 
 
 def p1_and_w2(bundle: Bundle):
@@ -222,20 +259,17 @@ def p1_and_w2(bundle: Bundle):
 
 
 def c2_pairings(bundle: Bundle):
-    """(<c2, eta>, <c2, xi>) computed by ring reduction."""
-    c2 = total_chern(bundle)[1]
-    return (integrate(bundle, cup(bundle, c2, eta())),
-            integrate(bundle, cup(bundle, c2, xi())))
+    """(<c2, eta>, <c2, xi>) as Fractions, integrated in the ring."""
+    return _pairings(bundle, total_chern(bundle)[1])
 
 
 def cubic_form(bundle: Bundle, a, b) -> Fraction:
     """Cubic intersection form on degree 2: the integral of (a*eta + b*xi)^3.
 
-    Computed by ring reduction; the closed form
+    Integrated in the ring, as a Fraction; the closed form
     b*(3a^2 - 3*k1*a*b + (k1^2 - k2)*b^2) is the test oracle.
     """
-    y = degree2(a, b)
-    return integrate(bundle, cup(bundle, cup(bundle, y, y), y))
+    return _cube(bundle, rat(a), rat(b))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +362,10 @@ def jupp_invariants(bundle: Bundle) -> JuppInvariants:
     xi^k eta^(3-k), as the graph route polarizes its localized moments.
     """
     p1, w2, _ = p1_and_w2(bundle)
-    basis = (xi(), eta())
-    squares = (cup(bundle, basis[0], basis[0]), cup(bundle, basis[1], basis[1]))
-    m = [integrate(bundle, cup(bundle, sq, y)) for sq in squares for y in basis]
-    tensor = trilinear_from_cubic((m[0], 3 * m[1], 3 * m[2], m[3]))
-    pairings = tuple(int(integrate(bundle, cup(bundle, p1, y))) for y in basis)
-    return JuppInvariants(tensor, (w2[1], w2[0]), pairings)
+    m0, m1, m2, m3 = bundle._moments
+    on_eta, on_xi = _pairings(bundle, p1)
+    return JuppInvariants(trilinear_from_cubic((m3, 3 * m2, 3 * m1, m0)), (w2[1], w2[0]),
+                          (int(on_xi), int(on_eta)))
 
 
 _INDEX_TRIPLES = tuple(product(range(2), repeat=3))

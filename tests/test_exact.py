@@ -42,6 +42,15 @@ class TestRational:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    @pytest.mark.parametrize("value", [None, [1], b"1", (1, 2), object()])
+    def test_other_types_are_named(self, value):
+        # Fraction's own text named neither the accepted inputs nor the type received
+        with pytest.raises(TypeError, match="^an exact rational is an int, a Fraction or a "
+                                            f"'p/q' string, not {type(value).__name__}$"):
+            rat(value)
+        with pytest.raises(TypeError, match=f"string, not {type(value).__name__}$"):
+            ParamPoly.const(value)
+
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             rat("1/0")

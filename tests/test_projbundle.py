@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gkmloc import projbundle
 from gkmloc.projbundle import (
     Bundle,
     DegreeOverflowError,
@@ -119,9 +120,34 @@ class TestRingElements:
         with pytest.raises(TypeError):
             eta() * xi()
 
+    @pytest.mark.parametrize("degree, coords", [(2, "10"), (0, "5"), (2, b"10"), (0, 5),
+                                                (2, None), (0, Fraction(1))])
+    def test_coordinates_must_be_an_iterable_of_rationals(self, degree, coords):
+        # a string was split into characters: RingElement(2, "10") equalled 1*eta
+        with pytest.raises(TypeError, match="^coordinates must be an iterable of rationals, "
+                                            f"not {type(coords).__name__}$"):
+            RingElement(degree, coords)
+
+    def test_degree2_names_a_bad_coefficient(self):
+        with pytest.raises(TypeError, match="^an exact rational is an int, a Fraction or a "
+                                            "'p/q' string, not list$"):
+            degree2([1], 0)
+
     def test_str(self):
-        assert str(degree2(3, -1)) == "3*eta + -1*xi"
+        assert str(degree2(3, -1)) == "3*eta - 1*xi"
         assert str(RingElement(4, (0, 0))) == "0"
+        assert str(RingElement(4, (Fraction(1, 2), -3))) == "1/2*eta^2 - 3*eta*xi"
+        assert str(RingElement(4, (-2, Fraction(-1, 3)))) == "-2*eta^2 - 1/3*eta*xi"
+        assert str(RingElement(6, (-5,))) == "-5*eta^2*xi"
+        assert str(RingElement(0, (-5,))) == "-5"
+
+    def test_ring_results_have_fraction_coordinates(self):
+        # cup, + and scalar * build their results without coercing them again
+        results = (cup(B, xi(), xi()), cup(B, eta(), RingElement(4, (1, 2))), cup(B, one(), xi()),
+                   eta() + xi(), xi() - eta(), 3 * xi(), xi() * "1/2", RingElement(6, (1,)) * 0)
+        for x in results:
+            assert all(type(c) is Fraction for c in x.coords), x
+            assert x == RingElement(x.degree, x.coords)
 
 
 class TestCupProduct:
@@ -267,6 +293,7 @@ class TestCharacteristicClasses:
         b = Bundle(-1, -1)
         total_chern(b)
         p1_and_w2(b)
+        c1_cubed(b)
         assert b == Bundle(-1, -1)
         assert hash(b) == hash(Bundle(-1, -1))
         assert repr(b) == "Bundle(k1=-1, k2=-1)"
@@ -301,6 +328,70 @@ class TestCharacteristicClasses:
     def test_c2_pairings(self):
         assert c2_pairings(B) == (6, 6)
         assert c2_pairings(Bundle(0, 0)) == (6, 3)
+
+
+def cup_route(bundle, a, b):
+    """The four ring invariants from their own cup chains, as each was computed
+    before the moments: the oracle for the moment reads."""
+    c1, c2, _ = total_chern(bundle)
+    p1, w2, _ = p1_and_w2(bundle)
+    y = degree2(a, b)
+    basis = (xi(), eta())
+    squares = (cup(bundle, basis[0], basis[0]), cup(bundle, basis[1], basis[1]))
+    m = [integrate(bundle, cup(bundle, sq, z)) for sq in squares for z in basis]
+    return {
+        "c2_pairings": (integrate(bundle, cup(bundle, c2, eta())),
+                        integrate(bundle, cup(bundle, c2, xi()))),
+        "cubic_form": integrate(bundle, cup(bundle, cup(bundle, y, y), y)),
+        "c1_cubed": int(integrate(bundle, cup_power(bundle, c1, 3))),
+        "jupp": (trilinear_from_cubic((m[0], 3 * m[1], 3 * m[2], m[3])), (w2[1], w2[0]),
+                 tuple(int(integrate(bundle, cup(bundle, p1, z))) for z in basis)),
+    }
+
+
+def typed(value):
+    """value with every leaf paired with its type, so that == also compares types."""
+    if isinstance(value, tuple):
+        return tuple(typed(v) for v in value)
+    return type(value), value
+
+
+class TestMomentsAgainstCupChains:
+    def test_every_invariant_matches_its_cup_chain(self):
+        rng = random.Random(3406)
+        for k1, k2 in product(range(-6, 7), repeat=2):
+            for _ in range(3):
+                a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(2))
+                bundle = Bundle(k1, k2)
+                want = cup_route(Bundle(k1, k2), a, b)
+                inv = jupp_invariants(bundle)
+                got = {"c2_pairings": c2_pairings(bundle), "cubic_form": cubic_form(bundle, a, b),
+                       "c1_cubed": c1_cubed(bundle),
+                       "jupp": (inv.trilinear, inv.w2, inv.p1_pairings)}
+                assert {k: typed(v) for k, v in got.items()} == \
+                    {k: typed(v) for k, v in want.items()}, (k1, k2, a, b)
+
+    def test_int_and_string_arguments_of_the_cubic(self):
+        for a, b in ((3, 2), ("1/2", -1), (0, "-7/3")):
+            assert typed(cubic_form(B, a, b)) == typed(cup_route(B, a, b)["cubic_form"])
+
+    def test_moments_are_the_basis_triple_products(self):
+        for k1, k2 in product(range(-3, 4), repeat=2):
+            assert Bundle(k1, k2)._moments == (0, 1, -k1, k1 * k1 - k2)
+
+    def test_one_fresh_bundle_reduces_seven_cups(self, monkeypatch):
+        # one for p1 and six for the four moments; the cup chains made 16
+        calls, real_cup = [], projbundle.cup
+
+        def counting_cup(*args):
+            calls.append(args[1:])
+            return real_cup(*args)
+
+        monkeypatch.setattr(projbundle, "cup", counting_cup)
+        bundle = Bundle(2, -3)
+        for _ in range(2):
+            c2_pairings(bundle), cubic_form(bundle, 1, 2), c1_cubed(bundle), jupp_invariants(bundle)
+            assert len(calls) == 7
 
 
 class TestCubicForm:
@@ -363,6 +454,9 @@ class TestTrilinearForms:
             trilinear_from_cubic((1, 2, 3))
         with pytest.raises(NotCubicError):
             trilinear_from_cubic(("1", "x", "0", "0"))
+        with pytest.raises(NotCubicError, match="^bad cubic coefficients: an exact rational is "
+                                                "an int, a Fraction or a 'p/q' string, not NoneType$"):
+            trilinear_from_cubic((1, None, 0, 0))
 
     def test_tensor_recovers_cubic_on_diagonal(self):
         rng = random.Random(77)

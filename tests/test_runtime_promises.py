@@ -4,7 +4,9 @@ the CLI reads only the public names of the library modules. The package itself
 holds no second name for a library object: ``import gkmloc`` loads no module.
 A fresh interpreter that runs one subcommand loads only the modules it runs.
 An unbounded cache holds one value per process: it decorates a function with
-no parameters, so what it keeps cannot grow with the inputs. Every file of the
+no parameters, so what it keeps cannot grow with the inputs. A per-instance
+cache (``functools.cached_property``) sits only on a frozen dataclass, whose
+fields cannot change after the value is cached. Every file of the
 package and the tests parses as the oldest Python that ``requires-python``
 names, whatever version runs the suite."""
 
@@ -173,3 +175,36 @@ def test_unbounded_caches_take_no_parameters():
     assert {("gkm", "tolman_graph"), ("cli", "_parser"), ("toric", "builtin_projections"),
             ("toric", "builtin_glue_report")} <= {c[:2] for c in caches}
     assert [c for c in caches if c[2]] == []
+
+
+def cached_properties():
+    """(module, class or None, property, whether the class is a frozen dataclass) of every
+    function decorated with ``functools.cached_property``, under any import spelling."""
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    def frozen_dataclass(cls):
+        return any(isinstance(dec, ast.Call) and name(dec.func) == "dataclass"
+                   and any(kw.arg == "frozen" and isinstance(kw.value, ast.Constant)
+                           and kw.value.value is True for kw in dec.keywords)
+                   for dec in cls.decorator_list)
+
+    for path in SOURCES:
+        tree = parse(path)
+        owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    name(dec) == "cached_property" for dec in node.decorator_list):
+                cls = owner.get(id(node))
+                yield (path.stem, cls and cls.name, node.name,
+                       cls is not None and frozen_dataclass(cls))
+
+
+def test_cached_properties_sit_on_frozen_dataclasses():
+    # a frozen instance cannot change after its value is cached, so no cache goes stale
+    found = list(cached_properties())
+    assert {("projbundle", "Bundle", "_classes"), ("projbundle", "Bundle", "_moments"),
+            ("gkm", "GKMGraph", "_outgoing"), ("toric", "Polytope", "_edges")} \
+        <= {f[:3] for f in found}
+    assert [f for f in found if not f[3]] == []
