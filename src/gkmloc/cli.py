@@ -12,6 +12,10 @@ top only what the parser and every subcircle subcommand need: exact, gkm and
 localization. A handler imports the other modules it runs (projbundle for ring
 and jupp, toric for toric-glue, kahlercone for kahler-cone, all three for
 reproduce-all), and ``gkmloc chern`` neither compiles nor loads them.
+
+``run`` parses once: an argv whose first word names a subcommand goes straight
+to that subcommand's parser, which is what argparse's nested parse would hand
+it, so help and error texts are unchanged.
 """
 
 from __future__ import annotations
@@ -335,8 +339,8 @@ def _add_subcircle_command(sub, name, func, help_text, **extra):
     p.set_defaults(func=lambda args: func(_graph(args.name), (args.a, args.b), args))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call; ``run`` keeps its own, so changing this one cannot affect it."""
+def _build_parser():
+    """A new parser and its subcommand parsers by name: the ``choices`` of its subparsers action."""
     parser = argparse.ArgumentParser(
         prog="gkmloc",
         description="Exact localization invariants of GKM graphs and projective bundles",
@@ -382,22 +386,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-all", help="re-run every documented reference value")
     p.set_defaults(func=_cmd_reproduce_all)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; ``run`` keeps its own, so changing this one cannot affect it."""
+    return _build_parser()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses, built on the first call and kept for the process.
+def _parser():
+    """``run``'s parser and subcommand parsers, built on the first call and kept for the process.
 
-    Sharing it is safe: it holds only constants and handlers that look up
+    Sharing them is safe: they hold only constants and handlers that look up
     what they compute with when called, and argparse resolves sys.stdout and
     sys.stderr when it prints.
     """
-    return build_parser()
+    return _build_parser()
+
+
+def _parse(argv):
+    """The namespace or exit of ``build_parser().parse_args(argv)``, in one parse.
+
+    An argv that starts with a subcommand's name goes to that subcommand's
+    parser alone, as the full parser would hand it on, and the full parser
+    reports what is left over. Any other argv goes through the full parser.
+    """
+    parser, subparsers = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not (argv and argv[0] in subparsers):
+        return parser.parse_args(argv)
+    args, extras = subparsers[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         payload, code = args.func(args)
         # rendered here too: an int past the interpreter's str() digit limit raises ValueError

@@ -40,6 +40,13 @@ class NotUnimodularError(ToolkitError):
     """Raised by ``jupp_compare`` for a basis change Q whose determinant is not 1 or -1."""
 
 
+def _rat(value) -> Fraction:
+    """``rat`` for ring coordinates and scalars, which refuse bools as ``Bundle`` does."""
+    if type(value) is bool:
+        raise TypeError(f"a ring rational must not be a bool, got {value!r}")
+    return rat(value)
+
+
 _BASIS_NAMES = {
     0: ("1",),
     2: ("eta", "xi"),
@@ -101,7 +108,7 @@ class RingElement:
         if isinstance(self.coords, (str, bytes)) or not hasattr(self.coords, "__iter__"):
             raise TypeError(f"coordinates must be an iterable of rationals, "
                             f"not {type(self.coords).__name__}")
-        coords = tuple(rat(c) for c in self.coords)
+        coords = tuple(_rat(c) for c in self.coords)
         if len(coords) != (size := len(_BASIS_NAMES[self.degree])):
             raise ValueError(f"degree {self.degree} needs {size} coordinates")
         object.__setattr__(self, "coords", coords)
@@ -130,7 +137,7 @@ class RingElement:
     def __mul__(self, scalar):
         if isinstance(scalar, RingElement):
             raise TypeError("use cup() to multiply ring classes")
-        c = rat(scalar)
+        c = _rat(scalar)
         return RingElement._make(self.degree, tuple(c * v for v in self.coords))
 
     __rmul__ = __mul__
@@ -269,7 +276,7 @@ def cubic_form(bundle: Bundle, a, b) -> Fraction:
     Integrated in the ring, as a Fraction; the closed form
     b*(3a^2 - 3*k1*a*b + (k1^2 - k2)*b^2) is the test oracle.
     """
-    return _cube(bundle, rat(a), rat(b))
+    return _cube(bundle, _rat(a), _rat(b))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def trilinear_from_cubic(coeffs):
     (ints when integral).
     """
     try:
-        coeffs = tuple(rat(c) for c in coeffs)
+        coeffs = tuple(_rat(c) for c in coeffs)
     except (TypeError, ValueError) as exc:
         raise NotCubicError(f"bad cubic coefficients: {exc}") from None
     if len(coeffs) != 4:

@@ -64,10 +64,11 @@ def test_passes_on_a_package_outside_the_checkout(tmp_path):
     proc = run_step(tmp_path, installed_copy(tmp_path), body)
     assert proc.returncode == 0, proc.stderr
     assert ("gkmloc reproduce-all, chern, ring, jupp, toric-glue, kahler-cone"
-            " match their golden entries") in proc.stdout
+            " match their golden entries; toric-glue --x; chern --help match build_parser()"
+            ) in proc.stdout
     assert log.read_text().splitlines() == [
         "reproduce-all", "chern --a 2 --b 1 --monomial c1^3", "ring --k1 -3 --k2 -3", "jupp",
-        "toric-glue", "kahler-cone --l1 1 --l2 2"]
+        "toric-glue", "kahler-cone --l1 1 --l2 2", "toric-glue --x", "chern --help"]
 
 
 def test_fails_on_the_checkouts_own_package(tmp_path):
@@ -93,6 +94,17 @@ def test_fails_when_one_command_differs(tmp_path, argv):
     proc = run_step(tmp_path, installed_copy(tmp_path), body)
     assert proc.returncode != 0
     assert f"gkmloc {argv} differs from its golden entry" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, stream", [("toric-glue --x", 2), ("chern --help", 1)])
+def test_fails_when_a_usage_exit_differs_from_build_parser(tmp_path, argv, stream):
+    # only this call gets a line added to the stream that carries its text
+    body = (f'if [ "$*" = "{argv}" ]; then "{sys.executable}" -m gkmloc "$@";'
+            f' code=$?; echo extra >&{stream}; exit $code;'
+            f' else exec "{sys.executable}" -m gkmloc "$@"; fi')
+    proc = run_step(tmp_path, installed_copy(tmp_path), body)
+    assert proc.returncode != 0
+    assert f"gkmloc {argv} differs from build_parser().parse_args" in proc.stderr
 
 
 def job_settings(job):

@@ -13,13 +13,14 @@ import time
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gkmloc
 from gkmloc import cli, gkm, kahlercone, projbundle, toric
-from gkmloc.cli import _parser, _render, _reproduce_checks, build_parser, run
+from gkmloc.cli import _parse, _parser, _render, _reproduce_checks, build_parser, run
 from gkmloc.exact import ParamPoly, ToolkitError, rat_str
 from gkmloc.localization import CHERN_MONOMIALS
 
@@ -376,14 +377,17 @@ class TestErrorPaths:
 class TestSharedParser:
     def test_run_builds_the_parser_once(self, capsys, monkeypatch):
         capture(capsys, ["betti", "--a", "2", "--b", "1"])
-        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("run rebuilt the parser"))
+        for builder in ("build_parser", "_build_parser"):
+            monkeypatch.setattr(cli, builder, lambda: pytest.fail("run rebuilt the parser"))
         code, out = capture(capsys, ["chern", "--a", "2", "--b", "1", "--monomial", "c1^3"])
         assert (code, out) == (0, '{"value":"64"}\n')
+        with pytest.raises(SystemExit):
+            run(["nope"])
         assert _parser() is _parser()
 
     def test_build_parser_returns_a_parser_of_the_callers_own(self, capsys):
         mine = build_parser()
-        assert mine is not build_parser() and mine is not _parser()
+        assert mine is not build_parser() and mine is not _parser()[0]
         mine.add_argument("--must", required=True)
         mine.prog = "other"
         code, out = capture(capsys, ["chern", "--a", "2", "--b", "1", "--monomial", "c1^3"])
@@ -453,15 +457,15 @@ def argvs(draw):
     return argv
 
 
-def parse_outcome(parser, argv):
-    """("args", namespace without func) or ("exit", code, stdout, stderr)."""
+def parse_outcome(parse, argv):
+    """("args", namespace without func) or ("exit", code, stdout, stderr) of parse(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = parser.parse_args(argv)
+            args = parse(argv)
         except SystemExit as exc:
             return ("exit", exc.code, out.getvalue(), err.getvalue())
-    fields = vars(args)
+    fields = dict(vars(args))
     del fields["func"]
     return ("args", fields)
 
@@ -472,25 +476,35 @@ class TestArgvFuzz:
     def test_one_json_line_or_a_usage_exit(self, argv):
         """run raises nothing but SystemExit; a usage error (exit 2) prints
         nothing on stdout; a computed result (exit 0 or 1) is one JSON line.
-        The shared parser reads every argv as a freshly built one does, and
-        help (exit 0 from the parser) prints what a fresh parser prints."""
-        shared = parse_outcome(_parser(), argv)
-        assert shared == parse_outcome(build_parser(), argv)
+        run's parse step reads every argv as a freshly built parser does: the
+        same namespace, func aside, goes to the handler, and a usage error or
+        help request exits with the code, stdout and stderr of a fresh parser."""
+        fresh = parse_outcome(build_parser().parse_args, argv)
+        handed = []
+
+        def recording(argv):
+            handed.append(_parse(argv))
+            return handed[-1]
+
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(cli, "_parse", recording):
             try:
                 code = run(argv)
             except SystemExit as exc:
                 code = exc.code
-        if shared[0] == "exit":
-            assert ("exit", code, out.getvalue(), err.getvalue()) == shared
+        if handed:
+            assert parse_outcome(lambda _: handed[0], argv) == fresh
+        if fresh[0] == "exit":
+            assert not handed
+            assert ("exit", code, out.getvalue(), err.getvalue()) == fresh
             assert code in (0, 2)
             if code == 2:
                 assert out.getvalue() == ""
             else:
                 assert {"-h", "--help"} & set(argv)
         else:
-            assert code in (0, 1)
+            assert len(handed) == 1 and code in (0, 1)
             lines = out.getvalue().split("\n")
             assert len(lines) == 2 and lines[1] == ""
             loads_exact(lines[0])

@@ -133,6 +133,18 @@ class TestRingElements:
                                             "'p/q' string, not list$"):
             degree2([1], 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: RingElement(2, (True, False)), lambda: RingElement(0, (False,)),
+        lambda: degree2(True, 1), lambda: degree2(0, False), lambda: eta() * True,
+        lambda: False * xi(), lambda: cubic_form(Bundle(0, 0), False, True),
+        lambda: cubic_form(Bundle(0, 0), 1, True)])
+    def test_bools_are_not_rationals(self, make):
+        # RingElement(2, (True, False)) equalled eta(), although Bundle, degrees and
+        # cup_power exponents refuse bools; exact.rat still takes them for ParamPoly
+        with pytest.raises(TypeError,
+                           match="^a ring rational must not be a bool, got (True|False)$"):
+            make()
+
     def test_str(self):
         assert str(degree2(3, -1)) == "3*eta - 1*xi"
         assert str(RingElement(4, (0, 0))) == "0"
@@ -457,6 +469,9 @@ class TestTrilinearForms:
         with pytest.raises(NotCubicError, match="^bad cubic coefficients: an exact rational is "
                                                 "an int, a Fraction or a 'p/q' string, not NoneType$"):
             trilinear_from_cubic((1, None, 0, 0))
+        with pytest.raises(NotCubicError, match="^bad cubic coefficients: a ring rational "
+                                                "must not be a bool, got True$"):
+            trilinear_from_cubic((True, 0, 0, 1))
 
     def test_tensor_recovers_cubic_on_diagonal(self):
         rng = random.Random(77)

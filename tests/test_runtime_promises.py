@@ -2,7 +2,8 @@
 absolute import is from the standard library, no float literal appears, and
 the CLI reads only the public names of the library modules. The package itself
 holds no second name for a library object: ``import gkmloc`` loads no module.
-A fresh interpreter that runs one subcommand loads only the modules it runs.
+A fresh interpreter that runs one subcommand loads only the modules it runs,
+and a call that names a subcommand is parsed by that subcommand's parser alone.
 An unbounded cache holds one value per process: it decorates a function with
 no parameters, so what it keeps cannot grow with the inputs. A per-instance
 cache (``functools.cached_property``) sits only on a frozen dataclass, whose
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from gkmloc import cli
 from test_cli import OWN_OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,6 +146,47 @@ def test_each_subcommand_loads_only_the_modules_it_runs(command):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{sorted(f'gkmloc.{m}' for m in SUBCOMMAND_MODULES[command])}\n"
+
+
+def spy_on_the_top_level_parse(monkeypatch):
+    """The list of calls that the shared top-level parser's parse_known_args gets from now on."""
+    parser = cli._parser()[0]
+    calls, real = [], parser.parse_known_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+def test_a_subcommand_call_skips_the_top_level_parse(command, monkeypatch, capsys):
+    calls = spy_on_the_top_level_parse(monkeypatch)
+    assert cli.run(first_golden_argvs()[command]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["nope"], 2), (["--"], 2)])
+def test_other_argvs_take_the_top_level_parse(argv, code, monkeypatch, capsys):
+    calls = spy_on_the_top_level_parse(monkeypatch)
+    with pytest.raises(SystemExit) as err:
+        cli.run(argv)
+    assert (err.value.code, calls) == (code, [(argv, None)])
+
+
+def test_run_reads_sys_argv_without_an_argv(monkeypatch, capsys):
+    # main() and the console script call run() with no argv
+    argv = first_golden_argvs()["betti"]
+    assert cli.run(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["gkmloc", *argv])
+    assert cli.run() == 0
+    assert capsys.readouterr() == expected
+    with pytest.raises(SystemExit) as err:
+        cli.main()
+    assert (err.value.code, capsys.readouterr()) == (0, expected)
 
 
 def unbounded_caches():
