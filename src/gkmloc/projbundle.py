@@ -83,11 +83,12 @@ class Bundle:
 
         Every top-degree integral of the ring is a combination of these four: a
         degree-4 class is eta times a degree-2 class, and the cube of
-        a*eta + b*xi is the sum of C(3, k) a^(3-k) b^k Mk.
+        a*eta + b*xi is the sum of C(3, k) a^(3-k) b^k Mk. The cups run on the
+        int basis classes, so every product and integral is an int.
         """
-        e, x = eta(), xi()
+        e, x = _INT_ETA, _INT_XI
         ee, xx = cup(self, e, e), cup(self, x, x)
-        return tuple(int(integrate(self, cup(self, sq, y)))
+        return tuple(integrate(self, cup(self, sq, y))
                      for sq, y in ((ee, e), (ee, x), (xx, e), (xx, x)))
 
 
@@ -115,7 +116,12 @@ class RingElement:
 
     @classmethod
     def _make(cls, degree, coords) -> "RingElement":
-        """A class from Fraction coordinates the ring has just computed, stored unchecked."""
+        """A class from coordinates the ring has just computed, stored unchecked.
+
+        The coordinates are Fractions, except in the int basis classes _INT_ETA
+        and _INT_XI and the products ``Bundle._moments`` reduces from them,
+        which never leave this module.
+        """
         self = object.__new__(cls)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coords", coords)
@@ -152,16 +158,24 @@ class RingElement:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+_ONE = RingElement(0, (1,))
+_ETA = RingElement(2, (1, 0))
+_XI = RingElement(2, (0, 1))
+# eta and xi with int coordinates, for the moments only: public classes keep Fractions
+_INT_ETA = RingElement._make(2, (1, 0))
+_INT_XI = RingElement._make(2, (0, 1))
+
+
 def one() -> RingElement:
-    return RingElement(0, (1,))
+    return _ONE
 
 
 def eta() -> RingElement:
-    return RingElement(2, (1, 0))
+    return _ETA
 
 
 def xi() -> RingElement:
-    return RingElement(2, (0, 1))
+    return _XI
 
 
 def degree2(a, b) -> RingElement:
@@ -289,16 +303,24 @@ def trilinear_from_cubic(coeffs):
     coeffs are (c0, c1, c2, c3) for S(u, v) = c0 u^3 + c1 u^2 v + c2 u v^2 +
     c3 v^3; the tensor is indexed by the same basis order, so T(y, y, y) =
     S(y) and the entries with 3, 2, 1, 0 indices 0 are c0, c1/3, c2/3, c3
-    (ints when integral).
+    (ints when integral). Four ints whose middle two are multiples of 3 skip
+    the Fraction coercion.
     """
     try:
-        coeffs = tuple(_rat(c) for c in coeffs)
+        coeffs = tuple(coeffs)
+        ints = (len(coeffs) == 4 and all(type(c) is int for c in coeffs)
+                and coeffs[1] % 3 == coeffs[2] % 3 == 0)
+        if not ints:
+            coeffs = tuple(_rat(c) for c in coeffs)
     except (TypeError, ValueError) as exc:
         raise NotCubicError(f"bad cubic coefficients: {exc}") from None
     if len(coeffs) != 4:
         raise NotCubicError("a binary cubic form has exactly 4 coefficients")
     c0, c1, c2, c3 = coeffs
-    by_zeros = [int(v) if v.denominator == 1 else v for v in (c3, c2 / 3, c1 / 3, c0)]
+    if ints:
+        by_zeros = (c3, c2 // 3, c1 // 3, c0)
+    else:
+        by_zeros = [int(v) if v.denominator == 1 else v for v in (c3, c2 / 3, c1 / 3, c0)]
     return tuple(tuple(tuple(by_zeros[(i == 0) + (j == 0) + (k == 0)] for k in range(2))
                        for j in range(2)) for i in range(2))
 

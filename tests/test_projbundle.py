@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkmloc import projbundle
+from gkmloc import exact, projbundle
 from gkmloc.projbundle import (
     Bundle,
     DegreeOverflowError,
@@ -38,6 +38,10 @@ from gkmloc.projbundle import (
 B = Bundle(-1, -1)
 
 TENSOR_XI_ETA = (((2, 1), (1, 1)), ((1, 1), (1, 0)))
+
+INTS = st.integers(-10**9, 10**9)
+# a middle cubic coefficient: any int, or a multiple of 3 as on the int path
+MIDDLE = INTS | INTS.map(lambda n: 3 * n)
 
 
 # closed forms, the oracles for the ring route
@@ -154,12 +158,25 @@ class TestRingElements:
         assert str(RingElement(0, (-5,))) == "-5"
 
     def test_ring_results_have_fraction_coordinates(self):
-        # cup, + and scalar * build their results without coercing them again
+        # cup, + and scalar * build their results without coercing them again, and only
+        # the moments reduce on int classes: JSON prints Fraction(2) as "2" but 2 as 2
         results = (cup(B, xi(), xi()), cup(B, eta(), RingElement(4, (1, 2))), cup(B, one(), xi()),
-                   eta() + xi(), xi() - eta(), 3 * xi(), xi() * "1/2", RingElement(6, (1,)) * 0)
+                   eta() + xi(), xi() - eta(), 3 * xi(), xi() * "1/2", RingElement(6, (1,)) * 0,
+                   *total_chern(B), p1_and_w2(B)[0], degree2(1, 2), one(), eta(), xi(),
+                   *(cup_power(B, x, n) for x in (xi(), degree2(2, -1)) for n in range(4)))
         for x in results:
             assert all(type(c) is Fraction for c in x.coords), x
             assert x == RingElement(x.degree, x.coords)
+        for bundle in (B, Bundle(2, -3)):
+            bundle._moments
+            for x in (cup_power(bundle, xi(), 3), RingElement(6, (2,))):
+                assert type(integrate(bundle, x)) is Fraction
+
+    def test_basis_classes_are_built_once(self):
+        for make, fresh in ((one, RingElement(0, (1,))), (eta, RingElement(2, (1, 0))),
+                            (xi, RingElement(2, (0, 1)))):
+            assert make() == fresh
+            assert make() is make()
 
 
 class TestCupProduct:
@@ -389,7 +406,47 @@ class TestMomentsAgainstCupChains:
 
     def test_moments_are_the_basis_triple_products(self):
         for k1, k2 in product(range(-3, 4), repeat=2):
+            moments = Bundle(k1, k2)._moments
+            assert moments == (0, 1, -k1, k1 * k1 - k2)
+            assert all(type(m) is int for m in moments), moments
+
+    @settings(max_examples=200)
+    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @example(0, 0)
+    @example(10**6, -10**6)
+    def test_moments_match_the_closed_forms_and_the_fraction_route(self, k1, k2):
+        bundle = Bundle(k1, k2)
+        e, x = eta(), xi()
+        ee, xx = cup(bundle, e, e), cup(bundle, x, x)
+        fraction_route = tuple(integrate(bundle, cup(bundle, sq, y))
+                               for sq, y in ((ee, e), (ee, x), (xx, e), (xx, x)))
+        moments = bundle._moments
+        assert moments == (0, 1, -k1, k1 * k1 - k2) == fraction_route
+        assert all(type(m) is int for m in moments), moments
+
+    def test_moments_never_coerce_a_rational(self, monkeypatch):
+        # the moments reduce on the int basis classes: no coordinate goes through
+        # _rat or rat, and every cup multiplies and returns int coordinates
+        def no_rat(value):
+            raise AssertionError(f"rat({value!r})")
+
+        cups, real_cup = [], projbundle.cup
+
+        def recording_cup(bundle, x, y):
+            out = real_cup(bundle, x, y)
+            cups.append((x, y, out))
+            return out
+
+        for module, name in ((projbundle, "_rat"), (projbundle, "rat"), (exact, "rat")):
+            monkeypatch.setattr(module, name, no_rat)
+        monkeypatch.setattr(projbundle, "cup", recording_cup)
+        with pytest.raises(AssertionError, match="rat"):
+            degree2(1, 2)
+        for k1, k2 in ((2, -3), (0, 0), (-7, 11)):
             assert Bundle(k1, k2)._moments == (0, 1, -k1, k1 * k1 - k2)
+        assert len(cups) == 18
+        for classes in cups:
+            assert all(type(c) is int for z in classes for c in z.coords), classes
 
     def test_one_fresh_bundle_reduces_seven_cups(self, monkeypatch):
         # one for p1 and six for the four moments; the cup chains made 16
@@ -441,6 +498,30 @@ class TestTrilinearForms:
         assert t[0][0][1] == Fraction(1, 3)
 
     @settings(max_examples=200)
+    @given(st.tuples(INTS, MIDDLE, MIDDLE, INTS))
+    @example((2, 3, 3, 0))
+    @example((0, 1, 0, 0))
+    @example((0, 3, 2, 0))
+    def test_ints_polarize_as_fractions_do(self, coeffs):
+        # four ints take the int path when the middle two are multiples of 3;
+        # the entries, and their types, are those of the Fraction path
+        want = typed(trilinear_from_cubic(tuple(Fraction(c) for c in coeffs)))
+        assert typed(trilinear_from_cubic(coeffs)) == want
+        assert typed(trilinear_from_cubic(c for c in coeffs)) == want
+        assert typed(trilinear_from_cubic([str(c) for c in coeffs])) == want
+
+    def test_int_path_never_coerces(self, monkeypatch):
+        def no_rat(value):
+            raise AssertionError(f"_rat({value!r})")
+
+        monkeypatch.setattr(projbundle, "_rat", no_rat)
+        assert trilinear_from_cubic((2, 3, 3, 0)) == TENSOR_XI_ETA
+        assert trilinear_from_cubic(iter([2, 3, 3, 0])) == TENSOR_XI_ETA
+        for coeffs in ((0, 1, 0, 0), (Fraction(2), 3, 3, 0), (2, 3, 3, 0, 0)):
+            with pytest.raises(AssertionError, match="^_rat"):
+                trilinear_from_cubic(coeffs)
+
+    @settings(max_examples=200)
     @given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 6])),
                     min_size=4, max_size=4))
     def test_matches_the_polarization_identity(self, coeffs):
@@ -472,6 +553,14 @@ class TestTrilinearForms:
         with pytest.raises(NotCubicError, match="^bad cubic coefficients: a ring rational "
                                                 "must not be a bool, got True$"):
             trilinear_from_cubic((True, 0, 0, 1))
+        with pytest.raises(NotCubicError, match="^bad cubic coefficients: a ring rational "
+                                                "must not be a bool, got True$"):
+            trilinear_from_cubic((0, 3, 3, True))
+        with pytest.raises(NotCubicError, match="^a binary cubic form has exactly 4 coefficients$"):
+            trilinear_from_cubic(c for c in (2, 3, 3, 0, 0))
+        with pytest.raises(NotCubicError, match="^bad cubic coefficients: 'int' object "
+                                                "is not iterable$"):
+            trilinear_from_cubic(5)
 
     def test_tensor_recovers_cubic_on_diagonal(self):
         rng = random.Random(77)
