@@ -40,7 +40,8 @@ class ChamberSignError(ToolkitError):
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to an exact rational; exponent notation,
-    as in '1e-10000000' (a 10-million-digit denominator), raises BadRationalError.
+    as in '1e-10000000' (a 10-million-digit denominator), raises BadRationalError, and
+    every Python reads a string as 3.10 does: a '_' or whitespace inside is refused.
     The error message quotes a long input by a prefix and its length."""
     if type(value) is Fraction:
         return value
@@ -48,6 +49,9 @@ def rat(value) -> Fraction:
         raise TypeError("floats are not accepted; pass an exact 'p/q' string")
     if isinstance(value, str) and ("e" in value or "E" in value):
         problem = "exponent notation is not accepted: "
+    elif isinstance(value, str) and ("_" in value or len(value.split()) > 1):
+        # '1_0' and '1 / 2': Fraction reads them from Python 3.11 and 3.12 on; 3.10 does not
+        problem = "not an exact rational: "
     else:
         try:
             return Fraction(value)

@@ -26,6 +26,8 @@ _row_sum is the one sum, of an integrand's components over D. The Chern numbers,
 dh_volume and the omega pass read the rows and stay on ints until the returned value:
 the omega pass hands its twelve sums on as int numerators over one denominator, c1 is
 solved by Cramer's rule on them and every integrality test is a divisibility test.
+The tensor is built by projbundle._polarized, the builder of the ring's tensor too, from
+the four moments integral xi'^k eta'^(3-k) and that denominator.
 Fractions are made only for a returned value or an error's text, and ParamPolys only
 for dh_volume's result and FixedPointContribution.hamiltonian, which localization_table
 and localize hand out by wrapping the same rows.
@@ -233,22 +235,16 @@ def _solve_c1(nums, den):
     return an, bn, det
 
 
-def _tensor(nums, den):
-    """The cubic form's tensor from the sums of _omega_integrals."""
-    from . import projbundle
-
-    t0, t1, t2, t3 = nums[3:7]
-    return projbundle.trilinear_from_cubic((Fraction(t3, den), Fraction(3 * t2, den),
-                                            Fraction(3 * t1, den), Fraction(t0, den)))
-
-
 def cubic_form_from_gkm(g: GKMGraph, s):
     """Cubic intersection tensor on the basis (xi', eta') of degree-2 classes.
 
     The entry with k indices 0 (xi') and 3 - k indices 1 (eta') is the
     localized integral xi'^k eta'^(3-k).
     """
-    return _tensor(*_omega_integrals(g, s))
+    from . import projbundle
+
+    nums, den = _omega_integrals(g, s)
+    return projbundle._polarized(nums[3:7], den)
 
 
 def c1_in_omega_basis(g: GKMGraph, s):
@@ -285,5 +281,5 @@ def jupp_invariants_from_gkm(g: GKMGraph, s) -> JuppInvariants:
     if p1x % den or p1y % den:
         raise NonIntegralP1Error(f"<p1, xi'> = {Fraction(p1x, den)}, "
                                  f"<p1, eta'> = {Fraction(p1y, den)}: not integers")
-    return projbundle.JuppInvariants(_tensor(nums, den), (an // det % 2, bn // det % 2),
-                                     (p1x // den, p1y // den))
+    return projbundle.JuppInvariants(projbundle._polarized(nums[3:7], den),
+                                     (an // det % 2, bn // det % 2), (p1x // den, p1y // den))

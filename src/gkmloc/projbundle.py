@@ -16,6 +16,7 @@ Degree-2k elements are stored as coordinate vectors in that basis, ordered
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -297,32 +298,31 @@ def cubic_form(bundle: Bundle, a, b) -> Fraction:
 # trilinear forms and diffeomorphism invariants
 # ---------------------------------------------------------------------------
 
+def _polarized(moments, den=1):
+    """The symmetric 2x2x2 tensor whose entry with z indices 0 is moments[z] / den, for int
+    moments and den, an int when integral; every tensor of the package is built here, from
+    the ring's moments, the graph's localized ones or trilinear_from_cubic's coefficients."""
+    t0, t1, t2, t3 = (Fraction(m, den) if m % den else m // den for m in moments)
+    return (((t3, t2), (t2, t1)), ((t2, t1), (t1, t0)))
+
+
 def trilinear_from_cubic(coeffs):
     """Polarize a binary cubic form S into the symmetric tensor T(x, y, z).
 
     coeffs are (c0, c1, c2, c3) for S(u, v) = c0 u^3 + c1 u^2 v + c2 u v^2 +
     c3 v^3; the tensor is indexed by the same basis order, so T(y, y, y) =
     S(y) and the entries with 3, 2, 1, 0 indices 0 are c0, c1/3, c2/3, c3
-    (ints when integral). Four ints whose middle two are multiples of 3 skip
-    the Fraction coercion.
+    (ints when integral).
     """
     try:
-        coeffs = tuple(coeffs)
-        ints = (len(coeffs) == 4 and all(type(c) is int for c in coeffs)
-                and coeffs[1] % 3 == coeffs[2] % 3 == 0)
-        if not ints:
-            coeffs = tuple(_rat(c) for c in coeffs)
+        coeffs = tuple(_rat(c) for c in coeffs)
     except (TypeError, ValueError) as exc:
         raise NotCubicError(f"bad cubic coefficients: {exc}") from None
     if len(coeffs) != 4:
         raise NotCubicError("a binary cubic form has exactly 4 coefficients")
-    c0, c1, c2, c3 = coeffs
-    if ints:
-        by_zeros = (c3, c2 // 3, c1 // 3, c0)
-    else:
-        by_zeros = [int(v) if v.denominator == 1 else v for v in (c3, c2 / 3, c1 / 3, c0)]
-    return tuple(tuple(tuple(by_zeros[(i == 0) + (j == 0) + (k == 0)] for k in range(2))
-                       for j in range(2)) for i in range(2))
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    n0, n1, n2, n3 = (c.numerator * (lcm // c.denominator) for c in coeffs)
+    return _polarized((3 * n3, n2, n1, 3 * n0), 3 * lcm)
 
 
 def cubic_from_trilinear(tensor):
@@ -387,13 +387,12 @@ class JuppComparison:
 def jupp_invariants(bundle: Bundle) -> JuppInvariants:
     """Invariants of P(E) on the ordered basis (xi, eta), via ring reduction.
 
-    The tensor polarizes the cubic of the four ring moments integral
-    xi^k eta^(3-k), as the graph route polarizes its localized moments.
+    The tensor is built from the four ring moments integral xi^k eta^(3-k), as
+    the graph route builds it from its localized moments.
     """
     p1, w2, _ = p1_and_w2(bundle)
-    m0, m1, m2, m3 = bundle._moments
     on_eta, on_xi = _pairings(bundle, p1)
-    return JuppInvariants(trilinear_from_cubic((m3, 3 * m2, 3 * m1, m0)), (w2[1], w2[0]),
+    return JuppInvariants(_polarized(bundle._moments), (w2[1], w2[0]),
                           (int(on_xi), int(on_eta)))
 
 

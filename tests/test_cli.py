@@ -335,6 +335,14 @@ class TestErrorPaths:
         assert json.loads(out)["error"] == {
             "code": "BadRational", "message": "not an exact rational: 'x'"}
 
+    # Fraction reads '1_0' from Python 3.11 on and '1/ 2' from 3.12 on; rat refuses both
+    @pytest.mark.parametrize("text", ["1_0", "1/ 2", "1 /2"])
+    def test_version_dependent_rational_is_refused(self, capsys, text):
+        code, out = capture(capsys, ["kahler-cone", "--l1", text, "--l2", "20"])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "code": "BadRational", "message": f"not an exact rational: {text!r}"}
+
     def test_result_past_the_int_digit_limit(self, capsys):
         # the ring's numbers have more digits than str() may convert: the ValueError
         # raised while rendering is reported like any other

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -24,6 +25,25 @@ from gkmloc.exact import (
     rat,
     rat_str,
 )
+
+
+# Fraction's string grammar on Python 3.10, exponents aside: an optional sign, then
+# digits over digits, or a decimal; whitespace only at the ends, no '_' separators
+REFERENCE_GRAMMAR = re.compile(r"\s*([-+]?)(?=\d|\.\d)(\d*)(?:/(\d+)|(?:\.(\d*))?)\s*")
+
+
+def reference_rat(text):
+    """rat(text) by REFERENCE_GRAMMAR and int arithmetic: the value, or the error prefix."""
+    if "e" in text or "E" in text:
+        return "exponent notation is not accepted: "
+    match = REFERENCE_GRAMMAR.fullmatch(text)
+    if match is None:
+        return "not an exact rational: "
+    sign, whole, den, decimals = match.groups()
+    if den is not None and int(den) == 0:
+        return "zero denominator in "
+    num = int(whole + (decimals or "") or "0") * (-1 if sign == "-" else 1)
+    return Fraction(num, int(den) if den is not None else 10 ** len(decimals or ""))
 
 
 class TestRational:
@@ -62,6 +82,23 @@ class TestRational:
             assert isinstance(err.value, ValueError)
             assert err.value.code == "BadRational"
             assert repr(text) in str(err.value)
+
+    def test_strings_follow_one_grammar(self):
+        # every string of length 1 to 5 over these characters, and a few others;
+        # Fraction's own parser reads '_', and whitespace next to '/', on some
+        # supported Pythons only
+        short = ("".join(chars) for n in range(1, 6)
+                 for chars in itertools.product("10/._ +-", repeat=n))
+        others = ["1 / 2", "1\t/2", "1/\u00a02", "1_000/3", "1/2_0", "0x10", "١/2 "]
+        for text in itertools.chain(short, others):
+            want = reference_rat(text)
+            if isinstance(want, str):
+                with pytest.raises(BadRationalError) as err:
+                    rat(text)
+                assert str(err.value) == want + repr(text)
+            else:
+                got = rat(text)
+                assert (type(got), got) == (Fraction, want), text
 
     def test_exact_field_ops(self):
         assert rat("1/3") + rat("1/6") == rat("1/2")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gkmloc import gkm, localization
+from gkmloc import gkm, localization, projbundle
 from gkmloc.exact import L1, L2, ParamPoly, ToolkitError, primitive
 from gkmloc.gkm import (
     CircleAction,
@@ -43,8 +43,9 @@ from gkmloc.localization import (
     localization_table,
     localize,
 )
-from gkmloc.projbundle import tensor_apply, trilinear_from_cubic
+from gkmloc.projbundle import cubic_from_trilinear, tensor_apply, trilinear_from_cubic
 from test_gkm import assert_same_area, hamiltonian, omega_basis_values, sphere_c2_pairings
+from test_projbundle import typed
 
 G = tolman_graph()
 
@@ -566,6 +567,50 @@ class TestOnePassAgainstOldRoutes:
         assert half == (((Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 8), Fraction(1, 8))),
                         ((Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 8), 0)))
         assert type(half[1][1][1]) is int and type(half[0][0][0]) is Fraction
+
+
+def graph_tensors(g, s):
+    """The tensors of cubic_form_from_gkm and jupp_invariants_from_gkm, with
+    projbundle.trilinear_from_cubic refusing every call."""
+    def refuse(coeffs):
+        raise AssertionError(f"trilinear_from_cubic({coeffs!r})")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projbundle, "trilinear_from_cubic", refuse)
+        return cubic_form_from_gkm(g, s), jupp_invariants_from_gkm(g, s).trilinear
+
+
+def assert_polarized_cubics(*tensors):
+    """Each tensor is trilinear_from_cubic of its cubic, in each entry's value and type."""
+    for tensor in tensors:
+        assert typed(tensor) == typed(trilinear_from_cubic(cubic_from_trilinear(tensor)))
+
+
+class TestOneTensorBuilder:
+    """The graph route builds its tensors without trilinear_from_cubic, and they are
+    what trilinear_from_cubic makes of their cubics: the same entries, ints where
+    integral and Fractions elsewhere."""
+
+    @settings(max_examples=100)
+    @given(st.lists(st.sampled_from(GENERATORS), max_size=6),
+           RATIONAL_SHIFTS, RATIONAL_SHIFTS, st.integers(0, 3),
+           st.sampled_from([1, 2, Fraction(1, 2)]), st.integers(-7, 7), st.integers(-7, 7))
+    def test_moved_graphs(self, moves, shift0, shift1, k, r, a, b):
+        # these r keep c1 and p1 integral, so that jupp_invariants_from_gkm returns
+        g = moved(G, moves, shift0, shift1, k, r)
+        assume((a, b) != (0, 0))
+        assume(all(math.prod(restrict_weights(g, (a, b), p.id)) for p in g.points))
+        cubic, jupp = graph_tensors(g, (a, b))
+        assert cubic == jupp
+        assert_polarized_cubics(cubic, jupp)
+
+    def test_halved_class_mixes_fractions_and_an_int(self):
+        g = reparametrized(G, 0, Fraction(1, 2))
+        cubic, jupp = graph_tensors(g, (2, 1))
+        assert typed(cubic) == typed(jupp) == typed(
+            (((Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 8), Fraction(1, 8))),
+             ((Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 8), 0))))
+        assert_polarized_cubics(cubic, jupp)
 
 
 class TestOnePass:

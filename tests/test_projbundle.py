@@ -40,7 +40,7 @@ B = Bundle(-1, -1)
 TENSOR_XI_ETA = (((2, 1), (1, 1)), ((1, 1), (1, 0)))
 
 INTS = st.integers(-10**9, 10**9)
-# a middle cubic coefficient: any int, or a multiple of 3 as on the int path
+# a middle cubic coefficient: any int, or a multiple of 3, whose third is an int entry
 MIDDLE = INTS | INTS.map(lambda n: 3 * n)
 
 
@@ -62,14 +62,33 @@ def nested_tensor(bundle):
         for k in range(2)) for j in range(2)) for i in range(2))
 
 
-def full_scan(inv1, inv2, bound=3):
+def plain_scan(inv1, inv2, bound=3):
     """The unpruned box search: jupp_compare on every unimodular matrix.
 
-    Oracle for find_equivalence, which must return the same matrix or None.
+    Oracle for full_scan, on a sample of the pairs full_scan is run on.
     """
     rng = range(-bound, bound + 1)
     for q00, q01, q10, q11 in product(rng, repeat=4):
         if q00 * q11 - q01 * q10 not in (1, -1):
+            continue
+        q = ((q00, q01), (q10, q11))
+        if jupp_compare(inv1, inv2, q).ok:
+            return q
+    return None
+
+
+def full_scan(inv1, inv2, bound=3):
+    """plain_scan's matrix, or None, with each matrix rejected on its first failed condition.
+
+    The p1 condition <p1_2, Q x> == <p1_1, x> is checked first, as two int dot
+    products; jupp_compare runs only on matrices that pass it. Oracle for
+    find_equivalence, which must return the same matrix or None.
+    """
+    rng = range(-bound, bound + 1)
+    (p_u, p_v), (want0, want1) = inv2.p1_pairings, inv1.p1_pairings
+    for q00, q01, q10, q11 in product(rng, repeat=4):
+        if (p_u * q00 + p_v * q10 != want0 or p_u * q01 + p_v * q11 != want1
+                or q00 * q11 - q01 * q10 not in (1, -1)):
             continue
         q = ((q00, q01), (q10, q11))
         if jupp_compare(inv1, inv2, q).ok:
@@ -503,23 +522,23 @@ class TestTrilinearForms:
     @example((0, 1, 0, 0))
     @example((0, 3, 2, 0))
     def test_ints_polarize_as_fractions_do(self, coeffs):
-        # four ints take the int path when the middle two are multiples of 3;
-        # the entries, and their types, are those of the Fraction path
+        # ints, generators and strings give the entries, and the entry types,
+        # of the same coefficients as Fractions
         want = typed(trilinear_from_cubic(tuple(Fraction(c) for c in coeffs)))
         assert typed(trilinear_from_cubic(coeffs)) == want
         assert typed(trilinear_from_cubic(c for c in coeffs)) == want
         assert typed(trilinear_from_cubic([str(c) for c in coeffs])) == want
 
-    def test_int_path_never_coerces(self, monkeypatch):
-        def no_rat(value):
-            raise AssertionError(f"_rat({value!r})")
+    def test_ring_tensors_skip_trilinear_from_cubic(self, monkeypatch):
+        # jupp_invariants builds its tensor from the moments; trilinear_from_cubic of
+        # the tensor's cubic is the oracle, in each entry's value and type
+        def refuse(coeffs):
+            raise AssertionError(f"trilinear_from_cubic({coeffs!r})")
 
-        monkeypatch.setattr(projbundle, "_rat", no_rat)
-        assert trilinear_from_cubic((2, 3, 3, 0)) == TENSOR_XI_ETA
-        assert trilinear_from_cubic(iter([2, 3, 3, 0])) == TENSOR_XI_ETA
-        for coeffs in ((0, 1, 0, 0), (Fraction(2), 3, 3, 0), (2, 3, 3, 0, 0)):
-            with pytest.raises(AssertionError, match="^_rat"):
-                trilinear_from_cubic(coeffs)
+        monkeypatch.setattr(projbundle, "trilinear_from_cubic", refuse)
+        for k1, k2 in product(range(-6, 7), repeat=2):
+            tensor = jupp_invariants(Bundle(k1, k2)).trilinear
+            assert typed(tensor) == typed(trilinear_from_cubic(cubic_from_trilinear(tensor)))
 
     @settings(max_examples=200)
     @given(st.lists(st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3, 6])),
@@ -783,6 +802,21 @@ class TestPrunedSearch:
             assert q == full_scan(inv1, inv2, bound=3), (inv1, inv2)
             hits += q is not None
         assert 0 < hits < len(invs) ** 2
+
+    def test_the_full_scan_is_the_plain_scan(self):
+        # a fixed sample of the bundle pairs above, p1 = 0 and twists by O(1) added,
+        # and a moved copy of each first bundle, so that both hits and misses run
+        grid = list(product(range(-4, 5), repeat=2))
+        pairs = random.Random(3707).sample(list(product(grid, repeat=2)), 40)
+        pairs += [((1, 1), (1, 1)), ((1, 1), (-1, 1)), ((3, 3), (3, 3)), ((-1, -1), (1, -1))]
+        hits = 0
+        for (b1, b2), move in zip(pairs, random.Random(3708).choices(MOVES, k=len(pairs))):
+            inv1 = jupp_invariants(Bundle(*b1))
+            for inv2 in (jupp_invariants(Bundle(*b2)), moved(inv1, move)):
+                q = plain_scan(inv1, inv2)
+                assert full_scan(inv1, inv2) == q, (inv1, inv2)
+                hits += q is not None
+        assert len(pairs) < hits < 2 * len(pairs)
 
     @settings(max_examples=300)
     @given(inv1=ANY_INVARIANTS, inv2=st.one_of(ANY_INVARIANTS, st.sampled_from(MOVES)),

@@ -7,7 +7,8 @@ and a call that names a subcommand is parsed by that subcommand's parser alone.
 An unbounded cache holds one value per process: it decorates a function with
 no parameters, so what it keeps cannot grow with the inputs. A per-instance
 cache (``functools.cached_property``) sits only on a frozen dataclass, whose
-fields cannot change after the value is cached. Every file of the
+fields cannot change after the value is cached. One function builds every
+cubic tensor, and no module calls ``trilinear_from_cubic``. Every file of the
 package and the tests parses as the oldest Python that ``requires-python``
 names, whatever version runs the suite."""
 
@@ -251,3 +252,39 @@ def test_cached_properties_sit_on_frozen_dataclasses():
             ("gkm", "GKMGraph", "_outgoing"), ("toric", "Polytope", "_edges")} \
         <= {f[:3] for f in found}
     assert [f for f in found if not f[3]] == []
+
+
+def tuple_depth(node):
+    """How deep tuples nest in an expression: a tuple literal, or a tuple() call on a
+    comprehension, is one level more than its deepest element."""
+    if isinstance(node, ast.Tuple):
+        return 1 + max(map(tuple_depth, node.elts), default=0)
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+            and len(node.args) == 1
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))):
+        return 1 + tuple_depth(node.args[0].elt)
+    return 0
+
+
+def tensor_builders_and_cubic_calls():
+    """(module, function) of every function that nests tuples three deep, as the 2x2x2
+    tensor does, and (module, line) of every call of trilinear_from_cubic."""
+    builders, calls = set(), []
+    for path in SOURCES:
+        tree = parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    tuple_depth(sub) >= 3 for sub in ast.walk(node)):
+                builders.add((path.stem, node.name))
+            elif isinstance(node, ast.Call) and "trilinear_from_cubic" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((path.stem, node.lineno))
+    return builders, calls
+
+
+def test_one_function_builds_every_tensor():
+    # the ring's and the graph's tensors, and trilinear_from_cubic's, all come from
+    # projbundle._polarized, so their layout and entry types are decided in one place
+    builders, calls = tensor_builders_and_cubic_calls()
+    assert builders == {("projbundle", "_polarized")}
+    assert calls == []
